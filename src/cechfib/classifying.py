@@ -12,25 +12,17 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from .bundles import Bundle, bundle_isomorphism, total_space
-from .cocycles import Cocycle1, count_equivalence_classes, from_homomorphism
-from .complexes import SimplicialComplex, SimplicialMap, build_complex, pi1_presentation
-from .covers import Cover, cech_nerve, is_good_cover
+from .cocycles import Cocycle1, merge_equivalent, monodromy_representatives
+from .complexes import SimplicialMap, build_complex
+from .covers import Cover
 from .errors import ValidationError
-from .groups import (
-    FiniteGroup,
-    GroupAction,
-    enumerate_homs,
-    hom_conjugacy_classes,
-    regular_action,
-)
+from .groups import FiniteGroup, regular_action
 from .homology import (
     ChainComplex,
     HomologyResult,
-    HomologyWorkspace,
-    chain_complex_of,
     homology_of_chain_complex,
     tuple0,
 )
@@ -408,29 +400,20 @@ def classification_check(
 ) -> ClassificationReport:
     """Count cocycle classes two ways and cross-check the universal pullback.
 
-    The count by bridging-equivalence of monodromy representatives must
+    The count by gauge equivalence of monodromy representatives must
     agree with the count of conjugacy classes of homomorphisms from the
     nerve's fundamental group, and for every representative the pullback
     of the universal chains along its classifying map must be isomorphic
     to its quotient total space.
     """
-    nerve = cech_nerve(cover)
-    report = is_good_cover(cover, nerve)
-    if not report.good:
-        raise ValidationError(
-            f"cover is not good at {report.failures[0][0]!r}",
-            details={"failures": report.failures},
-        )
-    presentation = pi1_presentation(nerve.complex, nerve.complex.vertices[0])
-    homs = enumerate_homs(presentation, group, budget=budget)
-    classes = hom_conjugacy_classes(homs, group)
-    cocycle_classes = count_equivalence_classes(cover, group, budget=budget)
+    nerve, classes, representatives = monodromy_representatives(
+        cover, group, budget=budget
+    )
+    cocycle_classes = len(merge_equivalent(representatives, budget=budget))
     universal = universal_bundle(group, max(nerve.complex.dim, 1))
     action = regular_action(group)
     matches = []
-    for cls in classes:
-        rep = from_homomorphism(cls[0], cover, group, nerve=nerve,
-                                presentation=presentation)
+    for rep in representatives:
         direct = total_space(rep, action)
         pulled = pullback_universal(rep, universal)
         matches.append(bundle_isomorphism(pulled, direct) is not None)

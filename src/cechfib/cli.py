@@ -16,15 +16,11 @@ from typing import List, Optional
 
 from . import __version__
 from .bundles import pullback, skeletal_construction, total_space
-from .classifying import (
-    bar_homology,
-    classification_check,
-    validate_milnor_point,
-)
-from .cocycles import are_equivalent
-from .covers import carrier_check, cech_nerve, is_good_cover
+from .classifying import bar_homology, classification_check
+from .cocycles import are_equivalent, validate_cocycle
+from .covers import carrier_check, cech_nerve
 from .errors import BudgetExceededError, ValidationError
-from .gerbes import abelian_class, abelian_class_count
+from .gerbes import abelian_class, abelian_class_count, validate_gerbe_cocycle
 from .groups import regular_action
 from .homology import homology
 from . import io as docio
@@ -69,6 +65,13 @@ def _report(command: str, verdict, details) -> dict:
     }
 
 
+def _validated_false(command: str, exc: ValidationError) -> tuple:
+    details = {"error": str(exc)}
+    if getattr(exc, "details", None):
+        details["context"] = _stringify(exc.details)
+    return EXIT_FALSE, _report(command, False, details)
+
+
 def _run_validate_complex(inputs: _Inputs, args) -> tuple:
     try:
         x = docio.complex_from_doc(inputs.one())
@@ -108,8 +111,7 @@ def _run_nerve(inputs: _Inputs, args) -> tuple:
 
 def _run_cover_check(inputs: _Inputs, args) -> tuple:
     cover = docio.cover_from_doc(inputs.one())
-    nerve = cech_nerve(cover)
-    report = is_good_cover(cover, nerve)
+    report = cech_nerve(cover).goodness
     details = {
         "good": report.good,
         "carrier": carrier_check(cover),
@@ -123,22 +125,11 @@ def _run_cover_check(inputs: _Inputs, args) -> tuple:
 
 
 def _run_cocycle_check(inputs: _Inputs, args) -> tuple:
-    from .cocycles import validate_cocycle
-
-    doc = inputs.one()
-    for key in ("cover", "group", "values"):
-        if key not in doc:
-            raise ValidationError(f'cocycle document needs "{key}"')
-    cover = docio.cover_from_doc(doc["cover"])
-    group = docio.group_from_doc(doc["group"])
-    values = docio.cocycle_values_from_doc(doc["values"])
+    parsed = docio.parse_cocycle_doc(inputs.one())
     try:
-        cocycle = validate_cocycle(cover, group, values)
+        cocycle = validate_cocycle(*parsed)
     except ValidationError as exc:
-        details = {"error": str(exc)}
-        if getattr(exc, "details", None):
-            details["context"] = _stringify(exc.details)
-        return EXIT_FALSE, _report("cocycle-check", False, details)
+        return _validated_false("cocycle-check", exc)
     return EXIT_TRUE, _report(
         "cocycle-check", True, {"pairs": len(cocycle.values)}
     )
@@ -204,23 +195,11 @@ def _run_classify(inputs: _Inputs, args) -> tuple:
 
 
 def _run_gerbe_check(inputs: _Inputs, args) -> tuple:
-    from .gerbes import validate_gerbe_cocycle
-
-    doc = inputs.one()
-    for key in ("cover", "crossedModule", "values", "witnesses"):
-        if key not in doc:
-            raise ValidationError(f'gerbe document needs "{key}"')
-    cover = docio.cover_from_doc(doc["cover"])
-    module = docio.crossed_module_from_doc(doc["crossedModule"])
-    values = docio.cocycle_values_from_doc(doc["values"])
-    witnesses = docio.gerbe_witnesses_from_doc(doc["witnesses"])
+    parsed = docio.parse_gerbe_doc(inputs.one())
     try:
-        data = validate_gerbe_cocycle(cover, module, values, witnesses)
+        data = validate_gerbe_cocycle(*parsed)
     except ValidationError as exc:
-        details = {"error": str(exc)}
-        if getattr(exc, "details", None):
-            details["context"] = _stringify(exc.details)
-        return EXIT_FALSE, _report("gerbe-check", False, details)
+        return _validated_false("gerbe-check", exc)
     return EXIT_TRUE, _report(
         "gerbe-check", True,
         {"pairs": len(data.edge_values), "witnesses": len(data.witnesses)},
@@ -250,16 +229,11 @@ def _run_bar_homology(inputs: _Inputs, args) -> tuple:
 
 def _run_milnor_check(inputs: _Inputs, args) -> tuple:
     doc = inputs.one()
-    for key in ("t", "g", "group"):
-        if key not in doc:
-            raise ValidationError(f'coordinate-point document needs "{key}"')
+    docio.require_keys(doc, "coordinate-point", ("t", "g", "group"))
     try:
         point = docio.milnor_from_doc(doc)
     except ValidationError as exc:
-        details = {"error": str(exc)}
-        if getattr(exc, "details", None):
-            details["context"] = _stringify(exc.details)
-        return EXIT_FALSE, _report("milnor-check", False, details)
+        return _validated_false("milnor-check", exc)
     return EXIT_TRUE, _report(
         "milnor-check", True,
         {"support": [i for i, t in enumerate(point.coordinates) if t != 0]},

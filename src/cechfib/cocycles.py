@@ -1,9 +1,11 @@
 """Group-valued transition cocycles over a good cover.
 
 Values live on ordered index pairs with nonempty intersection; the
-diagonal and reversed values are derived, never stored.  Equivalence of
-two cocycles over one base is decided by searching for bridging values
-on the combined cover.
+diagonal and reversed values are derived, never stored.  Every cocycle
+sits on a nerve proven good, whose keys and presentation it shares.
+Two cocycles over one shared cover are equivalent when a 0-cochain mu
+gives g'_ab = mu_a^-1 * g_ab * mu_b; that gauge is found by a search on
+the cover's nerve.
 """
 
 from __future__ import annotations
@@ -11,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from .complexes import pi1_presentation, Pi1Presentation
-from .covers import Cover, NerveComplex, cech_nerve, disjoint_union_cover, is_good_cover
+from .covers import Cover, NerveComplex, cech_nerve
 from .errors import BudgetExceededError, ValidationError
 from .groups import FiniteGroup, enumerate_homs, hom_conjugacy_classes
 
@@ -49,21 +50,12 @@ class Cochain0:
     values: Mapping  # index -> element
 
 
-def _nonempty_pairs(nerve: NerveComplex) -> list:
-    return sorted(k for k in nerve.witnesses if len(k) == 2)
-
-
-def _nonempty_triples(nerve: NerveComplex) -> list:
-    return sorted(k for k in nerve.witnesses if len(k) == 3)
-
-
 def validate_cocycle(
     cover: Cover,
     group: FiniteGroup,
     values: Mapping,
     *,
     nerve: Optional[NerveComplex] = None,
-    assume_good: bool = False,
 ) -> Cocycle1:
     """Check the cocycle law on every nonempty ordered triple.
 
@@ -72,15 +64,9 @@ def validate_cocycle(
     """
     if nerve is None:
         nerve = cech_nerve(cover)
-    if not assume_good:
-        report = is_good_cover(cover, nerve)
-        if not report.good:
-            raise ValidationError(
-                f"cover is not good at {report.failures[0][0]!r}",
-                details={"failures": report.failures},
-            )
+    nerve.require_good()
     cleaned: Dict[tuple, int] = {}
-    for pair in _nonempty_pairs(nerve):
+    for pair in nerve.keys(2):
         if pair not in values:
             raise ValidationError(
                 f"missing value for overlapping pair {pair!r}",
@@ -96,7 +82,7 @@ def validate_cocycle(
             f"values given for non-overlapping pairs {sorted(extra)[:4]!r}"
         )
     cocycle = Cocycle1(cover=cover, nerve=nerve, group=group, values=cleaned)
-    for a, b, c in _nonempty_triples(nerve):
+    for a, b, c in nerve.keys(3):
         lhs = group.mul(cocycle.value(a, b), cocycle.value(b, c))
         if lhs != cocycle.value(a, c):
             raise ValidationError(
@@ -109,7 +95,7 @@ def validate_cocycle(
 def trivial_cocycle(cover: Cover, group: FiniteGroup, *, nerve=None) -> Cocycle1:
     if nerve is None:
         nerve = cech_nerve(cover)
-    values = {pair: 0 for pair in _nonempty_pairs(nerve)}
+    values = {pair: 0 for pair in nerve.keys(2)}
     return validate_cocycle(cover, group, values, nerve=nerve)
 
 
@@ -126,20 +112,10 @@ def coboundary_transform(cocycle: Cocycle1, cochain: Cochain0) -> Cocycle1:
         (a, b): group.mul(group.mul(lam[a], v), group.inv(lam[b]))
         for (a, b), v in cocycle.values.items()
     }
-    return validate_cocycle(
-        cocycle.cover, group, values, nerve=cocycle.nerve, assume_good=True
-    )
+    return validate_cocycle(cocycle.cover, group, values, nerve=cocycle.nerve)
 
 
-def nerve_presentation(cocycle: Cocycle1) -> Pi1Presentation:
-    nerve = cocycle.nerve.complex
-    basepoint = nerve.vertices[0]
-    return pi1_presentation(nerve, basepoint)
-
-
-def holonomy(
-    cocycle: Cocycle1, presentation: Optional[Pi1Presentation] = None
-) -> tuple:
+def holonomy(cocycle: Cocycle1) -> tuple:
     """Generator images of the monodromy homomorphism.
 
     Each spanning-tree vertex x gets the product W(x) of values along the
@@ -147,8 +123,7 @@ def holonomy(
     W(u) * value(u, v) * W(v)^-1.  The cocycle law on nerve triangles
     makes every relation word evaluate to the identity.
     """
-    if presentation is None:
-        presentation = nerve_presentation(cocycle)
+    presentation = cocycle.nerve.presentation
     group = cocycle.group
     parent: Dict = {presentation.basepoint: None}
     adjacency: Dict = {}
@@ -179,7 +154,6 @@ def from_homomorphism(
     group: FiniteGroup,
     *,
     nerve: Optional[NerveComplex] = None,
-    presentation: Optional[Pi1Presentation] = None,
 ) -> Cocycle1:
     """Cocycle with identity on tree edges and the given generator images.
 
@@ -188,8 +162,7 @@ def from_homomorphism(
     """
     if nerve is None:
         nerve = cech_nerve(cover)
-    if presentation is None:
-        presentation = pi1_presentation(nerve.complex, nerve.complex.vertices[0])
+    presentation = nerve.presentation
     if len(images) != presentation.generator_count:
         raise ValidationError(
             f"expected {presentation.generator_count} generator images, "
@@ -207,18 +180,15 @@ def from_homomorphism(
             )
     values: Dict[tuple, int] = {}
     gen_index = {edge: i for i, edge in enumerate(presentation.generator_edges)}
-    for pair in _nonempty_pairs(nerve):
-        if pair in gen_index:
-            values[pair] = images[gen_index[pair]]
-        else:
-            values[pair] = 0
-    return validate_cocycle(cover, group, values, nerve=nerve, assume_good=True)
+    for pair in nerve.keys(2):
+        values[pair] = images[gen_index[pair]] if pair in gen_index else 0
+    return validate_cocycle(cover, group, values, nerve=nerve)
 
 
 @dataclass(frozen=True)
 class EquivalenceResult:
     equivalent: bool
-    bridge: Optional[Mapping] = None  # (u index, v index) -> element
+    bridge: Optional[Mapping] = None  # (c1 index, c2 index) -> element
 
 
 def are_equivalent(
@@ -227,115 +197,102 @@ def are_equivalent(
     *,
     budget: int = DEFAULT_BUDGET,
 ) -> EquivalenceResult:
-    """Search for bridging values making one cocycle on the joined cover.
+    """Search for a gauge mu with c2(a, b) = mu_a^-1 * c1(a, b) * mu_b.
 
-    The two cocycles must share base and group.  Mixed pairs are the
-    unknowns; every nerve triangle of the joined cover relates two of
-    them (or pins them against known values), so each connected component
-    of the constraint graph is determined by one seed value.  The
-    returned bridge is the lexicographically least solution.
+    Both cocycles must live over one cover and take values in one group.
+    Nerve components are taken in index order.  At a component's least
+    index, mu runs through the group elements in order, one budget unit
+    per guess, and mu_b = c1(a, b)^-1 * mu_a * c2(a, b) is propagated
+    along nerve edges; the first guess that propagates consistently
+    fixes the component.  The bridge h_ab = c1(a, b) * mu_b names every
+    ordered overlapping pair, a = b included: together with both
+    cocycles it forms one cocycle over the cover joined with itself, and
+    its values in sorted pair order are the lexicographically least such
+    extension.
     """
-    if c1.cover.base != c2.cover.base:
-        raise ValidationError("cocycles live over different bases")
+    if c1.cover != c2.cover:
+        raise ValidationError("cocycles live over different covers")
     if c1.group != c2.group:
         raise ValidationError("cocycles take values in different groups")
     group = c1.group
-    joined = disjoint_union_cover(c1.cover, c2.cover)
-    nerve = cech_nerve(joined)
-    report = is_good_cover(joined, nerve)
-    if not report.good:
-        raise ValidationError(
-            f"joined cover is not good at {report.failures[0][0]!r}",
-            details={"failures": report.failures},
-        )
+    nerve = c1.nerve
+    neighbors: Dict = {}
+    for a, b in nerve.keys(2):
+        neighbors.setdefault(a, []).append(b)
+        neighbors.setdefault(b, []).append(a)
 
-    def known(a, b) -> Optional[int]:
-        # value on a non-mixed ordered pair of the joined cover
-        if a[0] == b[0] == "0":
-            return c1.value(a[1], b[1])
-        if a[0] == b[0] == "1":
-            return c2.value(a[1], b[1])
-        return None
+    def propagate(root, guess) -> Optional[Dict]:
+        trial = {root: guess}
+        stack = [root]
+        while stack:
+            a = stack.pop()
+            for b in neighbors.get(a, ()):
+                forced = group.mul(
+                    group.mul(group.inv(c1.value(a, b)), trial[a]),
+                    c2.value(a, b),
+                )
+                if b not in trial:
+                    trial[b] = forced
+                    stack.append(b)
+                elif trial[b] != forced:
+                    return None
+        return trial
 
-    variables = sorted(
-        key for key in nerve.witnesses
-        if len(key) == 2 and key[0][0] == "0" and key[1][0] == "1"
-    )
-    var_set = set(variables)
-    # constraints: var = left * other (if other later) etc.; collected as
-    # (var_a, var_b, how) with value_a determined from value_b
-    neighbors: Dict[tuple, List] = {v: [] for v in variables}
-    triangles = []
-    for key in nerve.witnesses:
-        if len(key) != 3:
-            continue
-        a, b, c = key
-        tags = tuple(x[0] for x in key)
-        if tags == ("0", "0", "1"):
-            p, q = (a, c), (b, c)
-            g = known(a, b)
-            # value(a,c) = g * value(b,c): knowing q forces p and vice versa
-            neighbors[q].append((p, g, "left"))
-            neighbors[p].append((q, group.inv(g), "left"))
-        elif tags == ("0", "1", "1"):
-            p, q = (a, b), (a, c)
-            g = known(b, c)
-            # value(a,c) = value(a,b) * g: knowing p forces q and vice versa
-            neighbors[p].append((q, g, "right"))
-            neighbors[q].append((p, group.inv(g), "right"))
-        triangles.append(key)
-
-    assignment: Dict[tuple, int] = {}
+    mu: Dict = {}
     tried = 0
-    for seed in variables:
-        if seed in assignment:
+    for (root,) in nerve.keys(1):
+        if root in mu:
             continue
-        component_solution = None
         for guess in group.elements():
             tried += 1
             if tried > budget:
                 raise BudgetExceededError(
                     f"equivalence search exceeded budget {budget}", budget
                 )
-            trial = {seed: guess}
-            stack = [seed]
-            consistent = True
-            while stack and consistent:
-                var = stack.pop()
-                for other, g, side in neighbors[var]:
-                    if side == "left":
-                        forced = group.mul(g, trial[var])
-                    else:
-                        forced = group.mul(trial[var], g)
-                    if other in trial:
-                        if trial[other] != forced:
-                            consistent = False
-                            break
-                    else:
-                        trial[other] = forced
-                        stack.append(other)
-            if consistent:
-                component_solution = trial
+            component = propagate(root, guess)
+            if component is not None:
+                mu.update(component)
                 break
-        if component_solution is None:
+        else:
             return EquivalenceResult(equivalent=False)
-        assignment.update(component_solution)
-
-    def joined_value(a, b) -> int:
-        v = known(a, b)
-        if v is not None:
-            return v
-        if (a, b) in var_set:
-            return assignment[(a, b)]
-        return group.inv(assignment[(b, a)])
-
-    for a, b, c in triangles:
-        if group.mul(joined_value(a, b), joined_value(b, c)) != joined_value(a, c):
-            return EquivalenceResult(equivalent=False)
-    bridge = {
-        (a[1], b[1]): value for (a, b), value in sorted(assignment.items())
-    }
+    edges = nerve.keys(2)
+    pairs = sorted([(a, a) for a in mu] + list(edges) + [(b, a) for a, b in edges])
+    bridge = {(a, b): group.mul(c1.value(a, b), mu[b]) for a, b in pairs}
     return EquivalenceResult(equivalent=True, bridge=bridge)
+
+
+def monodromy_representatives(
+    cover: Cover,
+    group: FiniteGroup,
+    *,
+    budget: int = DEFAULT_BUDGET,
+) -> Tuple[NerveComplex, list, List[Cocycle1]]:
+    """The nerve, the conjugacy classes of homomorphisms from its
+    fundamental group, and one cocycle per class (the first member, made
+    into a cocycle by :func:`from_homomorphism`)."""
+    nerve = cech_nerve(cover)
+    nerve.require_good()
+    homs = enumerate_homs(nerve.presentation, group, budget=budget)
+    classes = hom_conjugacy_classes(homs, group)
+    representatives = [
+        from_homomorphism(cls[0], cover, group, nerve=nerve) for cls in classes
+    ]
+    return nerve, classes, representatives
+
+
+def merge_equivalent(
+    cocycles: List[Cocycle1], *, budget: int = DEFAULT_BUDGET
+) -> List[List[int]]:
+    """Positions of the cocycles grouped by equivalence, first fit in order."""
+    merged: List[List[int]] = []
+    for i, cocycle in enumerate(cocycles):
+        for bucket in merged:
+            if are_equivalent(cocycles[bucket[0]], cocycle, budget=budget).equivalent:
+                bucket.append(i)
+                break
+        else:
+            merged.append([i])
+    return merged
 
 
 def count_equivalence_classes(
@@ -347,31 +304,7 @@ def count_equivalence_classes(
     """Number of cocycle classes over a good cover with connected nerve.
 
     Enumerates monodromy representatives (one cocycle per conjugacy class
-    of homomorphisms) and merges them by the bridging search.
+    of homomorphisms) and merges them by the gauge search.
     """
-    nerve = cech_nerve(cover)
-    report = is_good_cover(cover, nerve)
-    if not report.good:
-        raise ValidationError(
-            f"cover is not good at {report.failures[0][0]!r}",
-            details={"failures": report.failures},
-        )
-    presentation = pi1_presentation(nerve.complex, nerve.complex.vertices[0])
-    homs = enumerate_homs(presentation, group, budget=budget)
-    classes = hom_conjugacy_classes(homs, group)
-    representatives = [
-        from_homomorphism(cls[0], cover, group, nerve=nerve,
-                          presentation=presentation)
-        for cls in classes
-    ]
-    merged: List[List[int]] = []
-    for i, rep in enumerate(representatives):
-        placed = False
-        for bucket in merged:
-            if are_equivalent(representatives[bucket[0]], rep, budget=budget).equivalent:
-                bucket.append(i)
-                placed = True
-                break
-        if not placed:
-            merged.append([i])
-    return len(merged)
+    _, _, representatives = monodromy_representatives(cover, group, budget=budget)
+    return len(merge_equivalent(representatives, budget=budget))

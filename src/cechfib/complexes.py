@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Mapping, Tuple
 
 from .errors import ValidationError
 
@@ -114,11 +114,6 @@ def build_complex(maximal_simplices: Iterable[Iterable]) -> SimplicialComplex:
             for face in itertools.combinations(listed, k):
                 closed.add(frozenset(face))
     return SimplicialComplex(closed)
-
-
-def subcomplex_from_simplices(simplices: Iterable[frozenset]) -> SimplicialComplex:
-    """Wrap an already downward-closed simplex set (e.g. an intersection)."""
-    return SimplicialComplex(simplices)
 
 
 def intersect_complexes(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComplex:

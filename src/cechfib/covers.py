@@ -9,14 +9,17 @@ the intersection itself as a witness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Tuple
+from functools import cached_property
+from typing import Dict, Mapping, Optional
 
 from .complexes import (
+    Pi1Presentation,
     SimplicialComplex,
     SimplicialMap,
     barycentric_subdivision,
     build_complex,
     intersect_complexes,
+    pi1_presentation,
 )
 from .errors import ValidationError
 from .homology import is_point_like
@@ -130,7 +133,14 @@ def closed_star_cover(x: SimplicialComplex) -> Cover:
 
 @dataclass(frozen=True)
 class NerveComplex:
-    """Nerve of a cover with intersection witnesses per simplex."""
+    """The context of one cover: its nerve with an intersection witness
+    per simplex, and the data every construction over the cover reads.
+
+    The sorted index families of each size, the goodness report and the
+    fundamental-group presentation at the least nerve vertex are each
+    computed on first use and then kept, so validating many cocycles or
+    gerbe data over one nerve checks its goodness once.
+    """
 
     cover: Cover
     complex: SimplicialComplex
@@ -138,6 +148,34 @@ class NerveComplex:
 
     def witness(self, simplex) -> SimplicialComplex:
         return self.witnesses[tuple(sorted(simplex))]
+
+    @cached_property
+    def _keys_by_size(self) -> Dict[int, tuple]:
+        by_size: Dict[int, list] = {}
+        for key in sorted(self.witnesses):
+            by_size.setdefault(len(key), []).append(key)
+        return {size: tuple(keys) for size, keys in by_size.items()}
+
+    def keys(self, size: int) -> tuple:
+        """Sorted index tuples of ``size`` parts with nonempty intersection."""
+        return self._keys_by_size.get(size, ())
+
+    @cached_property
+    def goodness(self) -> GoodCoverReport:
+        return is_good_cover(self.cover, self)
+
+    def require_good(self) -> None:
+        """Raise unless every nonempty intersection is point-like."""
+        report = self.goodness
+        if not report.good:
+            raise ValidationError(
+                f"cover is not good at {report.failures[0][0]!r}",
+                details={"failures": report.failures},
+            )
+
+    @cached_property
+    def presentation(self) -> Pi1Presentation:
+        return pi1_presentation(self.complex, self.complex.vertices[0])
 
 
 def cech_nerve(cover: Cover) -> NerveComplex:

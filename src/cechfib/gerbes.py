@@ -15,13 +15,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional
 
-from .covers import Cover, NerveComplex, cech_nerve, is_good_cover
+from .covers import Cover, NerveComplex, cech_nerve
 from .errors import BudgetExceededError, ValidationError
 from .groups import CrossedModule, abelian_decomposition
 from .homology import simplex_boundary_matrix
-from .snf import smith_normal_form
+from .snf import smith_normal_form, transpose
 
 DEFAULT_BUDGET = 1_000_000
 
@@ -47,10 +47,6 @@ class GerbeCocycle:
         return self.witnesses[(a, b, c)]
 
 
-def _keys_of_size(nerve: NerveComplex, size: int) -> list:
-    return sorted(k for k in nerve.witnesses if len(k) == size)
-
-
 def validate_gerbe_cocycle(
     cover: Cover,
     module: CrossedModule,
@@ -58,21 +54,14 @@ def validate_gerbe_cocycle(
     witnesses: Mapping,
     *,
     nerve: Optional[NerveComplex] = None,
-    assume_good: bool = False,
 ) -> GerbeCocycle:
     """Check both laws on every nonempty triple and quadruple."""
     if nerve is None:
         nerve = cech_nerve(cover)
-    if not assume_good:
-        report = is_good_cover(cover, nerve)
-        if not report.good:
-            raise ValidationError(
-                f"cover is not good at {report.failures[0][0]!r}",
-                details={"failures": report.failures},
-            )
+    nerve.require_good()
     base, fiber = module.base, module.fiber
     edges: Dict[tuple, int] = {}
-    for pair in _keys_of_size(nerve, 2):
+    for pair in nerve.keys(2):
         if pair not in edge_values:
             raise ValidationError(f"missing edge value for {pair!r}")
         g = int(edge_values[pair])
@@ -80,7 +69,7 @@ def validate_gerbe_cocycle(
             raise ValidationError(f"edge value {g} out of range at {pair!r}")
         edges[pair] = g
     tris: Dict[tuple, int] = {}
-    for triple in _keys_of_size(nerve, 3):
+    for triple in nerve.keys(3):
         if triple not in witnesses:
             raise ValidationError(f"missing witness for {triple!r}")
         h = int(witnesses[triple])
@@ -91,7 +80,7 @@ def validate_gerbe_cocycle(
         cover=cover, nerve=nerve, module=module,
         edge_values=edges, witnesses=tris,
     )
-    for a, b, c in _keys_of_size(nerve, 3):
+    for a, b, c in nerve.keys(3):
         lhs = base.mul(data.edge(a, b), data.edge(b, c))
         rhs = base.mul(module.boundary[data.witness(a, b, c)], data.edge(a, c))
         if lhs != rhs:
@@ -99,7 +88,7 @@ def validate_gerbe_cocycle(
                 f"triangle law fails on ({a!r}, {b!r}, {c!r})",
                 details={"law": "triangle", "tuple": (a, b, c)},
             )
-    for a, b, c, d in _keys_of_size(nerve, 4):
+    for a, b, c, d in nerve.keys(4):
         lhs = fiber.mul(data.witness(a, b, c), data.witness(a, c, d))
         rhs = fiber.mul(
             module.act(data.edge(a, b), data.witness(b, c, d)),
@@ -118,13 +107,10 @@ def gerbe_from_cocycle(cocycle) -> GerbeCocycle:
     from .groups import adjoint_crossed_module
 
     module = adjoint_crossed_module(cocycle.group)
-    witnesses = {}
-    for key in _keys_of_size(cocycle.nerve, 3):
-        a, b, c = key
-        witnesses[key] = 0
+    witnesses = {key: 0 for key in cocycle.nerve.keys(3)}
     return validate_gerbe_cocycle(
         cocycle.cover, module, dict(cocycle.values), witnesses,
-        nerve=cocycle.nerve, assume_good=True,
+        nerve=cocycle.nerve,
     )
 
 
@@ -147,7 +133,7 @@ def gerbe_coboundary(
     for idx in data.cover.indices:
         if idx not in lam:
             raise ValidationError(f"gauge misses index {idx!r}")
-    pairs = _keys_of_size(data.nerve, 2)
+    pairs = data.nerve.keys(2)
     for pair in pairs:
         if pair not in shift:
             raise ValidationError(f"shift misses pair {pair!r}")
@@ -166,7 +152,7 @@ def gerbe_coboundary(
         for a, b in pairs
     }
     new_witnesses = {}
-    for a, b, c in _keys_of_size(data.nerve, 3):
+    for a, b, c in data.nerve.keys(3):
         term = fiber.mul(
             shift_of(a, b),
             module.act(conjugated_edge(a, b), shift_of(b, c)),
@@ -175,8 +161,7 @@ def gerbe_coboundary(
         term = fiber.mul(term, fiber.inv(shift_of(a, c)))
         new_witnesses[(a, b, c)] = term
     return validate_gerbe_cocycle(
-        data.cover, module, new_edges, new_witnesses,
-        nerve=data.nerve, assume_good=True,
+        data.cover, module, new_edges, new_witnesses, nerve=data.nerve,
     )
 
 
@@ -227,7 +212,7 @@ def check_coherence_faces(data: GerbeCocycle) -> bool:
             )
         return two_cell
 
-    for a, b, c, d in _keys_of_size(data.nerve, 4):
+    for a, b, c, d in data.nerve.keys(4):
         # route 1: g_ad => g_ab g_bd => g_ab g_bc g_cd
         route1 = _vertical(
             module,
@@ -259,8 +244,8 @@ class CechClassifier:
         self.factors, self.coords = abelian_decomposition(coefficients)
         cx = nerve.complex
         self.triangles = cx.simplices_of_dim(2)
-        delta1 = _transpose_matrix(simplex_boundary_matrix(cx, 2))
-        delta2 = _transpose_matrix(simplex_boundary_matrix(cx, 3))
+        delta1 = transpose(simplex_boundary_matrix(cx, 2))
+        delta2 = transpose(simplex_boundary_matrix(cx, 3))
         self._reducers = [
             _CyclicReducer(m, delta1, delta2, len(self.triangles))
             for m in self.factors
@@ -281,12 +266,6 @@ class CechClassifier:
             ]
             out.extend(reducer.label(vec))
         return tuple(out)
-
-
-def _transpose_matrix(mat):
-    if not mat:
-        return []
-    return [list(col) for col in zip(*mat)]
 
 
 class _CyclicReducer:
@@ -413,7 +392,7 @@ def gerbes_equivalent(
     module = d1.module
     base, fiber = module.base, module.fiber
     indices = d1.cover.indices
-    pairs = _keys_of_size(d1.nerve, 2)
+    pairs = d1.nerve.keys(2)
     boundary_fibers: Dict[int, List[int]] = {}
     for h in fiber.elements():
         boundary_fibers.setdefault(module.boundary[h], []).append(h)

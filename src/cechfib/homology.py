@@ -9,7 +9,7 @@ for inducing isomorphisms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from .complexes import SimplicialComplex, SimplicialMap, connected_components
 from .errors import ValidationError
@@ -218,10 +218,6 @@ class HomologyWorkspace:
             solver = form.right_inverse
         self._kernel[k] = kernel
         self._kernel_solver[k] = (solver, rank)
-
-    def kernel_basis(self, k: int) -> Matrix:
-        """Columns form a basis of the degree-k cycle lattice."""
-        return self._kernel[k]
 
     def cycle_coordinates(self, k: int, chain: Sequence[int]) -> List[int]:
         solver, rank = self._kernel_solver[k]

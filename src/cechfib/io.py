@@ -44,10 +44,6 @@ def map_from_doc(doc: Mapping, source: SimplicialComplex,
     return SimplicialMap(source, target, dict(doc["vertexMap"]))
 
 
-def map_to_doc(f: SimplicialMap) -> dict:
-    return {"vertexMap": {str(v): str(w) for v, w in sorted(f.vertex_map.items())}}
-
-
 def cover_to_doc(cover: Cover) -> dict:
     return {
         "base": complex_to_doc(cover.base),
@@ -117,24 +113,41 @@ def gerbe_witnesses_from_doc(doc: Mapping) -> Dict[tuple, int]:
     return {_split_key(k, 3): int(v) for k, v in doc.items()}
 
 
+def require_keys(doc: Mapping, kind: str, keys) -> None:
+    for key in keys:
+        if key not in doc:
+            raise ValidationError(f'{kind} document needs "{key}"')
+
+
 def cocycle_to_doc(cocycle) -> dict:
+    """Each pair is keyed in the string order of its labels, which is the
+    order a reloaded cover (with string indices) uses."""
+    values = {}
+    for a, b in cocycle.values:
+        if str(b) < str(a):
+            a, b = b, a
+        values[(str(a), str(b))] = cocycle.value(a, b)
     return {
         "cover": cover_to_doc(cocycle.cover),
         "group": group_to_doc(cocycle.group),
-        "values": cocycle_values_to_doc(cocycle.values),
+        "values": cocycle_values_to_doc(values),
     }
+
+
+def parse_cocycle_doc(doc: Mapping) -> tuple:
+    """(cover, group, values) of a cocycle document, not yet validated."""
+    require_keys(doc, "cocycle", ("cover", "group", "values"))
+    return (
+        cover_from_doc(doc["cover"]),
+        group_from_doc(doc["group"]),
+        cocycle_values_from_doc(doc["values"]),
+    )
 
 
 def cocycle_from_doc(doc: Mapping):
     from .cocycles import validate_cocycle
 
-    for key in ("cover", "group", "values"):
-        if key not in doc:
-            raise ValidationError(f'cocycle document needs "{key}"')
-    cover = cover_from_doc(doc["cover"])
-    group = group_from_doc(doc["group"])
-    values = cocycle_values_from_doc(doc["values"])
-    return validate_cocycle(cover, group, values)
+    return validate_cocycle(*parse_cocycle_doc(doc))
 
 
 def crossed_module_to_doc(module: CrossedModule) -> dict:
@@ -147,9 +160,8 @@ def crossed_module_to_doc(module: CrossedModule) -> dict:
 
 
 def crossed_module_from_doc(doc: Mapping) -> CrossedModule:
-    for key in ("baseGroup", "fiberGroup", "boundary", "action"):
-        if key not in doc:
-            raise ValidationError(f'crossed module document needs "{key}"')
+    require_keys(doc, "crossed module",
+                 ("baseGroup", "fiberGroup", "boundary", "action"))
     return validate_crossed_module(
         group_from_doc(doc["baseGroup"]),
         group_from_doc(doc["fiberGroup"]),
@@ -169,17 +181,22 @@ def gerbe_to_doc(data) -> dict:
     }
 
 
+def parse_gerbe_doc(doc: Mapping) -> tuple:
+    """(cover, module, values, witnesses) of a gerbe document, not yet
+    validated."""
+    require_keys(doc, "gerbe", ("cover", "crossedModule", "values", "witnesses"))
+    return (
+        cover_from_doc(doc["cover"]),
+        crossed_module_from_doc(doc["crossedModule"]),
+        cocycle_values_from_doc(doc["values"]),
+        gerbe_witnesses_from_doc(doc["witnesses"]),
+    )
+
+
 def gerbe_from_doc(doc: Mapping):
     from .gerbes import validate_gerbe_cocycle
 
-    for key in ("cover", "crossedModule", "values", "witnesses"):
-        if key not in doc:
-            raise ValidationError(f'gerbe document needs "{key}"')
-    cover = cover_from_doc(doc["cover"])
-    module = crossed_module_from_doc(doc["crossedModule"])
-    values = cocycle_values_from_doc(doc["values"])
-    witnesses = gerbe_witnesses_from_doc(doc["witnesses"])
-    return validate_gerbe_cocycle(cover, module, values, witnesses)
+    return validate_gerbe_cocycle(*parse_gerbe_doc(doc))
 
 
 def bundle_to_doc(bundle) -> dict:
@@ -216,9 +233,7 @@ def bundle_to_doc(bundle) -> dict:
 def bundle_from_doc(doc: Mapping):
     from .bundles import Bundle, validate_bundle
 
-    for key in ("total", "base", "projection", "fiber"):
-        if key not in doc:
-            raise ValidationError(f'bundle document needs "{key}"')
+    require_keys(doc, "bundle", ("total", "base", "projection", "fiber"))
     total = complex_from_doc(doc["total"])
     base = complex_from_doc(doc["base"])
     projection = SimplicialMap(total, base, dict(doc["projection"]))
@@ -239,9 +254,7 @@ def bundle_from_doc(doc: Mapping):
 def milnor_from_doc(doc: Mapping):
     from .classifying import validate_milnor_point
 
-    for key in ("t", "g", "group"):
-        if key not in doc:
-            raise ValidationError(f'coordinate-point document needs "{key}"')
+    require_keys(doc, "coordinate-point", ("t", "g", "group"))
     group = group_from_doc(doc["group"])
     coords = [Fraction(str(t)) for t in doc["t"]]
     values = {}

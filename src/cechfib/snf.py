@@ -65,13 +65,6 @@ class SmithNormalForm:
     def rank(self) -> int:
         return sum(1 for d in self.diagonal if d != 0)
 
-    def diagonal_matrix(self) -> Matrix:
-        m, n = self.shape
-        d = zero_matrix(m, n)
-        for i, v in enumerate(self.diagonal):
-            d[i][i] = v
-        return d
-
 
 def _matrix_shape(mat: Sequence[Sequence[int]], shape):
     if shape is not None:

@@ -13,7 +13,6 @@ from cechfib import (
     direct_product,
     enumerate_homs,
     from_homomorphism,
-    pi1_presentation,
     star_cover,
     symmetric_group,
     trivial_group,
@@ -70,10 +69,7 @@ def cached_star_cover(name):
         base = SURFACES[name]
         cover = star_cover(base)
         nerve = cech_nerve(cover)
-        presentation = pi1_presentation(
-            nerve.complex, nerve.complex.vertices[0]
-        )
-        _cover_cache[name] = (cover, nerve, presentation)
+        _cover_cache[name] = (cover, nerve, nerve.presentation)
     return _cover_cache[name]
 
 
@@ -90,12 +86,10 @@ def cached_homs(name, group):
 
 def random_cocycle(name, group, rng: random.Random):
     """Valid cocycle over a corpus star cover: random monodromy + gauge."""
-    cover, nerve, presentation = cached_star_cover(name)
+    cover, nerve, _ = cached_star_cover(name)
     homs = cached_homs(name, group)
     images = homs[rng.randrange(len(homs))]
-    cocycle = from_homomorphism(
-        images, cover, group, nerve=nerve, presentation=presentation
-    )
+    cocycle = from_homomorphism(images, cover, group, nerve=nerve)
     gauge = Cochain0(
         cover, group,
         {idx: rng.randrange(group.order) for idx in cover.indices},

@@ -150,10 +150,7 @@ def test_criterion_5_universal_pullback():
             cover, nerve, presentation = corpus.cached_star_cover(name)
             homs = enumerate_homs(presentation, group)
             for cls in hom_conjugacy_classes(homs, group):
-                rep = from_homomorphism(
-                    cls[0], cover, group, nerve=nerve,
-                    presentation=presentation,
-                )
+                rep = from_homomorphism(cls[0], cover, group, nerve=nerve)
                 direct = total_space(rep, regular_action(group))
                 pulled = pullback_universal(rep)
                 assert bundle_isomorphism(pulled, direct) is not None, (
@@ -203,7 +200,7 @@ def test_criterion_7_gerbe_abelian_consistency():
             all_valid.append(
                 validate_gerbe_cocycle(
                     cover, coeff, edges, dict(zip(triples, bits)),
-                    nerve=nerve, assume_good=True,
+                    nerve=nerve,
                 )
             )
         assert len(all_valid) == 16
@@ -246,7 +243,7 @@ def test_criterion_7_gerbe_abelian_consistency():
             try:
                 validate_gerbe_cocycle(
                     tetra_cover, coeff, tedges, witnesses,
-                    nerve=tetra_nerve, assume_good=True,
+                    nerve=tetra_nerve,
                 )
                 valid = True
             except ValidationError:
@@ -265,7 +262,7 @@ def test_criterion_8_axiom_suite():
         twisted = validate_cocycle(
             circle_cover, corpus.Z2,
             {("a", "b"): 0, ("b", "c"): 0, ("a", "c"): 1},
-            nerve=circle_nerve, assume_good=True,
+            nerve=circle_nerve,
         )
         double = total_space(twisted, regular_action(corpus.Z2))
         rng = random.Random(5)

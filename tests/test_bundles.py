@@ -38,7 +38,7 @@ def circle_double_cover():
     c = validate_cocycle(
         cover, corpus.Z2,
         {("a", "b"): 0, ("b", "c"): 0, ("a", "c"): 1},
-        nerve=nerve, assume_good=True,
+        nerve=nerve,
     )
     return c, total_space(c, regular_action(corpus.Z2))
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -10,16 +11,17 @@ from cechfib import (
     build_complex,
     build_cover,
     cech_nerve,
+    closed_star_cover,
     coboundary_transform,
     conjugacy_classes,
     count_equivalence_classes,
+    disjoint_union_cover,
     from_homomorphism,
     holonomy,
     star_cover,
     trivial_cocycle,
     validate_cocycle,
 )
-from cechfib.cocycles import nerve_presentation
 
 import corpus
 
@@ -131,9 +133,8 @@ def test_holonomy_conjugates_under_coboundary():
             {i: rng.randrange(group.order) for i in cocycle.cover.indices},
         )
         moved = coboundary_transform(cocycle, lam)
-        presentation = nerve_presentation(cocycle)
-        base_images = holonomy(cocycle, presentation)
-        moved_images = holonomy(moved, presentation)
+        base_images = holonomy(cocycle)
+        moved_images = holonomy(moved)
         conjugators = [
             g for g in group.elements()
             if all(
@@ -148,9 +149,8 @@ def test_from_homomorphism_round_trip():
     cover, nerve, presentation = corpus.cached_star_cover("hollow_triangle")
     for group in (corpus.Z2, corpus.S3):
         for images in corpus.cached_homs("hollow_triangle", group):
-            c = from_homomorphism(images, cover, group, nerve=nerve,
-                                  presentation=presentation)
-            assert holonomy(c, presentation) == images
+            c = from_homomorphism(images, cover, group, nerve=nerve)
+            assert holonomy(c) == images
 
 
 def test_from_homomorphism_rejects_bad_images():
@@ -161,21 +161,18 @@ def test_from_homomorphism_rejects_bad_images():
         bad = tuple(
             1 if i == 0 else 0 for i in range(presentation.generator_count)
         )
-        from_homomorphism(bad, cover, corpus.Z4, nerve=nerve,
-                          presentation=presentation)
+        from_homomorphism(bad, cover, corpus.Z4, nerve=nerve)
 
 
 def test_from_homomorphism_trivial_group():
     cover, nerve, presentation = corpus.cached_star_cover("hollow_triangle")
-    c = from_homomorphism((0,), cover, corpus.Z1, nerve=nerve,
-                          presentation=presentation)
+    c = from_homomorphism((0,), cover, corpus.Z1, nerve=nerve)
     assert set(c.values.values()) == {0}
 
 
 def test_from_homomorphism_twists_exactly_one_edge():
     cover, nerve, presentation = corpus.cached_star_cover("hollow_triangle")
-    c = from_homomorphism((1,), cover, corpus.Z2, nerve=nerve,
-                          presentation=presentation)
+    c = from_homomorphism((1,), cover, corpus.Z2, nerve=nerve)
     assert sorted(c.values.values()) == [0, 0, 1]
 
 
@@ -212,22 +209,88 @@ def test_equivalence_is_symmetric_on_instances():
         assert forward == backward
 
 
+def joined_values(c1, c2, bridge) -> dict:
+    """Values over the cover joined with itself: c1 on the first copy, c2
+    on the second, and the bridge on every mixed pair."""
+    values = {(("0", a), ("0", b)): v for (a, b), v in c1.values.items()}
+    values.update({(("1", a), ("1", b)): v for (a, b), v in c2.values.items()})
+    values.update({(("0", a), ("1", b)): v for (a, b), v in bridge.items()})
+    return values
+
+
 def test_equivalence_agrees_with_holonomy_conjugacy():
     """Independent oracle: two cocycles over one cover are equivalent iff
-    their monodromies are simultaneously conjugate."""
+    their monodromies are simultaneously conjugate.  Every bridge found
+    must, with both cocycles, pass validation over the joined cover."""
     rng = random.Random(13)
-    cover, nerve, presentation = corpus.cached_star_cover("hollow_triangle")
     group = corpus.S3
-    for _ in range(10):
-        c1 = corpus.random_cocycle("hollow_triangle", group, rng)
-        c2 = corpus.random_cocycle("hollow_triangle", group, rng)
-        h1 = holonomy(c1, presentation)
-        h2 = holonomy(c2, presentation)
-        conjugate = any(
-            all(group.conjugate(g, a) == b for a, b in zip(h1, h2))
-            for g in group.elements()
-        )
-        assert are_equivalent(c1, c2).equivalent == conjugate
+    for name in ("hollow_triangle", "rp2", "torus"):
+        cover = corpus.cached_star_cover(name)[0]
+        joined = disjoint_union_cover(cover, cover)
+        joined_nerve = cech_nerve(joined)
+        for _ in range(10):
+            c1 = corpus.random_cocycle(name, group, rng)
+            c2 = corpus.random_cocycle(name, group, rng)
+            twisted = coboundary_transform(c1, Cochain0(
+                cover, group,
+                {i: rng.randrange(group.order) for i in cover.indices},
+            ))
+            for other in (c2, twisted):
+                h1, h2 = holonomy(c1), holonomy(other)
+                conjugate = any(
+                    all(group.conjugate(g, a) == b for a, b in zip(h1, h2))
+                    for g in group.elements()
+                )
+                result = are_equivalent(c1, other)
+                assert result.equivalent == conjugate, name
+                if result.equivalent:
+                    validate_cocycle(
+                        joined, group,
+                        joined_values(c1, other, result.bridge),
+                        nerve=joined_nerve,
+                    )
+
+
+@pytest.mark.parametrize("name", ["hollow_triangle", "boundary_3simplex"])
+def test_bridge_is_least_over_all_gauges(name):
+    """Brute force over all |G|^n gauges: the verdict is whether any gauge
+    takes c1 to c2, and the bridge, read in sorted pair order, is the
+    least sequence c1(a, b) * mu_b over the gauges mu that do."""
+    rng = random.Random(21)
+    group = corpus.S3
+    cover = corpus.cached_star_cover(name)[0]
+    indices = cover.indices
+    edges = sorted(corpus.random_cocycle(name, group, rng).values)
+    pairs = sorted(
+        [(a, a) for a in indices] + edges + [(b, a) for a, b in edges]
+    )
+    for _ in range(6):
+        c1 = corpus.random_cocycle(name, group, rng)
+        c2 = corpus.random_cocycle(name, group, rng)
+        sequences = []
+        for gauge in itertools.product(group.elements(), repeat=len(indices)):
+            mu = dict(zip(indices, gauge))
+            if all(
+                c2.value(a, b)
+                == group.mul(group.mul(group.inv(mu[a]), c1.value(a, b)), mu[b])
+                for a, b in edges
+            ):
+                sequences.append(
+                    [group.mul(c1.value(a, b), mu[b]) for a, b in pairs]
+                )
+        result = are_equivalent(c1, c2)
+        assert result.equivalent == bool(sequences)
+        if sequences:
+            assert sorted(result.bridge) == pairs
+            assert [result.bridge[p] for p in pairs] == min(sequences)
+
+
+def test_cocycles_over_different_covers_are_rejected():
+    circle = circle_cocycle()
+    arcs = closed_star_cover(circle.cover.base)
+    assert arcs.base == circle.cover.base and arcs != circle.cover
+    with pytest.raises(ValidationError, match="different covers"):
+        are_equivalent(circle, trivial_cocycle(arcs, corpus.Z2))
 
 
 def test_equivalence_budget_is_enforced():

@@ -183,7 +183,6 @@ def test_all_sphere_witness_assignments_split_into_two_classes():
     for bits in itertools.product([0, 1], repeat=4):
         data = validate_gerbe_cocycle(
             cover, coeff, edges, dict(zip(triples, bits)), nerve=nerve,
-            assume_good=True,
         )
         by_label.setdefault(abelian_class(data), []).append(bits)
     assert len(by_label) == 2
@@ -222,7 +221,6 @@ def test_equivalence_matches_abelian_classes():
     data = [
         validate_gerbe_cocycle(
             cover, coeff, edges, dict(zip(triples, bits)), nerve=nerve,
-            assume_good=True,
         )
         for bits in itertools.product([0, 1], repeat=4)
     ]
@@ -270,7 +268,7 @@ def test_coherence_faces_matches_validator_exhaustively():
         witnesses = dict(zip(triples, bits))
         try:
             validate_gerbe_cocycle(
-                cover, coeff, edges, witnesses, nerve=nerve, assume_good=True
+                cover, coeff, edges, witnesses, nerve=nerve
             )
             valid = True
         except ValidationError:
@@ -300,7 +298,7 @@ def test_coherence_faces_randomized_with_nonabelian_witnesses():
         )
         try:
             validate_gerbe_cocycle(
-                cover, module, edges, witnesses, nerve=nerve, assume_good=True
+                cover, module, edges, witnesses, nerve=nerve
             )
             valid = True
         except ValidationError:

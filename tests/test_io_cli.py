@@ -2,7 +2,9 @@ import json
 
 import pytest
 
-from cechfib import build_complex, cli, star_cover, trivial_cocycle
+from cechfib import (
+    build_complex, cli, from_homomorphism, star_cover, trivial_cocycle,
+)
 from cechfib import io as docio
 
 import corpus
@@ -63,6 +65,18 @@ def test_cocycle_round_trip():
     doc = circle_cocycle_doc()
     cocycle = docio.cocycle_from_doc(doc)
     assert docio.cocycle_to_doc(cocycle)["values"] == doc["values"]
+
+    # integer labels: "10" sorts before "9" once the cover is reloaded
+    dodecagon = build_complex([[i, (i + 1) % 12] for i in range(12)])
+    cover = star_cover(dodecagon)
+    for cocycle in (trivial_cocycle(cover, corpus.Z2),
+                    from_homomorphism((1,), cover, corpus.Z3)):
+        back = docio.cocycle_from_doc(docio.cocycle_to_doc(cocycle))
+        assert {
+            pair: back.value(*pair) for pair in back.values
+        } == {
+            pair: cocycle.value(*map(int, pair)) for pair in back.values
+        }
 
 
 def test_gerbe_round_trip():
@@ -274,6 +288,53 @@ def test_cli_budget_exit_code(tmp_path, capsys):
     p2 = write(tmp_path, "c2.json", c2)
     code = cli.main(["cocycle-equiv", "--input", p1, p2, "--budget", "2"])
     assert code == cli.EXIT_BUDGET
+
+
+def test_cli_cocycle_equiv_over_different_covers(tmp_path, capsys):
+    from cechfib import closed_star_cover
+
+    star = star_cover(corpus.HOLLOW_TRIANGLE)
+    arcs = closed_star_cover(star.base)
+    p1 = write(tmp_path, "c1.json", circle_cocycle_doc())
+    p2 = write(tmp_path, "c2.json",
+               docio.cocycle_to_doc(trivial_cocycle(arcs, corpus.Z2)))
+    out = tmp_path / "report.json"
+    code = cli.main(["cocycle-equiv", "--input", p1, p2, "--output", str(out)])
+    assert code == cli.EXIT_INPUT
+    assert not out.exists()
+    assert capsys.readouterr().out == ""
+
+
+def test_cli_check_verbs_split_input_errors_from_broken_laws(tmp_path, capsys):
+    """A malformed cover is an input error (exit 2, no report); a broken
+    law is a validated false (exit 1) whose report names the law."""
+    from cechfib import abelian_coefficients, cech_nerve, validate_gerbe_cocycle
+
+    cover = star_cover(corpus.FULL_3SIMPLEX)
+    nerve = cech_nerve(cover)
+    witnesses = {t: 0 for t in nerve.keys(3)}
+    gerbe = docio.gerbe_to_doc(validate_gerbe_cocycle(
+        cover, abelian_coefficients(corpus.Z2),
+        {p: 0 for p in nerve.keys(2)}, witnesses, nerve=nerve,
+    ))
+    cocycle = circle_cocycle_doc()
+    stray_part = {"maximal": [["zz"]]}
+    for verb, doc in (("cocycle-check", cocycle), ("gerbe-check", gerbe)):
+        bad = json.loads(json.dumps(doc))
+        bad["cover"]["parts"]["a" if verb == "cocycle-check" else "0"] = stray_part
+        code, report = run(capsys, verb, "--input", write(tmp_path, "bad.json", bad))
+        assert (code, report) == (cli.EXIT_INPUT, None)
+        del bad["cover"]["base"]
+        code, report = run(capsys, verb, "--input", write(tmp_path, "bad.json", bad))
+        assert (code, report) == (cli.EXIT_INPUT, None)
+
+    broken = json.loads(json.dumps(gerbe))
+    broken["witnesses"]["0|1|2"] = 1
+    code, report = run(capsys, "gerbe-check", "--input",
+                       write(tmp_path, "broken.json", broken))
+    assert code == cli.EXIT_FALSE and report["verdict"] is False
+    assert report["details"]["context"] == {
+        "law": "tetrahedron", "tuple": ["0", "1", "2", "3"]}
 
 
 def test_cli_reports_are_deterministic(tmp_path, capsys):
