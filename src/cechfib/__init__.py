@@ -64,7 +64,13 @@ from .homology import (
     map_induces_homology_isomorphism,
     simplicial_chain_map,
 )
-from .snf import SmithNormalForm, invariant_factors, smith_normal_form
+from .snf import (
+    SmithNormalForm,
+    SparseSmithForm,
+    invariant_factors,
+    smith_normal_form,
+    sparse_smith_form,
+)
 from .cocycles import (
     Cochain0,
     Cocycle1,

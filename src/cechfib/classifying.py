@@ -20,13 +20,8 @@ from .complexes import SimplicialMap, build_complex
 from .covers import Cover
 from .errors import ValidationError
 from .groups import FiniteGroup, regular_action
-from .homology import (
-    ChainComplex,
-    HomologyResult,
-    homology_of_chain_complex,
-    tuple0,
-)
-from .snf import zero_matrix
+from .homology import ChainComplex, HomologyResult, homology_of_chain_complex
+from .snf import SparseRows
 
 
 @dataclass(frozen=True)
@@ -57,18 +52,14 @@ def bar_construction(group: FiniteGroup, truncation: int = 4) -> BarComplex:
         chains.append(
             tuple(itertools.product(nontrivial, repeat=k))
         )
-    boundaries = []
-    for k in range(1, truncation + 1):
-        rows = {c: i for i, c in enumerate(chains[k - 1])}
-        mat = zero_matrix(len(chains[k - 1]), len(chains[k]))
-        for j, chain in enumerate(chains[k]):
-            for face, sign in _bar_faces(group, chain):
-                if face is not None:
-                    mat[rows[face]][j] += sign
-        boundaries.append(mat)
+    boundaries = [
+        _sparse_boundary(
+            chains[k - 1], (_bar_faces(group, chain) for chain in chains[k])
+        )
+        for k in range(1, truncation + 1)
+    ]
     cc = ChainComplex(
-        ranks=tuple(len(c) for c in chains),
-        boundaries=tuple(tuple0(b) for b in boundaries),
+        ranks=tuple(len(c) for c in chains), boundaries=tuple(boundaries)
     )
     return BarComplex(
         group=group, truncation=truncation,
@@ -76,8 +67,25 @@ def bar_construction(group: FiniteGroup, truncation: int = 4) -> BarComplex:
     )
 
 
+def _sparse_boundary(rows: tuple, faces_by_column) -> SparseRows:
+    """Sparse rows of a boundary whose column j is the alternating sum of
+    the j-th list of faces; a face of None is degenerate and dropped."""
+    index = {c: i for i, c in enumerate(rows)}
+    mat = [{} for _ in rows]
+    for j, faces in enumerate(faces_by_column):
+        column: Dict[int, int] = {}
+        for i, face in enumerate(faces):
+            if face is not None:
+                r = index[face]
+                column[r] = column.get(r, 0) + (-1) ** i
+        for r, v in column.items():
+            if v:
+                mat[r][j] = v
+    return mat
+
+
 def _bar_faces(group: FiniteGroup, chain: tuple):
-    """(face, sign) pairs; a face with an identity entry yields None."""
+    """Faces in order; a face with an identity entry is None."""
     k = len(chain)
     out = []
     for i in range(k + 1):
@@ -88,10 +96,7 @@ def _bar_faces(group: FiniteGroup, chain: tuple):
         else:
             merged = group.mul(chain[i - 1], chain[i])
             face = chain[: i - 1] + (merged,) + chain[i + 1:]
-        if any(g == 0 for g in face):
-            out.append((None, 0))
-        else:
-            out.append((face, (-1) ** i))
+        out.append(None if any(g == 0 for g in face) else face)
     return out
 
 
@@ -236,8 +241,9 @@ def classifying_map_is_simplicial(cmap: ClassifyingMap) -> bool:
     return True
 
 
-def classifying_chain_map(cmap: ClassifyingMap, max_degree: int) -> List:
-    """Chain-map matrices nerve -> bar (degenerate images map to zero)."""
+def classifying_chain_map(cmap: ClassifyingMap, max_degree: int) -> List[SparseRows]:
+    """Chain-map matrices nerve -> bar as sparse rows (degenerate images
+    map to zero)."""
     nerve = cmap.cocycle.nerve.complex
     mats = []
     for k in range(max_degree + 1):
@@ -245,7 +251,7 @@ def classifying_chain_map(cmap: ClassifyingMap, max_degree: int) -> List:
         rows = len(cmap.bar.chains[k]) if k <= cmap.bar.truncation else 0
         index = {c: i for i, c in enumerate(cmap.bar.chains[k])} \
             if k <= cmap.bar.truncation else {}
-        mat = zero_matrix(rows, len(src))
+        mat = [{} for _ in range(rows)]
         for j, simplex in enumerate(src):
             image = cmap.images[simplex]
             if len(image) == k:
@@ -304,31 +310,36 @@ def universal_bundle(group: FiniteGroup, truncation: int) -> UniversalBundle:
             for f in group.elements():
                 level.append((tup, f))
         chains.append(tuple(level))
-    boundaries = []
-    for k in range(1, truncation + 1):
-        rows = {c: i for i, c in enumerate(chains[k - 1])}
-        mat = zero_matrix(len(chains[k - 1]), len(chains[k]))
-        for j, (tup, f) in enumerate(chains[k]):
-            for i in range(k + 1):
-                if i == 0:
-                    face = (tup[1:], f)
-                elif i == k:
-                    face = (tup[:-1], group.mul(tup[-1], f))
-                else:
-                    merged = group.mul(tup[i - 1], tup[i])
-                    face = (tup[: i - 1] + (merged,) + tup[i + 1:], f)
-                if any(g == 0 for g in face[0]):
-                    continue
-                mat[rows[face]][j] += (-1) ** i
-        boundaries.append(mat)
+    boundaries = [
+        _sparse_boundary(
+            chains[k - 1],
+            (_universal_faces(group, tup, f) for tup, f in chains[k]),
+        )
+        for k in range(1, truncation + 1)
+    ]
     cc = ChainComplex(
-        ranks=tuple(len(c) for c in chains),
-        boundaries=tuple(tuple0(b) for b in boundaries),
+        ranks=tuple(len(c) for c in chains), boundaries=tuple(boundaries)
     )
     return UniversalBundle(
         group=group, truncation=truncation,
         chains=tuple(chains), complex=cc,
     )
+
+
+def _universal_faces(group: FiniteGroup, tup: tuple, f: int) -> list:
+    """Faces of the chain (tup; f), None where an entry is the identity."""
+    k = len(tup)
+    out = []
+    for i in range(k + 1):
+        if i == 0:
+            face = (tup[1:], f)
+        elif i == k:
+            face = (tup[:-1], group.mul(tup[-1], f))
+        else:
+            merged = group.mul(tup[i - 1], tup[i])
+            face = (tup[: i - 1] + (merged,) + tup[i + 1:], f)
+        out.append(None if any(g == 0 for g in face[0]) else face)
+    return out
 
 
 def pullback_universal(

@@ -138,7 +138,12 @@ def _run_cocycle_check(inputs: _Inputs, args) -> tuple:
 def _run_cocycle_equiv(inputs: _Inputs, args) -> tuple:
     d1, d2 = inputs.two()
     c1 = docio.cocycle_from_doc(d1)
-    c2 = docio.cocycle_from_doc(d2)
+    cover, group, values = docio.parse_cocycle_doc(d2)
+    if cover == c1.cover:
+        # one cover: validate over the first document's nerve
+        c2 = validate_cocycle(c1.cover, group, values, nerve=c1.nerve)
+    else:
+        c2 = validate_cocycle(cover, group, values)
     result = are_equivalent(c1, c2, budget=args.budget)
     details = {}
     if result.equivalent:

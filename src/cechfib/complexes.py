@@ -22,22 +22,42 @@ class SimplicialComplex:
 
     def __init__(self, simplices: Iterable[frozenset]):
         closed = frozenset(simplices)
+        by_dim: Dict[int, list] = {}
         for s in closed:
             if not s:
                 raise ValidationError("empty simplex is not allowed")
+            by_dim.setdefault(len(s) - 1, []).append(s)
+        try:
+            for k, lst in by_dim.items():
+                by_dim[k] = sorted((tuple(sorted(s)), s) for s in lst)
+        except TypeError as exc:
+            raise ValidationError(
+                "vertex identifiers must be mutually orderable"
+            ) from exc
         self._simplices = closed
-        by_dim: Dict[int, list] = {}
-        for s in closed:
-            by_dim.setdefault(len(s) - 1, []).append(tuple(sorted(s)))
-        for lst in by_dim.values():
-            lst.sort()
-        self._by_dim = {k: tuple(v) for k, v in by_dim.items()}
+        self._by_dim = {
+            k: tuple(t for t, _ in pairs) for k, pairs in by_dim.items()
+        }
         self._vertices = tuple(v for (v,) in self._by_dim.get(0, ()))
-        maximal = [
-            s for s in closed
-            if not any(s < t for t in closed if len(t) > len(s))
-        ]
-        self._maximal = tuple(sorted(maximal, key=lambda s: tuple(sorted(s))))
+        # One pass over the codimension-1 faces: a simplex is maximal
+        # unless it is such a face, and every such face must be present.
+        maximal = []
+        for k in range(self.dim + 1):
+            above = self._by_dim.get(k + 1, ())
+            faces = {t[:i] + t[i + 1:] for t in above for i in range(k + 2)}
+            missing = faces.difference(self._by_dim.get(k, ()))
+            if missing:
+                simplex = next(
+                    t for t in above
+                    if any(t[:i] + t[i + 1:] in missing for i in range(k + 2))
+                )
+                raise ValidationError(
+                    f"family is not closed under faces at {simplex!r}",
+                    details={"simplex": simplex},
+                )
+            maximal.extend(p for p in by_dim.get(k, ()) if p[0] not in faces)
+        maximal.sort()
+        self._maximal = tuple(s for _, s in maximal)
         self._hash = hash(closed)
 
     @property

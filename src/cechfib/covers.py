@@ -50,14 +50,6 @@ class Cover:
                     f"part {idx!r} is not a subcomplex of the base",
                     details={"index": idx},
                 )
-            for s in part.simplices:
-                if len(s) > 1:
-                    for v in s:
-                        if not part.has_simplex(s - {v}):
-                            raise ValidationError(
-                                f"part {idx!r} is not closed under faces",
-                                details={"index": idx, "simplex": tuple(sorted(s))},
-                            )
         if check_union:
             union = frozenset().union(*(parts[idx].simplices for idx in indices))
             if union != base.simplices:
@@ -105,14 +97,12 @@ def star_cover(x: SimplicialComplex) -> Cover:
     is then a cone over the chains through a fixed simplex, so the cover
     is good and its nerve reproduces ``x`` exactly.
     """
-    sd, carrier = barycentric_subdivision(x)
-    parts: Dict = {}
-    for v in x.vertices:
-        star_simplices = [
-            chain for chain in sd.simplices
-            if v in min(chain, key=len)
-        ]
-        parts[v] = SimplicialComplex(star_simplices)
+    sd, _ = barycentric_subdivision(x)
+    stars: Dict = {v: [] for v in x.vertices}
+    for chain in sd.simplices:
+        for v in min(chain, key=len):
+            stars[v].append(chain)
+    parts = {v: SimplicialComplex(stars[v]) for v in x.vertices}
     return Cover(sd, parts)
 
 

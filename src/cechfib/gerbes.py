@@ -21,7 +21,7 @@ from .covers import Cover, NerveComplex, cech_nerve
 from .errors import BudgetExceededError, ValidationError
 from .groups import CrossedModule, abelian_decomposition
 from .homology import simplex_boundary_matrix
-from .snf import smith_normal_form, transpose
+from .snf import sparse_columns, sparse_multiply, sparse_smith_form
 
 DEFAULT_BUDGET = 1_000_000
 
@@ -244,10 +244,12 @@ class CechClassifier:
         self.factors, self.coords = abelian_decomposition(coefficients)
         cx = nerve.complex
         self.triangles = cx.simplices_of_dim(2)
-        delta1 = transpose(simplex_boundary_matrix(cx, 2))
-        delta2 = transpose(simplex_boundary_matrix(cx, 3))
+        edge_cobounds = simplex_boundary_matrix(cx, 2)
+        delta2 = sparse_columns(
+            simplex_boundary_matrix(cx, 3), cx.simplex_count(3)
+        )
         self._reducers = [
-            _CyclicReducer(m, delta1, delta2, len(self.triangles))
+            _CyclicReducer(m, edge_cobounds, delta2, len(self.triangles))
             for m in self.factors
         ]
 
@@ -269,45 +271,47 @@ class CechClassifier:
 
 
 class _CyclicReducer:
-    def __init__(self, modulus: int, delta1, delta2, dim: int):
+    """Mod-m cocycles modulo coboundaries for one cyclic factor Z/m.
+
+    ``edge_cobounds`` holds one sparse vector per edge, its coboundary
+    over the triangles; ``delta2`` is the coboundary from triangles to
+    tetrahedra as sparse rows.
+    """
+
+    def __init__(self, modulus: int, edge_cobounds, delta2, dim: int):
         self.modulus = modulus
         self.dim = dim
-        rows2 = len(delta2)
-        form2 = smith_normal_form(
-            delta2, (rows2, dim), want_left=False,
-            want_right=True, want_right_inverse=True,
-        ) if rows2 else None
-        # lattice of mod-m cocycles: columns scaled so delta2 lands in m*Z
-        if form2 is None:
-            scale = [1] * dim
-            self._kernel = [[1 if i == j else 0 for j in range(dim)] for i in range(dim)]
-            self._solver = [row[:] for row in self._kernel]
-        else:
+        # lattice of mod-m cocycles: coordinates scaled so delta2 lands in m*Z
+        if delta2:
+            form2 = sparse_smith_form(
+                delta2, (len(delta2), dim), want_left=False,
+                want_right=False, want_right_inverse=True,
+            )
             diag = list(form2.diagonal) + [0] * (dim - len(form2.diagonal))
-            scale = [
+            self._scale = [
                 modulus // math.gcd(diag[j], modulus) if diag[j] else 1
                 for j in range(dim)
             ]
-            self._kernel = [
-                [form2.right[i][j] * scale[j] for j in range(dim)]
-                for i in range(dim)
-            ]
             self._solver = form2.right_inverse
-            self._scale = scale
-        self._form2 = form2
-        # coboundary + modulus sublattice, in kernel coordinates
-        cols1 = len(delta1[0]) if delta1 else 0
-        generators = []
-        for j in range(cols1):
-            generators.append([delta1[i][j] for i in range(dim)])
+        else:
+            self._scale = [1] * dim
+            self._solver = [{i: 1} for i in range(dim)]
+        # coboundary + modulus sublattice, in kernel coordinates: one
+        # column per edge, then m times each unit vector
+        cols1 = len(edge_cobounds)
+        generators = [{} for _ in range(dim)]
+        for j, vec in enumerate(edge_cobounds):
+            for i, v in vec.items():
+                generators[i][j] = v
         for i in range(dim):
-            vec = [0] * dim
-            vec[i] = modulus
-            generators.append(vec)
-        coords = [self._coordinates(vec) for vec in generators]
-        rel = [[c[i] for c in coords] for i in range(dim)]
-        self._relation_form = smith_normal_form(
-            rel, (dim, len(coords)), want_left=True, want_right=False
+            generators[i][cols1 + i] = modulus
+        rel = []
+        for s, row in zip(self._scale, sparse_multiply(self._solver, generators)):
+            if any(v % s for v in row.values()):
+                raise ValidationError("vector is not a mod-m cocycle")
+            rel.append({j: v // s for j, v in row.items()})
+        self._relation_form = sparse_smith_form(
+            rel, (dim, cols1 + dim), want_left=True, want_right=False
         )
         self.class_count = 1
         for d in self._relation_form.diagonal:
@@ -316,26 +320,19 @@ class _CyclicReducer:
             self.class_count *= d
 
     def _coordinates(self, vec) -> list:
-        if self._form2 is None:
-            return list(vec)
-        raw = [
-            sum(self._solver[i][j] * vec[j] for j in range(self.dim))
-            for i in range(self.dim)
-        ]
         out = []
-        for i in range(self.dim):
-            s = self._scale[i]
-            if raw[i] % s:
+        for s, row in zip(self._scale, self._solver):
+            raw = sum(v * vec[j] for j, v in row.items())
+            if raw % s:
                 raise ValidationError("vector is not a mod-m cocycle")
-            out.append(raw[i] // s)
+            out.append(raw // s)
         return out
 
     def label(self, vec) -> tuple:
         coords = self._coordinates(vec)
         form = self._relation_form
         reduced = [
-            sum(form.left[i][j] * coords[j] for j in range(self.dim))
-            for i in range(self.dim)
+            sum(v * coords[j] for j, v in row.items()) for row in form.left
         ]
         for i, d in enumerate(form.diagonal):
             reduced[i] %= d

@@ -10,7 +10,7 @@ import itertools
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import BudgetExceededError, ValidationError
-from .snf import smith_normal_form
+from .snf import sparse_smith_form
 
 
 class FiniteGroup:
@@ -451,18 +451,14 @@ def abelian_decomposition(group: FiniteGroup) -> Tuple[tuple, tuple]:
     if not group.is_abelian:
         raise ValidationError("group is not abelian")
     n = group.order
-    relations = []
+    matrix = [{} for _ in range(n)]  # one column per relation a + b - ab
     for a in range(n):
         for b in range(n):
-            c = group.mul(a, b)
-            vec = [0] * n
-            vec[a] += 1
-            vec[b] += 1
-            vec[c] -= 1
-            relations.append(vec)
-    matrix = [[rel[i] for rel in relations] for i in range(n)]
-    form = smith_normal_form(
-        matrix, (n, len(relations)), want_left=True, want_right=False
+            j = a * n + b
+            for g, v in ((a, 1), (b, 1), (group.mul(a, b), -1)):
+                matrix[g][j] = matrix[g].get(j, 0) + v
+    form = sparse_smith_form(
+        matrix, (n, n * n), want_left=True, want_right=False
     )
     keep = [
         i for i, d in enumerate(form.diagonal)
@@ -473,7 +469,7 @@ def abelian_decomposition(group: FiniteGroup) -> Tuple[tuple, tuple]:
         raise ValidationError("abelian decomposition produced a free factor")
     coords = []
     for g in range(n):
-        full = [form.left[i][g] for i in range(n)]
+        full = [form.left[i].get(g, 0) for i in range(n)]
         coords.append(
             tuple(full[i] % form.diagonal[i] for i in keep)
         )

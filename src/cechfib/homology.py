@@ -1,9 +1,11 @@
 """Integral homology of complexes and chain complexes, with induced maps.
 
 Homology groups come from Smith normal forms of the boundary matrices.
-The workspace variant also keeps kernel bases and relation transforms so
-cycles can be reduced to canonical class labels and maps can be checked
-for inducing isomorphisms.
+Boundaries, chain maps and relation matrices are sparse rows (see
+:mod:`cechfib.snf`), built directly from the simplices.  The workspace
+variant also keeps kernel bases and relation transforms so cycles can be
+reduced to canonical class labels and maps can be checked for inducing
+isomorphisms.
 """
 
 from __future__ import annotations
@@ -15,11 +17,10 @@ from .complexes import SimplicialComplex, SimplicialMap, connected_components
 from .errors import ValidationError
 from .snf import (
     Matrix,
-    identity_matrix,
-    invariant_factors,
-    matrix_multiply,
-    smith_normal_form,
-    zero_matrix,
+    SparseRows,
+    sparse_multiply,
+    sparse_rows,
+    sparse_smith_form,
 )
 
 
@@ -27,21 +28,18 @@ from .snf import (
 class ChainComplex:
     """Free chain complex over the integers.
 
-    ``boundaries[k]`` is the matrix of C_{k+1} -> C_k, with shape
-    (ranks[k], ranks[k+1]).  Consecutive boundaries compose to zero.
+    ``boundaries[k]`` is the matrix of C_{k+1} -> C_k as sparse rows, with
+    shape (ranks[k], ranks[k+1]).  Consecutive boundaries compose to zero.
     """
 
     ranks: tuple
     boundaries: tuple
 
-    def boundary(self, k: int) -> Matrix:
-        """Matrix of C_k -> C_{k-1}; zero-shaped outside the range."""
+    def boundary(self, k: int) -> SparseRows:
+        """Sparse rows of C_k -> C_{k-1}; all zero outside the range."""
         if 1 <= k < len(self.ranks):
             return self.boundaries[k - 1]
-        if k == 0 or k >= len(self.ranks):
-            rows = self.ranks[k - 1] if 0 < k <= len(self.ranks) else 0
-            return zero_matrix(rows, self.rank(k))
-        return zero_matrix(0, 0)
+        return [{} for _ in range(self.rank(k - 1))]
 
     def rank(self, k: int) -> int:
         if 0 <= k < len(self.ranks):
@@ -50,7 +48,8 @@ class ChainComplex:
 
 
 def chain_complex(ranks: Sequence[int], boundaries: Sequence[Matrix]) -> ChainComplex:
-    """Validate shapes and the boundary-squared condition."""
+    """Validate dense boundary matrices' shapes and the boundary-squared
+    condition, and store them sparse."""
     ranks = tuple(int(r) for r in ranks)
     if len(boundaries) != max(len(ranks) - 1, 0):
         raise ValidationError(
@@ -64,27 +63,20 @@ def chain_complex(ranks: Sequence[int], boundaries: Sequence[Matrix]) -> ChainCo
             raise ValidationError(
                 f"boundary {k + 1} has wrong shape, want {rows}x{cols}"
             )
-        mats.append([list(map(int, r)) for r in mat])
+        mats.append(sparse_rows(mat, (rows, cols)))
     for k in range(len(mats) - 1):
-        prod = matrix_multiply(mats[k], mats[k + 1])
-        if any(any(row) for row in prod):
+        if any(sparse_multiply(mats[k], mats[k + 1])):
             raise ValidationError(
                 f"boundaries {k + 1} and {k + 2} do not compose to zero"
             )
-    return ChainComplex(ranks=ranks, boundaries=tuple(map(tuple0, mats)))
+    return ChainComplex(ranks=ranks, boundaries=tuple(mats))
 
 
-def tuple0(mat):
-    return tuple(tuple(row) for row in mat)
-
-
-def simplex_boundary_matrix(x: SimplicialComplex, k: int) -> Matrix:
-    """Boundary C_k -> C_{k-1} in the sorted-simplex bases."""
-    rows = x.simplices_of_dim(k - 1)
-    cols = x.simplices_of_dim(k)
-    row_index = {s: i for i, s in enumerate(rows)}
-    mat = zero_matrix(len(rows), len(cols))
-    for j, s in enumerate(cols):
+def simplex_boundary_matrix(x: SimplicialComplex, k: int) -> SparseRows:
+    """Boundary C_k -> C_{k-1} in the sorted-simplex bases, as sparse rows."""
+    row_index = {s: i for i, s in enumerate(x.simplices_of_dim(k - 1))}
+    mat = [{} for _ in row_index]
+    for j, s in enumerate(x.simplices_of_dim(k)):
         for drop in range(len(s)):
             face = s[:drop] + s[drop + 1:]
             mat[row_index[face]][j] = (-1) ** drop
@@ -96,9 +88,7 @@ def chain_complex_of(x: SimplicialComplex, max_degree: Optional[int] = None) -> 
     top = x.dim if max_degree is None else max(int(max_degree), 0)
     ranks = [x.simplex_count(k) for k in range(top + 1)]
     boundaries = [simplex_boundary_matrix(x, k) for k in range(1, top + 1)]
-    return ChainComplex(
-        ranks=tuple(ranks), boundaries=tuple(tuple0(b) for b in boundaries)
-    )
+    return ChainComplex(ranks=tuple(ranks), boundaries=tuple(boundaries))
 
 
 @dataclass(frozen=True)
@@ -137,11 +127,12 @@ def homology_of_chain_complex(cc: ChainComplex, max_degree: int) -> HomologyResu
     ranks_of = {}
     torsion_of = {}
     for k in range(1, max_degree + 2):
-        mat = cc.boundary(k)
         if cc.rank(k) == 0 or cc.rank(k - 1) == 0:
             factors = ()
         else:
-            factors = invariant_factors(mat, (cc.rank(k - 1), cc.rank(k)))
+            factors = _invariant_factors(
+                cc.boundary(k), (cc.rank(k - 1), cc.rank(k))
+            )
         ranks_of[k] = len(factors)
         torsion_of[k] = tuple(d for d in factors if d > 1)
     groups = []
@@ -191,7 +182,6 @@ class HomologyWorkspace:
     def __init__(self, cc: ChainComplex, max_degree: int):
         self.cc = cc
         self.max_degree = max_degree
-        self._kernel = {}
         self._kernel_solver = {}
         self._relations = {}
         self._relation_snf = {}
@@ -200,49 +190,40 @@ class HomologyWorkspace:
 
     def _prepare(self, k: int) -> None:
         n = self.cc.rank(k)
-        boundary_k = self.cc.boundary(k)
         if k == 0 or self.cc.rank(k - 1) == 0:
-            kernel = identity_matrix(n)
-            solver = identity_matrix(n)
+            solver = _unit_vectors(n)
             rank = 0
         else:
-            form = smith_normal_form(
-                boundary_k,
+            form = sparse_smith_form(
+                self.cc.boundary(k),
                 (self.cc.rank(k - 1), n),
                 want_left=False,
-                want_right=True,
+                want_right=False,
                 want_right_inverse=True,
             )
             rank = form.rank
-            kernel = [row[rank:] for row in form.right]
             solver = form.right_inverse
-        self._kernel[k] = kernel
         self._kernel_solver[k] = (solver, rank)
 
     def cycle_coordinates(self, k: int, chain: Sequence[int]) -> List[int]:
         solver, rank = self._kernel_solver[k]
-        n = self.cc.rank(k)
-        coords = [
-            sum(solver[i][j] * chain[j] for j in range(n))
-            for i in range(len(solver))
-        ]
+        coords = [sum(v * chain[j] for j, v in row.items()) for row in solver]
         if any(coords[:rank]):
             raise ValidationError("chain is not a cycle")
         return coords[rank:]
 
     def _relation_data(self, k: int):
         if k not in self._relations:
-            image = self.cc.boundary(k + 1)
-            cols = self.cc.rank(k + 1)
-            coords = []
-            for j in range(cols):
-                vec = [image[i][j] for i in range(self.cc.rank(k))]
-                coords.append(self.cycle_coordinates(k, vec))
-            kdim = len(self._kernel[k][0]) if self._kernel[k] else 0
-            rel = [[coords[j][i] for j in range(cols)] for i in range(kdim)]
+            solver, rank = self._kernel_solver[k]
+            # kernel coordinates of every boundary column
+            coords = sparse_multiply(solver, self.cc.boundary(k + 1))
+            if any(coords[:rank]):
+                raise ValidationError("chain is not a cycle")
+            rel = coords[rank:]
             self._relations[k] = rel
-            self._relation_snf[k] = smith_normal_form(
-                rel, (kdim, cols), want_left=True, want_right=False
+            self._relation_snf[k] = sparse_smith_form(
+                rel, (len(rel), self.cc.rank(k + 1)),
+                want_left=True, want_right=False,
             )
         return self._relations[k], self._relation_snf[k]
 
@@ -261,29 +242,38 @@ class HomologyWorkspace:
         """
         coords = self.cycle_coordinates(k, chain)
         _, form = self._relation_data(k)
-        kdim = len(coords)
         reduced = [
-            sum(form.left[i][j] * coords[j] for j in range(kdim))
-            for i in range(kdim)
+            sum(v * coords[j] for j, v in row.items()) for row in form.left
         ]
         for i, d in enumerate(form.diagonal):
             if d:
                 reduced[i] %= d
         return tuple(reduced)
 
-    def relation_matrix(self, k: int) -> Matrix:
+    def relation_matrix(self, k: int) -> SparseRows:
+        """Sparse rows of the boundary image in cycle coordinates."""
         return self._relation_data(k)[0]
 
 
-def simplicial_chain_map(f: SimplicialMap, max_degree: int) -> List[Matrix]:
-    """Chain map matrices of a simplicial map in the sorted bases."""
+def _unit_vectors(n: int) -> SparseRows:
+    return [{i: 1} for i in range(n)]
+
+
+def _invariant_factors(rows: SparseRows, shape) -> tuple:
+    form = sparse_smith_form(
+        rows, shape, want_left=False, want_right=False, want_right_inverse=False
+    )
+    return tuple(d for d in form.diagonal if d != 0)
+
+
+def simplicial_chain_map(f: SimplicialMap, max_degree: int) -> List[SparseRows]:
+    """Chain map matrices of a simplicial map in the sorted bases, as
+    sparse rows (target simplices by source simplices)."""
     mats = []
     for k in range(max_degree + 1):
-        src = f.source.simplices_of_dim(k)
-        tgt = f.target.simplices_of_dim(k)
-        tgt_index = {s: i for i, s in enumerate(tgt)}
-        mat = zero_matrix(len(tgt), len(src))
-        for j, s in enumerate(src):
+        tgt_index = {s: i for i, s in enumerate(f.target.simplices_of_dim(k))}
+        mat = [{} for _ in tgt_index]
+        for j, s in enumerate(f.source.simplices_of_dim(k)):
             image = [f(v) for v in s]
             if len(set(image)) != len(image):
                 continue
@@ -311,52 +301,63 @@ def _permutation_sign(perm: Sequence[int]) -> int:
     return sign
 
 
-def cycle_basis(cc: ChainComplex, k: int) -> Matrix:
-    """Basis of the degree-k cycle lattice as matrix columns.
+def cycle_basis(cc: ChainComplex, k: int) -> SparseRows:
+    """Basis of the degree-k cycle lattice, one sparse column per vector.
 
     Cheaper than a full workspace: only the right transform of one Smith
     reduction is tracked.
     """
     n = cc.rank(k)
     if k == 0 or cc.rank(k - 1) == 0:
-        return identity_matrix(n)
-    form = smith_normal_form(
+        return _unit_vectors(n)
+    form = sparse_smith_form(
         cc.boundary(k),
         (cc.rank(k - 1), n),
         want_left=False,
         want_right=True,
         want_right_inverse=False,
     )
-    return [row[form.rank:] for row in form.right]
+    return form.right[form.rank:]
 
 
 def induced_map_surjective(
-    chain_map: Matrix,
-    source_kernel: Matrix,
+    chain_map: SparseRows,
+    source_kernel: SparseRows,
     target: HomologyWorkspace,
     degree: int,
 ) -> bool:
-    """Whether the induced map hits all of the target homology group."""
-    src_rank = len(source_kernel[0]) if source_kernel else 0
-    tgt_dim = target.cc.rank(degree)
+    """Whether the induced map hits all of the target homology group.
+
+    ``chain_map`` is sparse rows in degree ``degree`` and
+    ``source_kernel`` a cycle basis as returned by :func:`cycle_basis`.
+    """
+    image_of: dict = {}
+    for i, row in enumerate(chain_map):
+        for l, v in row.items():
+            image_of.setdefault(l, []).append((i, v))
     columns = []
-    for j in range(src_rank):
-        vec = [source_kernel[i][j] for i in range(len(source_kernel))]
-        mapped = [
-            sum(chain_map[i][l] * vec[l] for l in range(len(vec)) if vec[l])
-            for i in range(tgt_dim)
-        ]
+    for vec in source_kernel:
+        mapped = [0] * target.cc.rank(degree)
+        for l, x in vec.items():
+            for i, v in image_of.get(l, ()):
+                mapped[i] += v * x
         columns.append(target.cycle_coordinates(degree, mapped))
     relations = target.relation_matrix(degree)
     kdim = len(relations)
     if kdim == 0:
         return True
-    rel_cols = len(relations[0]) if relations else 0
-    combined = [
-        [columns[j][i] for j in range(src_rank)] + list(relations[i])
-        for i in range(kdim)
-    ]
-    factors = invariant_factors(combined, (kdim, src_rank + rel_cols))
+    src_rank = len(columns)
+    combined = [{} for _ in range(kdim)]
+    for j, coords in enumerate(columns):
+        for i, v in enumerate(coords):
+            if v:
+                combined[i][j] = v
+    for i, rel_row in enumerate(relations):
+        for c, v in rel_row.items():
+            combined[i][src_rank + c] = v
+    factors = _invariant_factors(
+        combined, (kdim, src_rank + target.cc.rank(degree + 1))
+    )
     return len(factors) == kdim and all(d == 1 for d in factors)
 
 

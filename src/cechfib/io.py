@@ -34,7 +34,18 @@ def complex_to_doc(x: SimplicialComplex) -> dict:
 def complex_from_doc(doc: Mapping) -> SimplicialComplex:
     if not isinstance(doc, Mapping) or "maximal" not in doc:
         raise ValidationError('complex document needs a "maximal" list')
-    return build_complex(doc["maximal"])
+    maximal = doc["maximal"]
+    if not isinstance(maximal, list) or not all(
+        isinstance(s, list) and all(_is_label(v) for v in s) for s in maximal
+    ):
+        raise ValidationError(
+            '"maximal" must be a list of lists of string or integer labels'
+        )
+    return build_complex(maximal)
+
+
+def _is_label(v) -> bool:
+    return isinstance(v, (str, int)) and not isinstance(v, bool)
 
 
 def map_from_doc(doc: Mapping, source: SimplicialComplex,

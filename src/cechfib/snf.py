@@ -1,10 +1,15 @@
 """Exact integer matrix reduction: Smith normal form with transforms.
 
 All arithmetic is on Python integers, so results are exact at any size.
-Matrices are plain lists of rows.  The reduction runs a sparse pass that
-consumes unit pivots first (boundary matrices of simplicial complexes
-reduce almost entirely this way) and falls back to the classical
-minimum-pivot algorithm for whatever remains.
+A sparse matrix is a list of rows, each a dict from column index to a
+nonzero entry, read together with its (rows, cols) shape; chain
+complexes, chain maps and relation matrices are built in this form.
+:func:`sparse_smith_form` is the one reduction.  It consumes unit pivots
+first (boundary matrices of simplicial complexes reduce almost entirely
+this way) and falls back to the classical minimum-pivot algorithm for
+whatever remains.  Its transforms are sparse vectors as well.
+:func:`smith_normal_form` is the dense front end: it takes a plain list
+of rows and returns dense transforms.
 """
 
 from __future__ import annotations
@@ -12,43 +17,49 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-Matrix = list  # list of rows, each row a list of ints
+Matrix = list  # list of rows, each a list of ints
+SparseRows = list  # list of rows, each a dict {column: nonzero int}
 
 
-def identity_matrix(n: int) -> Matrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+def sparse_rows(mat: Sequence[Sequence[int]], shape) -> SparseRows:
+    """The nonzero entries of a dense matrix, row by row."""
+    m, n = shape
+    rows = []
+    for i in range(m):
+        src = mat[i]
+        row = {}
+        for j in range(n):
+            v = int(src[j])
+            if v:
+                row[j] = v
+        rows.append(row)
+    return rows
 
 
-def zero_matrix(rows: int, cols: int) -> Matrix:
-    return [[0] * cols for _ in range(rows)]
-
-
-def matrix_multiply(a: Matrix, b: Matrix) -> Matrix:
-    rows, inner = len(a), len(b)
-    cols = len(b[0]) if inner else 0
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        row = a[i]
-        acc = out[i]
-        for k in range(inner):
-            x = row[k]
-            if x:
-                brow = b[k]
-                for j in range(cols):
-                    if brow[j]:
-                        acc[j] += x * brow[j]
+def sparse_columns(rows: SparseRows, cols: int) -> SparseRows:
+    """The transpose: one dict per column, keyed by row index."""
+    out = [{} for _ in range(cols)]
+    for i, row in enumerate(rows):
+        for j, v in row.items():
+            out[j][i] = v
     return out
 
 
-def transpose(a: Matrix, cols: Optional[int] = None) -> Matrix:
-    if not a:
-        return [[] for _ in range(cols or 0)]
-    return [list(col) for col in zip(*a)]
+def sparse_multiply(a: SparseRows, b: SparseRows) -> SparseRows:
+    """Rows of the product a * b; row k of b is read for column k of a."""
+    out = []
+    for arow in a:
+        acc = {}
+        for k, x in arow.items():
+            for j, y in b[k].items():
+                acc[j] = acc.get(j, 0) + x * y
+        out.append({j: v for j, v in acc.items() if v})
+    return out
 
 
 @dataclass(frozen=True)
 class SmithNormalForm:
-    """Diagonalization U * M * V = D with U, V unimodular.
+    """Diagonalization U * M * V = D with U, V unimodular, as dense matrices.
 
     ``diagonal`` lists the diagonal of D (length min(m, n)); each nonzero
     entry is positive and divides the next.  ``right_inverse`` is V^-1,
@@ -64,6 +75,42 @@ class SmithNormalForm:
     @property
     def rank(self) -> int:
         return sum(1 for d in self.diagonal if d != 0)
+
+
+@dataclass(frozen=True)
+class SparseSmithForm:
+    """U * M * V = D with the transforms kept as sparse vectors.
+
+    ``left`` holds the rows of U, ``right`` the columns of V and
+    ``right_inverse`` the rows of V^-1, each a dict from index to
+    nonzero entry.  The columns of V past the rank span the kernel of M.
+    """
+
+    shape: tuple
+    diagonal: tuple
+    left: Optional[SparseRows] = None
+    right: Optional[SparseRows] = None
+    right_inverse: Optional[SparseRows] = None
+
+    @property
+    def rank(self) -> int:
+        return sum(1 for d in self.diagonal if d != 0)
+
+    def dense(self) -> SmithNormalForm:
+        m, n = self.shape
+        left = right = right_inverse = None
+        if self.left is not None:
+            left = [[row.get(k, 0) for k in range(m)] for row in self.left]
+        if self.right is not None:
+            right = [[col.get(i, 0) for col in self.right] for i in range(n)]
+        if self.right_inverse is not None:
+            right_inverse = [
+                [row.get(k, 0) for k in range(n)] for row in self.right_inverse
+            ]
+        return SmithNormalForm(
+            shape=self.shape, diagonal=self.diagonal,
+            left=left, right=right, right_inverse=right_inverse,
+        )
 
 
 def _matrix_shape(mat: Sequence[Sequence[int]], shape):
@@ -82,23 +129,18 @@ def smith_normal_form(
     want_right: bool = True,
     want_right_inverse: bool = False,
 ) -> SmithNormalForm:
-    """Reduce an integer matrix to Smith normal form.
+    """Reduce a dense integer matrix to Smith normal form.
 
     Returns transforms with U*M*V diagonal, each diagonal entry dividing
     the next.  Transform tracking can be switched off per side when only
     invariant factors or one-sided data are needed.
     """
     m, n = _matrix_shape(mat, shape)
-    rows = []
-    for i in range(m):
-        row = {}
-        src = mat[i]
-        for j in range(n):
-            v = int(src[j])
-            if v:
-                row[j] = v
-        rows.append(row)
-    return _reduce(rows, m, n, want_left, want_right, want_right_inverse)
+    return sparse_smith_form(
+        sparse_rows(mat, (m, n)), (m, n),
+        want_left=want_left, want_right=want_right,
+        want_right_inverse=want_right_inverse,
+    ).dense()
 
 
 def invariant_factors(mat: Sequence[Sequence[int]], shape=None) -> tuple:
@@ -109,15 +151,40 @@ def invariant_factors(mat: Sequence[Sequence[int]], shape=None) -> tuple:
     return tuple(d for d in form.diagonal if d != 0)
 
 
-def _reduce(rows, m, n, want_left, want_right, want_right_inv):
+def _subtract(target: dict, source: dict, q: int) -> None:
+    # target -= q * source, for sparse vectors and q != 0
+    for k, v in source.items():
+        new = target.get(k, 0) - q * v
+        if new:
+            target[k] = new
+        else:
+            del target[k]
+
+
+def sparse_smith_form(
+    rows: SparseRows,
+    shape,
+    *,
+    want_left: bool = True,
+    want_right: bool = True,
+    want_right_inverse: bool = False,
+) -> SparseSmithForm:
+    """Reduce a sparse integer matrix to Smith normal form.
+
+    ``rows`` is read, not changed; entries are taken in column order, so
+    the result depends only on the matrix.  Transforms are returned as
+    sparse vectors (see :class:`SparseSmithForm`).
+    """
+    m, n = int(shape[0]), int(shape[1])
+    rows = [{j: int(v) for j, v in sorted(row.items()) if v} for row in rows]
     col_index = [set() for _ in range(n)]
     for i, row in enumerate(rows):
         for j in row:
             col_index[j].add(i)
 
-    left = identity_matrix(m) if want_left else None
-    right = identity_matrix(n) if want_right else None
-    right_inv = identity_matrix(n) if want_right_inv else None
+    left = [{i: 1} for i in range(m)] if want_left else None
+    right = [{j: 1} for j in range(n)] if want_right else None
+    right_inv = [{j: 1} for j in range(n)] if want_right_inverse else None
 
     active_rows = set(range(m))
     active_cols = set(range(n))
@@ -140,10 +207,7 @@ def _reduce(rows, m, n, want_left, want_right, want_right_inv):
                 del target[j]
                 col_index[j].discard(i)
         if left is not None:
-            ui, ur = left[i], left[r]
-            for k in range(m):
-                if ur[k]:
-                    ui[k] -= q * ur[k]
+            _subtract(left[i], left[r], q)
 
     def col_sub(j, c, q):
         # col_j -= q * col_c
@@ -160,21 +224,17 @@ def _reduce(rows, m, n, want_left, want_right, want_right_inv):
                 del rows[i][j]
                 col_index[j].discard(i)
         if right is not None:
-            for k in range(n):
-                if right[k][c]:
-                    right[k][j] -= q * right[k][c]
+            _subtract(right[j], right[c], q)
         if right_inv is not None:
-            rc, rj = right_inv[c], right_inv[j]
-            for k in range(n):
-                if rj[k]:
-                    rc[k] += q * rj[k]
+            # row_c of V^-1 += q * row_j
+            _subtract(right_inv[c], right_inv[j], -q)
 
     def negate_row(r):
         row = rows[r]
         for j in list(row):
             row[j] = -row[j]
         if left is not None:
-            left[r] = [-x for x in left[r]]
+            left[r] = {k: -v for k, v in left[r].items()}
 
     def clear_pivot(r, c):
         # assumes |rows[r][c]| is 1 after sign fix
@@ -275,18 +335,12 @@ def _reduce(rows, m, n, want_left, want_right, want_right_inv):
         else:
             diag.append(0)
 
-    left_out = [left[r] for r in row_order] if left is not None else None
-    right_out = None
-    if right is not None:
-        right_out = [[right[i][c] for c in col_order] for i in range(n)]
-    right_inv_out = None
-    if right_inv is not None:
-        right_inv_out = [right_inv[c] for c in col_order]
-
-    return SmithNormalForm(
+    return SparseSmithForm(
         shape=(m, n),
         diagonal=tuple(diag),
-        left=left_out,
-        right=right_out,
-        right_inverse=right_inv_out,
+        left=[left[r] for r in row_order] if left is not None else None,
+        right=[right[c] for c in col_order] if right is not None else None,
+        right_inverse=(
+            [right_inv[c] for c in col_order] if right_inv is not None else None
+        ),
     )

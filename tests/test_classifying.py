@@ -27,9 +27,9 @@ from cechfib import (
     Cochain0,
 )
 from cechfib.classifying import classifying_chain_map
-from cechfib.snf import matrix_multiply
 
 import corpus
+from dense import dense, matrix_multiply
 
 
 def circle_cocycle():
@@ -108,9 +108,10 @@ def test_bar_of_trivial_group_is_point():
 def test_bar_boundaries_compose_to_zero():
     bar = bar_construction(corpus.S3, 3)
     for k in range(1, 3):
+        cc = bar.complex
         product = matrix_multiply(
-            [list(r) for r in bar.complex.boundary(k)],
-            [list(r) for r in bar.complex.boundary(k + 1)],
+            dense(cc.boundary(k), cc.rank(k)),
+            dense(cc.boundary(k + 1), cc.rank(k + 1)),
         )
         assert all(not any(row) for row in product)
 
@@ -210,12 +211,12 @@ def test_classifying_map_simpliciality_tracks_cocycle_law():
 def test_classifying_map_hits_degree_one_generator():
     c = circle_cocycle()
     cmap = classifying_map(c)
-    mats = classifying_chain_map(cmap, 1)
+    edges = dense(classifying_chain_map(cmap, 1)[1], 3)
     bar_ws = HomologyWorkspace(cmap.bar.complex, 1)
     # fundamental cycle of the nerve in the sorted edge basis
     fundamental = [1, -1, 1]
     image = [
-        sum(mats[1][i][j] * fundamental[j] for j in range(3))
+        sum(edges[i][j] * fundamental[j] for j in range(3))
         for i in range(len(cmap.bar.chains[1]))
     ]
     generator = [0] * len(cmap.bar.chains[1])
@@ -231,9 +232,12 @@ def test_classifying_chain_map_commutes_with_boundaries():
     cmap = classifying_map(c)
     mats = classifying_chain_map(cmap, 1)
     nerve_cc = chain_complex_of(c.nerve.complex)
-    left = matrix_multiply(mats[0], [list(r) for r in nerve_cc.boundary(1)])
+    bar_cc = cmap.bar.complex
+    left = matrix_multiply(
+        dense(mats[0], nerve_cc.rank(0)), dense(nerve_cc.boundary(1), nerve_cc.rank(1))
+    )
     right = matrix_multiply(
-        [list(r) for r in cmap.bar.complex.boundary(1)], mats[1]
+        dense(bar_cc.boundary(1), bar_cc.rank(1)), dense(mats[1], nerve_cc.rank(1))
     )
     assert left == right
 
@@ -327,11 +331,11 @@ def test_classifying_equivalent_cocycles_same_h1_action():
     moved = coboundary_transform(c, lam)
     for cocycle in (c, moved):
         cmap = classifying_map(cocycle)
-        mats = classifying_chain_map(cmap, 1)
+        edges = dense(classifying_chain_map(cmap, 1)[1], 3)
         ws = HomologyWorkspace(cmap.bar.complex, 1)
         fundamental = [1, -1, 1]
         image = [
-            sum(mats[1][i][j] * fundamental[j] for j in range(3))
+            sum(edges[i][j] * fundamental[j] for j in range(3))
             for i in range(len(cmap.bar.chains[1]))
         ]
         label = ws.class_label(1, image)

@@ -1,6 +1,11 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cechfib import (
+    SimplicialComplex,
     SimplicialMap,
     ValidationError,
     barycentric_subdivision,
@@ -10,7 +15,11 @@ from cechfib import (
     homology,
     mapping_cylinder,
     pi1_presentation,
+    regular_action,
+    restrict_bundle,
+    total_space,
 )
+from cechfib.complexes import intersect_complexes
 
 import corpus
 
@@ -169,3 +178,59 @@ def test_pi1_abelianization_matches_betti():
         else:
             rank = 0
         assert p.generator_count - rank == homology(x, 1).group(1).betti, name
+
+
+def all_pairs_maximal(x):
+    """Oracle: simplices contained in no other simplex, by a full scan."""
+    simplices = x.simplices
+    return sorted(
+        tuple(sorted(s)) for s in simplices
+        if not any(s < t for t in simplices)
+    )
+
+
+def sorted_maximal(x):
+    return [tuple(sorted(s)) for s in x.maximal_simplices]
+
+
+FAMILIES = st.lists(
+    st.lists(st.integers(0, 7), min_size=1, max_size=4, unique=True),
+    min_size=1, max_size=8,
+)
+
+
+@given(FAMILIES, FAMILIES, st.integers(0, 2**32))
+@settings(max_examples=80, deadline=None)
+def test_maximal_simplices_match_all_pairs_scan(a, b, seed):
+    x, y = build_complex(a), build_complex(b)
+    for z in (x, y, intersect_complexes(x, y)):
+        assert sorted_maximal(z) == all_pairs_maximal(z)
+    # restrictions of a twisted bundle to a random subcomplex of its base
+    rng = random.Random(seed)
+    name, group_name = rng.choice(
+        [("hollow_triangle", "s3"), ("rp2", "z2"), ("torus", "z3")]
+    )
+    cocycle = corpus.random_cocycle(name, corpus.GROUPS[group_name], rng)
+    bundle = total_space(cocycle, regular_action(cocycle.group))
+    base = bundle.base.maximal_simplices
+    sub = build_complex(rng.sample(base, rng.randint(1, len(base))))
+    total = restrict_bundle(bundle, sub).total
+    assert sorted_maximal(total) == all_pairs_maximal(total)
+
+
+@given(FAMILIES, st.integers(0, 2**32))
+@settings(max_examples=60, deadline=None)
+def test_family_not_closed_under_faces_is_rejected(a, seed):
+    x = build_complex(a)
+    faces = [s for s in x.simplices if s not in x.maximal_simplices]
+    if not faces:
+        return
+    dropped = random.Random(seed).choice(sorted(faces, key=sorted))
+    with pytest.raises(ValidationError):
+        SimplicialComplex(x.simplices - {dropped})
+
+
+def test_missing_dimension_is_not_closed():
+    triangle_without_edges = [frozenset("abc")] + [frozenset(v) for v in "abc"]
+    with pytest.raises(ValidationError):
+        SimplicialComplex(triangle_without_edges)

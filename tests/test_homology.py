@@ -11,9 +11,9 @@ from cechfib import (
     map_induces_homology_isomorphism,
     simplicial_chain_map,
 )
-from cechfib.snf import matrix_multiply
 
 import corpus
+from dense import dense, matrix_multiply
 
 
 def test_point_homology():
@@ -63,7 +63,8 @@ def test_boundary_squared_is_zero(name):
     cc = chain_complex_of(corpus.SURFACES[name])
     for k in range(1, len(cc.ranks) - 1):
         product = matrix_multiply(
-            [list(r) for r in cc.boundary(k)], [list(r) for r in cc.boundary(k + 1)]
+            dense(cc.boundary(k), cc.rank(k)),
+            dense(cc.boundary(k + 1), cc.rank(k + 1)),
         )
         assert all(not any(row) for row in product)
 
@@ -102,8 +103,12 @@ def test_chain_map_commutes_with_boundary():
     mats = simplicial_chain_map(inclusion, 1)
     src = chain_complex_of(corpus.HOLLOW_TRIANGLE)
     tgt = chain_complex_of(corpus.FULL_TRIANGLE)
-    left = matrix_multiply(mats[0], [list(r) for r in src.boundary(1)])
-    right = matrix_multiply([list(r) for r in tgt.boundary(1)], mats[1])
+    left = matrix_multiply(
+        dense(mats[0], src.rank(0)), dense(src.boundary(1), src.rank(1))
+    )
+    right = matrix_multiply(
+        dense(tgt.boundary(1), tgt.rank(1)), dense(mats[1], src.rank(1))
+    )
     assert left == right
 
 
@@ -117,8 +122,12 @@ def test_collapse_chain_map_commutes_on_surface():
     src = chain_complex_of(sd)
     tgt = chain_complex_of(x)
     for k in (1, 2):
-        left = matrix_multiply(mats[k - 1], [list(r) for r in src.boundary(k)])
-        right = matrix_multiply([list(r) for r in tgt.boundary(k)], mats[k])
+        left = matrix_multiply(
+            dense(mats[k - 1], src.rank(k - 1)), dense(src.boundary(k), src.rank(k))
+        )
+        right = matrix_multiply(
+            dense(tgt.boundary(k), tgt.rank(k)), dense(mats[k], src.rank(k))
+        )
         assert left == right
 
 

@@ -369,3 +369,43 @@ def test_cli_matches_library_results(tmp_path, capsys):
         assert report["details"]["torsion"] == [
             list(t) for t in direct.torsion()
         ]
+
+
+@pytest.mark.parametrize("maximal", [
+    "abc",                # a string, not a list of simplices
+    [["a", "b"], "c"],    # one simplex is a string
+    5,                    # not a list at all
+    [[1, [2]]],           # a vertex label that is a list
+    [[1], ["a"]],         # labels that cannot be ordered together
+], ids=["string", "string-simplex", "number", "list-label", "mixed-labels"])
+def test_cli_complex_documents_keep_the_input_contract(tmp_path, capsys, maximal):
+    """A malformed "maximal" is validated false by validate-complex and an
+    input error (exit 2, no report) for every other verb."""
+    path = write(tmp_path, "bad.json", {"maximal": maximal})
+    code, report = run(capsys, "validate-complex", "--input", path)
+    assert code == cli.EXIT_FALSE
+    assert report["verdict"] is False
+    out = tmp_path / "report.json"
+    code = cli.main(["homology", "--input", path, "--output", str(out)])
+    assert code == cli.EXIT_INPUT
+    assert not out.exists()
+
+
+def test_cli_cocycle_equiv_checks_one_nerve_per_pair(tmp_path, capsys, monkeypatch):
+    """Two documents over one cover share the first one's nerve, so its
+    goodness is checked once."""
+    from cechfib import covers
+
+    calls = []
+    real = covers.is_good_cover
+
+    def counting(cover, nerve=None):
+        calls.append(cover)
+        return real(cover, nerve)
+
+    monkeypatch.setattr(covers, "is_good_cover", counting)
+    p1 = write(tmp_path, "c1.json", circle_cocycle_doc(1))
+    p2 = write(tmp_path, "c2.json", circle_cocycle_doc(0))
+    code, report = run(capsys, "cocycle-equiv", "--input", p1, p2)
+    assert code == cli.EXIT_FALSE and report["verdict"] is False
+    assert len(calls) == 1
