@@ -16,7 +16,9 @@ from typing import List, Optional
 
 from . import __version__
 from .bundles import pullback, skeletal_construction, total_space
-from .classifying import bar_homology, classification_check
+from .classifying import (
+    bar_homology, classification_check, validate_milnor_point,
+)
 from .cocycles import are_equivalent, validate_cocycle
 from .covers import carrier_check, cech_nerve
 from .errors import BudgetExceededError, ValidationError
@@ -233,10 +235,9 @@ def _run_bar_homology(inputs: _Inputs, args) -> tuple:
 
 
 def _run_milnor_check(inputs: _Inputs, args) -> tuple:
-    doc = inputs.one()
-    docio.require_keys(doc, "coordinate-point", ("t", "g", "group"))
+    parsed = docio.parse_milnor_doc(inputs.one())
     try:
-        point = docio.milnor_from_doc(doc)
+        point = validate_milnor_point(*parsed)
     except ValidationError as exc:
         return _validated_false("milnor-check", exc)
     return EXIT_TRUE, _report(

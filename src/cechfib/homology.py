@@ -1,19 +1,24 @@
 """Integral homology of complexes and chain complexes, with induced maps.
 
-Homology groups come from Smith normal forms of the boundary matrices.
 Boundaries, chain maps and relation matrices are sparse rows (see
-:mod:`cechfib.snf`), built directly from the simplices.  The workspace
-variant also keeps kernel bases and relation transforms so cycles can be
-reduced to canonical class labels and maps can be checked for inducing
-isomorphisms.
+:mod:`cechfib.snf`), built directly from the simplices.  Homology groups
+come from the invariant factors of the boundaries after a peel: free
+faces and coreduction pairs with a unit entry are removed first, which
+only deletes rows and columns, and the Smith form runs on what remains.
+Simplicial homology peels from the augmentation C_0 -> Z, so that a
+closed surface has a place to start.  The workspace variant and
+:func:`cycle_basis` reduce the full boundaries in the fixed pivot order,
+so kernel bases, relation transforms and canonical class labels do not
+depend on the peel; they serve induced-map isomorphism checks.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from .complexes import SimplicialComplex, SimplicialMap, connected_components
+from .complexes import SimplicialComplex, SimplicialMap
 from .errors import ValidationError
 from .snf import (
     Matrix,
@@ -122,17 +127,22 @@ class HomologyResult:
 
 
 def homology_of_chain_complex(cc: ChainComplex, max_degree: int) -> HomologyResult:
+    """Integral homology of a chain complex through ``max_degree``.
+
+    The complex is first shrunk by :func:`_peel`; only what remains of
+    each boundary goes to the Smith form, and only if it is nonzero.
+    """
     if max_degree < 0:
         raise ValidationError("max_degree must be nonnegative")
+    cc = _peel(cc, max_degree + 1)
     ranks_of = {}
     torsion_of = {}
     for k in range(1, max_degree + 2):
-        if cc.rank(k) == 0 or cc.rank(k - 1) == 0:
-            factors = ()
+        rows = cc.boundary(k)
+        if any(rows):
+            factors = _invariant_factors(rows, (cc.rank(k - 1), cc.rank(k)))
         else:
-            factors = _invariant_factors(
-                cc.boundary(k), (cc.rank(k - 1), cc.rank(k))
-            )
+            factors = ()
         ranks_of[k] = len(factors)
         torsion_of[k] = tuple(d for d in factors if d > 1)
     groups = []
@@ -140,6 +150,76 @@ def homology_of_chain_complex(cc: ChainComplex, max_degree: int) -> HomologyResu
         betti = cc.rank(k) - ranks_of.get(k, 0) - ranks_of.get(k + 1, 0)
         groups.append(HomologyGroup(betti=betti, torsion=torsion_of.get(k + 1, ())))
     return HomologyResult(groups=tuple(groups))
+
+
+def _peel(cc: ChainComplex, top: int) -> ChainComplex:
+    """The complex in degrees 0..top with unit pairs eliminated.
+
+    A cell with exactly one coface (a free face: collapse) or exactly one
+    face (coreduction) is removed together with that neighbour when
+    their entry is a unit.  Neither case needs a correction term, so each
+    elimination only deletes a row and a column of the neighbouring
+    boundaries; by the Gaussian-elimination lemma for chain complexes
+    homology is unchanged.  Degrees above ``top`` are dropped, which
+    keeps homology below ``top``.
+    """
+    ranks = [cc.rank(k) for k in range(top + 1)]
+    # cofaces[k][c] and faces[k][c]: live neighbours of cell c of degree k
+    cofaces = [[{} for _ in range(r)] for r in ranks]
+    faces = [[{} for _ in range(r)] for r in ranks]
+    for k in range(1, top + 1):
+        for i, row in enumerate(cc.boundary(k)):
+            for j, v in row.items():
+                if v:
+                    cofaces[k - 1][i][j] = v
+                    faces[k][j][i] = v
+    alive = [set(range(r)) for r in ranks]
+    queue = deque((k, c) for k in range(top + 1) for c in range(ranks[k]))
+
+    def remove(k, c):
+        alive[k].discard(c)
+        for i in faces[k][c]:
+            up = cofaces[k - 1][i]
+            del up[c]
+            if len(up) == 1:
+                queue.append((k - 1, i))
+        for j in cofaces[k][c]:
+            down = faces[k + 1][j]
+            del down[c]
+            if len(down) == 1:
+                queue.append((k + 1, j))
+
+    while queue:
+        k, c = queue.popleft()
+        if c not in alive[k]:
+            continue
+        for near, step in ((cofaces[k][c], 1), (faces[k][c], -1)):
+            if len(near) == 1:
+                (d, v), = near.items()
+                if v in (1, -1):
+                    remove(k, c)
+                    remove(k + step, d)
+                    break
+
+    index = [{c: n for n, c in enumerate(sorted(live))} for live in alive]
+    boundaries = tuple(
+        [
+            {index[k][j]: v for j, v in cofaces[k - 1][i].items()}
+            for i in sorted(alive[k - 1])
+        ]
+        for k in range(1, top + 1)
+    )
+    return ChainComplex(
+        ranks=tuple(len(live) for live in alive), boundaries=boundaries
+    )
+
+
+def _augmented(cc: ChainComplex) -> ChainComplex:
+    """The complex shifted up one degree over the augmentation C_0 -> Z."""
+    epsilon = [{j: 1 for j in range(cc.rank(0))}]
+    return ChainComplex(
+        ranks=(1,) + cc.ranks, boundaries=(epsilon,) + cc.boundaries
+    )
 
 
 def homology(x: SimplicialComplex, max_degree: Optional[int] = None) -> HomologyResult:
@@ -153,20 +233,28 @@ def homology(x: SimplicialComplex, max_degree: Optional[int] = None) -> Homology
     if max_degree < 0:
         raise ValidationError("max_degree must be nonnegative")
     cc = chain_complex_of(x, min(max_degree + 1, max(x.dim, 0)))
-    return homology_of_chain_complex(cc, max_degree)
+    return _simplicial_homology(cc, max_degree)
+
+
+def _simplicial_homology(cc: ChainComplex, max_degree: int) -> HomologyResult:
+    """Homology of a simplicial chain complex, read off its reduced
+    homology over the augmentation, where the peel has a start even on a
+    closed surface (every edge there lies in two triangles, every vertex
+    in three or more edges).  Degree 0 gets its Z back."""
+    if cc.rank(0) == 0:
+        return homology_of_chain_complex(cc, max_degree)
+    reduced = homology_of_chain_complex(_augmented(cc), max_degree + 1).groups
+    h0 = HomologyGroup(reduced[1].betti + 1, reduced[1].torsion)
+    return HomologyResult(groups=(h0,) + reduced[2:])
 
 
 def is_point_like(x: SimplicialComplex) -> bool:
     """Connected with the homology of a point (no higher homology)."""
     if x.is_empty():
         return False
-    if len(connected_components(x)) != 1:
-        return False
-    result = homology(x)
-    if result.group(0) != HomologyGroup(1, ()):
-        return False
-    return all(
-        result.group(k) == HomologyGroup(0, ()) for k in range(1, x.dim + 1)
+    groups = homology(x).groups
+    return groups[0] == HomologyGroup(1, ()) and all(
+        g == HomologyGroup(0, ()) for g in groups[1:]
     )
 
 
@@ -370,7 +458,7 @@ def map_induces_homology_isomorphism(f: SimplicialMap, max_degree: int) -> bool:
     """
     src_cc = chain_complex_of(f.source, min(max_degree + 1, max(f.source.dim, 0)))
     tgt_cc = chain_complex_of(f.target, min(max_degree + 1, max(f.target.dim, 0)))
-    src_hom = homology_of_chain_complex(src_cc, max_degree)
+    src_hom = _simplicial_homology(src_cc, max_degree)
     target = HomologyWorkspace(tgt_cc, max_degree)
     chain_maps = simplicial_chain_map(f, max_degree)
     for k in range(max_degree + 1):

@@ -45,7 +45,17 @@ def complex_from_doc(doc: Mapping) -> SimplicialComplex:
 
 
 def _is_label(v) -> bool:
-    return isinstance(v, (str, int)) and not isinstance(v, bool)
+    return isinstance(v, str) or _is_integer(v)
+
+
+def _is_integer(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _integer(v, what: str) -> int:
+    if not _is_integer(v):
+        raise ValidationError(f"{what} must be an integer, got {v!r}")
+    return v
 
 
 def map_from_doc(doc: Mapping, source: SimplicialComplex,
@@ -80,10 +90,14 @@ def group_to_doc(group: FiniteGroup) -> dict:
 
 
 def group_from_doc(doc: Mapping) -> FiniteGroup:
-    if "table" not in doc:
-        raise ValidationError('group document needs a "table"')
+    require_keys(doc, "group", ("table",))
     table = doc["table"]
-    if "order" in doc and int(doc["order"]) != len(table):
+    if not isinstance(table, list) or not all(
+        isinstance(row, list) and all(_is_integer(v) for v in row)
+        for row in table
+    ):
+        raise ValidationError('"table" must be a list of lists of integers')
+    if "order" in doc and _integer(doc["order"], '"order"') != len(table):
         raise ValidationError("declared order does not match the table")
     return validate_group(table)
 
@@ -116,15 +130,26 @@ def cocycle_values_to_doc(values: Mapping) -> dict:
     return {_pair_key(pair): v for pair, v in sorted(values.items())}
 
 
+def _keyed_integers(doc: Mapping, size: int, what: str) -> Dict[tuple, int]:
+    if not isinstance(doc, Mapping):
+        raise ValidationError(f'{what} must be an object with "|"-joined keys')
+    return {
+        _split_key(k, size): _integer(v, f"{what} at {k!r}")
+        for k, v in doc.items()
+    }
+
+
 def cocycle_values_from_doc(doc: Mapping) -> Dict[tuple, int]:
-    return {_split_key(k, 2): int(v) for k, v in doc.items()}
+    return _keyed_integers(doc, 2, '"values"')
 
 
 def gerbe_witnesses_from_doc(doc: Mapping) -> Dict[tuple, int]:
-    return {_split_key(k, 3): int(v) for k, v in doc.items()}
+    return _keyed_integers(doc, 3, '"witnesses"')
 
 
 def require_keys(doc: Mapping, kind: str, keys) -> None:
+    if not isinstance(doc, Mapping):
+        raise ValidationError(f"{kind} document must be a JSON object")
     for key in keys:
         if key not in doc:
             raise ValidationError(f'{kind} document needs "{key}"')
@@ -262,14 +287,36 @@ def bundle_from_doc(doc: Mapping):
     )
 
 
+def parse_milnor_doc(doc: Mapping) -> tuple:
+    """(coordinates, values, group) of a coordinate-point document, not
+    yet validated."""
+    require_keys(doc, "coordinate-point", ("t", "g", "group"))
+    group = group_from_doc(doc["group"])
+    if not isinstance(doc["t"], list):
+        raise ValidationError('"t" must be a list of rationals')
+    coords = [_rational(t) for t in doc["t"]]
+    values = {
+        (_index(i), _index(j)): v
+        for (i, j), v in _keyed_integers(doc["g"], 2, '"g"').items()
+    }
+    return coords, values, group
+
+
+def _rational(t) -> Fraction:
+    try:
+        return Fraction(str(t))
+    except (ValueError, ZeroDivisionError):
+        raise ValidationError(f"coordinate {t!r} is not a rational number")
+
+
+def _index(name: str) -> int:
+    try:
+        return int(name)
+    except ValueError:
+        raise ValidationError(f"index {name!r} is not an integer")
+
+
 def milnor_from_doc(doc: Mapping):
     from .classifying import validate_milnor_point
 
-    require_keys(doc, "coordinate-point", ("t", "g", "group"))
-    group = group_from_doc(doc["group"])
-    coords = [Fraction(str(t)) for t in doc["t"]]
-    values = {}
-    for key, v in doc["g"].items():
-        i, j = _split_key(key, 2)
-        values[(int(i), int(j))] = int(v)
-    return validate_milnor_point(coords, values, group)
+    return validate_milnor_point(*parse_milnor_doc(doc))

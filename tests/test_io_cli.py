@@ -409,3 +409,41 @@ def test_cli_cocycle_equiv_checks_one_nerve_per_pair(tmp_path, capsys, monkeypat
     code, report = run(capsys, "cocycle-equiv", "--input", p1, p2)
     assert code == cli.EXIT_FALSE and report["verdict"] is False
     assert len(calls) == 1
+
+
+def gerbe_doc():
+    from cechfib import abelian_coefficients, cech_nerve, validate_gerbe_cocycle
+
+    cover = star_cover(corpus.FULL_TRIANGLE)
+    nerve = cech_nerve(cover)
+    return docio.gerbe_to_doc(validate_gerbe_cocycle(
+        cover, abelian_coefficients(corpus.Z2),
+        {p: 0 for p in nerve.keys(2)}, {t: 0 for t in nerve.keys(3)},
+        nerve=nerve,
+    ))
+
+
+def milnor_doc(**changes):
+    doc = {"t": ["1/2", "1/2"], "g": {"0|0": 0, "1|1": 0, "0|1": 1, "1|0": 1},
+           "group": Z2_DOC}
+    doc.update(changes)
+    return doc
+
+
+@pytest.mark.parametrize("verb, make_doc", [
+    ("bar-homology", lambda: {"order": 2, "table": 5}),
+    ("bar-homology", lambda: {"table": [[0, 1], [1, "a"]]}),
+    ("bar-homology", lambda: {"order": "x", "table": [[0, 1], [1, 0]]}),
+    ("cocycle-check", lambda: dict(circle_cocycle_doc(), values=[])),
+    ("gerbe-check", lambda: dict(gerbe_doc(), witnesses=[])),
+    ("milnor-check", lambda: milnor_doc(t=["1/0", "1"])),
+    ("milnor-check", lambda: milnor_doc(g={"a|b": 0})),
+], ids=["table-number", "table-string-entry", "order-string",
+        "cocycle-values-list", "gerbe-witnesses-list", "milnor-zero-denominator",
+        "milnor-key-not-indices"])
+def test_cli_group_cocycle_gerbe_and_milnor_documents_keep_the_input_contract(
+        tmp_path, capsys, verb, make_doc):
+    """A document that does not decode is an input error: exit 2, no report."""
+    path = write(tmp_path, "bad.json", make_doc())
+    code, report = run(capsys, verb, "--input", path)
+    assert (code, report) == (cli.EXIT_INPUT, None)
