@@ -175,10 +175,7 @@ def _run_bundle_build(inputs: _Inputs, args) -> tuple:
 def _run_pullback(inputs: _Inputs, args) -> tuple:
     bundle_doc, map_doc = inputs.two()
     bundle = docio.bundle_from_doc(bundle_doc)
-    if "source" not in map_doc:
-        raise ValidationError(
-            'pullback map document needs a "source" complex'
-        )
+    docio.require_keys(map_doc, "pullback map", ("source", "vertexMap"))
     source = docio.complex_from_doc(map_doc["source"])
     f = docio.map_from_doc(map_doc, source, bundle.base)
     result = pullback(bundle, f)

@@ -181,46 +181,101 @@ def enumerate_homs(
     group: FiniteGroup,
     budget: Optional[int] = None,
 ) -> List[tuple]:
-    """All homomorphisms from a presented group, as generator images.
+    """All homomorphisms from a presented group, as generator images, in
+    lexicographic order.
 
-    Backtracks over generator assignments, checking each relation as soon
-    as all its generators are fixed; the budget caps the number of partial
-    assignments actually visited, not the worst case.
+    Found by relation propagation: the search branches only on the least
+    unassigned generator, trying group elements in order.  Every relation
+    that contains a newly assigned generator is then settled: with no
+    unknown left it must evaluate to the identity, or the branch dies;
+    with one unknown occurring once, u x^±1 v = 1 fixes x^±1 = u^-1 v^-1,
+    and that generator is assigned and propagated in turn.  A relation
+    whose unknown repeats is only checked once fully assigned.  So on an
+    edge-path presentation only about rank-many generators branch.  The
+    budget caps the branch guesses (one unit per group element tried at
+    a branching generator); forced assignments are free.
     """
     k = presentation.generator_count
-    by_last = [[] for _ in range(k + 1)]
-    for word in presentation.relations:
-        top = max((abs(s) for s in word), default=0)
-        by_last[top].append(word)
+    table, inverse = group.table, group.inverse
+    words = [
+        tuple((abs(s) - 1, s > 0) for s in word)
+        for word in presentation.relations
+    ]
+    containing: List[List[tuple]] = [[] for _ in range(k)]
+    for word in words:
+        for i in sorted({i for i, _ in word}):
+            containing[i].append(word)
+    images: List[Optional[int]] = [None] * k
+    trail: List[int] = []  # assigned generators, in order; also the queue
 
-    def evaluates_trivially(word, images):
-        out = 0
-        for s in word:
-            g = images[abs(s) - 1]
-            out = group.mul(out, g if s > 0 else group.inv(g))
-        return out == 0
+    def settle(word) -> bool:
+        """Check the word or fix its one unknown; False on a contradiction."""
+        unknown = -1
+        for pos, (i, _) in enumerate(word):
+            if images[i] is None:
+                if unknown >= 0:
+                    return True  # two unknown occurrences: wait
+                unknown = pos
+        u = 0
+        for i, positive in word if unknown < 0 else word[:unknown]:
+            g = images[i]
+            u = table[u][g if positive else inverse[g]]
+        if unknown < 0:
+            return u == 0
+        v = 0
+        for i, positive in word[unknown + 1:]:
+            g = images[i]
+            v = table[v][g if positive else inverse[g]]
+        x, positive = word[unknown]
+        forced = table[v][u]  # x^±1 = (v u)^-1
+        images[x] = inverse[forced] if positive else forced
+        trail.append(x)
+        return True
+
+    def propagate(start: int) -> bool:
+        pos = start
+        while pos < len(trail):
+            for word in containing[trail[pos]]:
+                if not settle(word):
+                    return False
+            pos += 1
+        return True
+
+    def undo(mark: int) -> None:
+        while len(trail) > mark:
+            images[trail.pop()] = None
 
     homs: List[tuple] = []
-    visited = 0
+    guesses = 0
+    deepest = 0
 
-    def assign(i, images):
-        nonlocal visited
-        visited += 1
-        if budget is not None and visited > budget:
-            raise BudgetExceededError(
-                f"hom enumeration exceeded budget {budget}", budget
-            )
-        if not all(evaluates_trivially(w, images) for w in by_last[i]):
-            return
+    def branch(i: int) -> None:
+        nonlocal guesses, deepest
+        while i < k and images[i] is not None:
+            i += 1
         if i == k:
             homs.append(tuple(images))
             return
-        for g in group.elements():
-            images.append(g)
-            assign(i + 1, images)
-            images.pop()
+        deepest = max(deepest, i + 1)
+        mark = len(trail)
+        for g in range(group.order):
+            guesses += 1
+            if budget is not None and guesses > budget:
+                raise BudgetExceededError(
+                    f"hom enumeration exceeded budget {budget} after "
+                    f"{guesses - 1} branch guesses, reaching generator "
+                    f"{deepest} of {k} ({len(homs)} homomorphisms found)",
+                    budget,
+                )
+            images[i] = g
+            trail.append(i)
+            if propagate(mark):
+                branch(i + 1)
+            undo(mark)
 
-    assign(0, [])
+    # relations of one generator (or none) settle before any guess
+    if all(settle(word) for word in words) and propagate(0):
+        branch(0)
     return homs
 
 

@@ -58,11 +58,42 @@ def _integer(v, what: str) -> int:
     return v
 
 
+def _integers(v, what: str) -> list:
+    if not isinstance(v, list) or not all(_is_integer(x) for x in v):
+        raise ValidationError(f"{what} must be a list of integers")
+    return v
+
+
+def _integer_rows(v, what: str) -> list:
+    if not isinstance(v, list) or not all(
+        isinstance(row, list) and all(_is_integer(x) for x in row) for row in v
+    ):
+        raise ValidationError(f"{what} must be a list of lists of integers")
+    return v
+
+
+def _labels(v, what: str) -> list:
+    if not isinstance(v, list) or not all(_is_label(x) for x in v):
+        raise ValidationError(
+            f"{what} must be a list of string or integer labels"
+        )
+    return v
+
+
+def _label_map(v, what: str) -> dict:
+    if not isinstance(v, Mapping) or not all(_is_label(x) for x in v.values()):
+        raise ValidationError(
+            f"{what} must be an object of string or integer labels"
+        )
+    return dict(v)
+
+
 def map_from_doc(doc: Mapping, source: SimplicialComplex,
                  target: SimplicialComplex) -> SimplicialMap:
-    if "vertexMap" not in doc:
-        raise ValidationError('map document needs a "vertexMap" object')
-    return SimplicialMap(source, target, dict(doc["vertexMap"]))
+    require_keys(doc, "map", ("vertexMap",))
+    return SimplicialMap(
+        source, target, _label_map(doc["vertexMap"], '"vertexMap"')
+    )
 
 
 def cover_to_doc(cover: Cover) -> dict:
@@ -75,8 +106,9 @@ def cover_to_doc(cover: Cover) -> dict:
 
 
 def cover_from_doc(doc: Mapping) -> Cover:
-    if "base" not in doc or "parts" not in doc:
-        raise ValidationError('cover document needs "base" and "parts"')
+    require_keys(doc, "cover", ("base", "parts"))
+    if not isinstance(doc["parts"], Mapping):
+        raise ValidationError('"parts" must be an object of complex documents')
     base = complex_from_doc(doc["base"])
     parts = {
         str(name): complex_from_doc(part)
@@ -91,21 +123,19 @@ def group_to_doc(group: FiniteGroup) -> dict:
 
 def group_from_doc(doc: Mapping) -> FiniteGroup:
     require_keys(doc, "group", ("table",))
-    table = doc["table"]
-    if not isinstance(table, list) or not all(
-        isinstance(row, list) and all(_is_integer(v) for v in row)
-        for row in table
-    ):
-        raise ValidationError('"table" must be a list of lists of integers')
+    table = _integer_rows(doc["table"], '"table"')
     if "order" in doc and _integer(doc["order"], '"order"') != len(table):
         raise ValidationError("declared order does not match the table")
     return validate_group(table)
 
 
 def action_from_doc(doc: Mapping, group: FiniteGroup) -> GroupAction:
-    if "fiber" not in doc or "table" not in doc:
-        raise ValidationError('action document needs "fiber" and "table"')
-    return GroupAction(group, [str(f) for f in doc["fiber"]], doc["table"])
+    require_keys(doc, "action", ("fiber", "table"))
+    return GroupAction(
+        group,
+        [str(f) for f in _labels(doc["fiber"], 'action "fiber"')],
+        _integer_rows(doc["table"], 'action "table"'),
+    )
 
 
 def action_to_doc(action: GroupAction) -> dict:
@@ -201,8 +231,8 @@ def crossed_module_from_doc(doc: Mapping) -> CrossedModule:
     return validate_crossed_module(
         group_from_doc(doc["baseGroup"]),
         group_from_doc(doc["fiberGroup"]),
-        [int(x) for x in doc["boundary"]],
-        doc["action"],
+        _integers(doc["boundary"], '"boundary"'),
+        _integer_rows(doc["action"], 'crossed-module "action"'),
     )
 
 
@@ -272,7 +302,9 @@ def bundle_from_doc(doc: Mapping):
     require_keys(doc, "bundle", ("total", "base", "projection", "fiber"))
     total = complex_from_doc(doc["total"])
     base = complex_from_doc(doc["base"])
-    projection = SimplicialMap(total, base, dict(doc["projection"]))
+    projection = SimplicialMap(
+        total, base, _label_map(doc["projection"], '"projection"')
+    )
     action = None
     if doc.get("action") and doc.get("group"):
         action = action_from_doc(doc["action"], group_from_doc(doc["group"]))
@@ -281,7 +313,7 @@ def bundle_from_doc(doc: Mapping):
             total=total,
             base=base,
             projection=projection,
-            fiber=tuple(str(f) for f in doc["fiber"]),
+            fiber=tuple(str(f) for f in _labels(doc["fiber"], '"fiber"')),
             action=action,
         )
     )

@@ -1,16 +1,24 @@
+import itertools
 import math
 import random
+import re
+from typing import List, Optional
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cechfib import (
+    BudgetExceededError,
+    FiniteGroup,
     GroupAction,
+    Pi1Presentation,
     ValidationError,
     abelian_coefficients,
     abelian_decomposition,
     adjoint_crossed_module,
+    barycentric_subdivision,
+    cech_nerve,
     conjugacy_classes,
     cyclic_group,
     direct_product,
@@ -18,6 +26,7 @@ from cechfib import (
     hom_conjugacy_classes,
     pi1_presentation,
     regular_action,
+    star_cover,
     symmetric_group,
     trivial_group,
     validate_crossed_module,
@@ -213,3 +222,183 @@ def test_abelian_decomposition_recovers_orders():
 def test_abelian_decomposition_rejects_nonabelian():
     with pytest.raises(ValidationError):
         abelian_decomposition(corpus.S3)
+
+
+# The generator-by-generator backtracking that preceded relation
+# propagation, kept verbatim as the reference for the order and content of
+# the lists `enumerate_homs` returns.
+def reference_enumerate_homs(
+    presentation,
+    group: FiniteGroup,
+    budget: Optional[int] = None,
+) -> List[tuple]:
+    """All homomorphisms from a presented group, as generator images.
+
+    Backtracks over generator assignments, checking each relation as soon
+    as all its generators are fixed; the budget caps the number of partial
+    assignments actually visited, not the worst case.
+    """
+    k = presentation.generator_count
+    by_last = [[] for _ in range(k + 1)]
+    for word in presentation.relations:
+        top = max((abs(s) for s in word), default=0)
+        by_last[top].append(word)
+
+    def evaluates_trivially(word, images):
+        out = 0
+        for s in word:
+            g = images[abs(s) - 1]
+            out = group.mul(out, g if s > 0 else group.inv(g))
+        return out == 0
+
+    homs: List[tuple] = []
+    visited = 0
+
+    def assign(i, images):
+        nonlocal visited
+        visited += 1
+        if budget is not None and visited > budget:
+            raise BudgetExceededError(
+                f"hom enumeration exceeded budget {budget}", budget
+            )
+        if not all(evaluates_trivially(w, images) for w in by_last[i]):
+            return
+        if i == k:
+            homs.append(tuple(images))
+            return
+        for g in group.elements():
+            images.append(g)
+            assign(i + 1, images)
+            images.pop()
+
+    assign(0, [])
+    return homs
+
+
+Z2xZ4 = direct_product(corpus.Z2, corpus.Z4)
+Z3xZ3 = direct_product(corpus.Z3, corpus.Z3)
+Z2xS3 = direct_product(corpus.Z2, corpus.S3)
+S4 = symmetric_group(4)
+
+
+@pytest.mark.parametrize("surface", sorted(corpus.SURFACES))
+@pytest.mark.parametrize("group_name", sorted(corpus.GROUPS))
+def test_homs_match_reference_on_star_cover_presentations(surface, group_name):
+    _, _, presentation = corpus.cached_star_cover(surface)
+    group = corpus.GROUPS[group_name]
+    assert enumerate_homs(presentation, group) == \
+        reference_enumerate_homs(presentation, group)
+
+
+@pytest.mark.parametrize("surface, group", [
+    ("torus", corpus.Z2), ("torus", corpus.S3), ("torus", corpus.Z2xZ2),
+    ("torus", corpus.Z4), ("torus", Z2xZ4), ("torus", Z3xZ3),
+    ("torus", Z2xS3), ("rp2", S4),
+], ids=["torus-z2", "torus-s3", "torus-z2xz2", "torus-z4", "torus-z2xz4",
+        "torus-z3xz3", "torus-z2xs3", "rp2-s4"])
+def test_homs_match_reference_on_surface_presentations(surface, group):
+    x = corpus.SURFACES[surface]
+    presentation = pi1_presentation(x, x.vertices[0])
+    assert enumerate_homs(presentation, group) == \
+        reference_enumerate_homs(presentation, group)
+
+
+def evaluates_trivially(word, images, group):
+    out = 0
+    for s in word:
+        g = images[abs(s) - 1]
+        out = group.mul(out, g if s > 0 else group.inv(g))
+    return out == 0
+
+
+@st.composite
+def presentations(draw):
+    """Up to four generators; relations of length 0-5 with repeated
+    generators and inverses."""
+    k = draw(st.integers(0, 4))
+    letters = st.sampled_from(
+        [s for i in range(1, k + 1) for s in (i, -i)] or [0]
+    )
+    words = st.lists(letters, min_size=0, max_size=5 if k else 0)
+    relations = draw(st.lists(words.map(tuple), max_size=5))
+    return Pi1Presentation(
+        basepoint=None,
+        generator_edges=tuple((0, i) for i in range(1, k + 1)),
+        tree_edges=(),
+        relations=tuple(relations),
+    )
+
+
+@given(presentations(),
+       st.sampled_from(["z2", "z3", "s3", "z2xz2"]))
+@settings(max_examples=200, deadline=None)
+# the unknown between two known, non-commuting images: x = (v u)^-1
+@example(Pi1Presentation(basepoint=None,
+                         generator_edges=((0, 1), (0, 2), (0, 3)),
+                         tree_edges=(), relations=((1, 3, 2),)), "s3")
+@example(Pi1Presentation(basepoint=None,
+                         generator_edges=((0, 1), (0, 2), (0, 3)),
+                         tree_edges=(), relations=((1, -3, 2),)), "s3")
+def test_homs_match_brute_force_on_random_presentations(presentation, name):
+    group = corpus.GROUPS[name]
+    brute = [
+        images
+        for images in itertools.product(
+            group.elements(), repeat=presentation.generator_count
+        )
+        if all(evaluates_trivially(w, images, group)
+               for w in presentation.relations)
+    ]
+    assert enumerate_homs(presentation, group) == brute
+    assert reference_enumerate_homs(presentation, group) == brute
+
+
+def commuting_pairs(group):
+    return sum(
+        1 for a in group.elements() for b in group.elements()
+        if group.mul(a, b) == group.mul(b, a)
+    )
+
+
+def test_torus_homs_into_s4():
+    """Hom(Z^2, S4) is the set of commuting pairs: 120 of them."""
+    presentation = pi1_presentation(corpus.TORUS_SEVEN, 0)
+    homs = enumerate_homs(presentation, S4)
+    assert len(homs) == commuting_pairs(S4) == 120
+    assert homs == sorted(homs)
+
+
+def test_subdivided_torus_nerve_homs_into_s3():
+    """The star-cover nerve of the once-subdivided torus has 85
+    generators; its homomorphisms into S3 are the 18 commuting pairs."""
+    subdivision, _ = barycentric_subdivision(corpus.TORUS_SEVEN)
+    presentation = cech_nerve(star_cover(subdivision)).presentation
+    assert presentation.generator_count == 85
+    homs = enumerate_homs(presentation, corpus.S3)
+    assert len(homs) == commuting_pairs(corpus.S3) == 18
+    assert len(hom_conjugacy_classes(homs, corpus.S3)) == 8
+
+
+def test_hom_budget_counts_branch_guesses():
+    """A free generator costs one unit per group element tried; forced
+    generators cost nothing."""
+    circle = pi1_presentation(corpus.HOLLOW_TRIANGLE, "a")
+    assert len(enumerate_homs(circle, corpus.S3, budget=6)) == 6
+    with pytest.raises(BudgetExceededError):
+        enumerate_homs(circle, corpus.S3, budget=5)
+    # a relation of one generator fixes it before any guess
+    fixed = Pi1Presentation(basepoint=None, generator_edges=((0, 1),),
+                            tree_edges=(), relations=((1,),))
+    assert enumerate_homs(fixed, corpus.S3, budget=0) == [(0,)]
+
+
+def test_hom_budget_error_says_how_far_the_search_got():
+    presentation = corpus.cached_star_cover("torus")[2]
+    with pytest.raises(BudgetExceededError) as err:
+        enumerate_homs(presentation, corpus.S3, budget=8)
+    assert err.value.budget == 8
+    assert re.fullmatch(
+        r"hom enumeration exceeded budget 8 after 8 branch guesses, "
+        r"reaching generator \d+ of 15 \(\d+ homomorphisms found\)",
+        str(err.value),
+    )

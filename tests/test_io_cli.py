@@ -447,3 +447,75 @@ def test_cli_group_cocycle_gerbe_and_milnor_documents_keep_the_input_contract(
     path = write(tmp_path, "bad.json", make_doc())
     code, report = run(capsys, verb, "--input", path)
     assert (code, report) == (cli.EXIT_INPUT, None)
+
+
+def with_module(**changes):
+    doc = gerbe_doc()
+    doc["crossedModule"].update(changes)
+    return doc
+
+
+def with_action(**changes):
+    action = {"fiber": ["x", "y"], "table": [[0, 1], [1, 0]]}
+    action.update(changes)
+    return dict(circle_cocycle_doc(), action=action)
+
+
+def circle_bundle_doc(**changes):
+    from cechfib import regular_action, total_space
+
+    cocycle = docio.cocycle_from_doc(circle_cocycle_doc())
+    doc = docio.bundle_to_doc(total_space(cocycle, regular_action(corpus.Z2)))
+    doc.update(changes)
+    return doc
+
+
+def listed_projection(bundle_doc):
+    projection = bundle_doc["projection"]
+    bundle_doc["projection"] = {v: [b] for v, b in projection.items()}
+    return bundle_doc
+
+
+POINT_MAP = {"source": {"maximal": [["z"]]}, "vertexMap": {"z": "a"}}
+
+
+@pytest.mark.parametrize("verb, make_docs", [
+    ("nerve", lambda: [{"base": {"maximal": [["a"]]}, "parts": []}]),
+    ("nerve", lambda: [[]]),
+    ("gerbe-check", lambda: [with_module(boundary=["x"])]),
+    ("gerbe-check", lambda: [with_module(boundary=0)]),
+    ("gerbe-check", lambda: [with_module(action=[[0, "a"]])]),
+    ("bundle-build", lambda: [with_action(table=[[0, 1], 5])]),
+    ("bundle-build", lambda: [with_action(fiber=5)]),
+    ("pullback", lambda: [circle_bundle_doc(),
+                          dict(POINT_MAP, vertexMap=["z", "a"])]),
+    ("pullback", lambda: [circle_bundle_doc(),
+                          dict(POINT_MAP, vertexMap={"z": ["a"]})]),
+    ("pullback", lambda: [listed_projection(circle_bundle_doc()), POINT_MAP]),
+    ("pullback", lambda: [circle_bundle_doc(fiber=2), POINT_MAP]),
+], ids=["cover-parts-list", "cover-not-object", "boundary-string-entry",
+        "boundary-number", "module-action-string-entry", "action-table-row",
+        "action-fiber-number", "vertex-map-list", "vertex-map-list-image",
+        "projection-list-image", "bundle-fiber-number"])
+def test_cli_cover_module_action_map_and_bundle_documents_keep_the_input_contract(
+        tmp_path, capsys, verb, make_docs):
+    """A document that does not decode is an input error: exit 2, no report."""
+    paths = [write(tmp_path, f"bad{i}.json", doc)
+             for i, doc in enumerate(make_docs())]
+    code, report = run(capsys, verb, "--input", *paths)
+    assert (code, report) == (cli.EXIT_INPUT, None)
+
+
+def test_cli_classify_budget_exit_code(tmp_path, capsys):
+    """Hom enumeration on the torus star cover cannot finish in one guess:
+    exit 3, no report, and the message says how far the search got."""
+    cpath = write(tmp_path, "cover.json", star_cover_doc(corpus.TORUS_SEVEN))
+    gpath = write(tmp_path, "group.json", docio.group_to_doc(corpus.S3))
+    out = tmp_path / "report.json"
+    code = cli.main(["classify", "--input", cpath, gpath, "--budget", "1",
+                     "--output", str(out)])
+    assert code == cli.EXIT_BUDGET
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "hom enumeration exceeded budget 1 after 1 branch guesses" in captured.err
