@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from .complexes import (
@@ -25,7 +26,11 @@ from .groups import GroupAction
 
 @dataclass(frozen=True)
 class Bundle:
-    """Total complex with a rigid projection and a finite fiber."""
+    """Total complex with a rigid projection and a finite fiber.
+
+    Fibers and lifts are read from two indexes over the total, each
+    built on first use and then kept.
+    """
 
     total: SimplicialComplex
     base: SimplicialComplex
@@ -33,20 +38,35 @@ class Bundle:
     fiber: tuple
     action: Optional[GroupAction] = None
 
+    @cached_property
+    def _fibers(self) -> Dict[object, tuple]:
+        """Total vertices by their base vertex, in total-vertex order."""
+        fibers: Dict[object, list] = {}
+        for v in self.total.vertices:
+            fibers.setdefault(self.projection(v), []).append(v)
+        return {b: tuple(vs) for b, vs in fibers.items()}
+
+    @cached_property
+    def _over(self) -> Dict[frozenset, list]:
+        """Total simplices, as sorted vertex tuples, by their image; in
+        sorted order within each dimension."""
+        over: Dict[frozenset, list] = {}
+        image_simplex = self.projection.image_simplex
+        for k in range(self.total.dim + 1):
+            for t in self.total.simplices_of_dim(k):
+                over.setdefault(image_simplex(t), []).append(t)
+        return over
+
     def fiber_over(self, base_vertex) -> tuple:
-        return tuple(
-            v for v in self.total.vertices
-            if self.projection(v) == base_vertex
-        )
+        return self._fibers.get(base_vertex, ())
 
     def lifts_of(self, base_simplex) -> list:
         """Total simplices projecting onto the given base simplex."""
         target = frozenset(base_simplex)
-        out = [
-            s for s in self.total.simplices
-            if self.projection.image_simplex(s) == target and len(s) == len(target)
+        return [
+            frozenset(t) for t in self._over.get(target, ())
+            if len(t) == len(target)
         ]
-        return sorted(out, key=lambda s: tuple(sorted(s)))
 
 
 def validate_bundle(bundle: Bundle) -> Bundle:
@@ -62,10 +82,10 @@ def validate_bundle(bundle: Bundle) -> Bundle:
             )
     size = len(bundle.fiber)
     for v in bundle.base.vertices:
-        if len(bundle.fiber_over(v)) != size:
+        count = len(bundle.fiber_over(v))
+        if count != size:
             raise ValidationError(
-                f"fiber over {v!r} has {len(bundle.fiber_over(v))} vertices, "
-                f"want {size}",
+                f"fiber over {v!r} has {count} vertices, want {size}",
                 details={"vertex": v},
             )
     return bundle
@@ -208,11 +228,11 @@ def restrict_bundle(bundle: Bundle, sub: SimplicialComplex) -> Bundle:
     """Restriction to a subcomplex of the base, keeping vertex labels."""
     if not sub.is_subcomplex_of(bundle.base):
         raise ValidationError("restriction target is not a subcomplex")
-    kept = [
-        s for s in bundle.total.simplices
-        if sub.has_simplex(bundle.projection.image_simplex(s))
-    ]
-    total = SimplicialComplex(kept)
+    by_dim: Dict[int, list] = {}
+    for image in sub.simplices:
+        for t in bundle._over.get(image, ()):
+            by_dim.setdefault(len(t) - 1, []).append(t)
+    total = SimplicialComplex(by_dim=by_dim)
     projection = SimplicialMap(
         total, sub, {v: bundle.projection(v) for v in total.vertices}
     )

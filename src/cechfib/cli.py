@@ -9,6 +9,7 @@ versioned toolVersion field.  Nothing is written on exit codes 2 and 3.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -140,12 +141,21 @@ def _run_cocycle_check(inputs: _Inputs, args) -> tuple:
 def _run_cocycle_equiv(inputs: _Inputs, args) -> tuple:
     d1, d2 = inputs.two()
     c1 = docio.cocycle_from_doc(d1)
-    cover, group, values = docio.parse_cocycle_doc(d2)
-    if cover == c1.cover:
-        # one cover: validate over the first document's nerve
-        c2 = validate_cocycle(c1.cover, group, values, nerve=c1.nerve)
+    docio.require_keys(d2, "cocycle", ("cover", "group", "values"))
+    if _same_json(d2["cover"], d1["cover"]):
+        # one cover document: validate over the first cocycle's nerve
+        c2 = validate_cocycle(
+            c1.cover,
+            docio.group_from_doc(d2["group"]),
+            docio.cocycle_values_from_doc(d2["values"]),
+            nerve=c1.nerve,
+        )
     else:
-        c2 = validate_cocycle(cover, group, values)
+        cover, group, values = docio.parse_cocycle_doc(d2)
+        if cover == c1.cover:
+            c2 = validate_cocycle(c1.cover, group, values, nerve=c1.nerve)
+        else:
+            c2 = validate_cocycle(cover, group, values)
     result = are_equivalent(c1, c2, budget=args.budget)
     details = {}
     if result.equivalent:
@@ -155,6 +165,12 @@ def _run_cocycle_equiv(inputs: _Inputs, args) -> tuple:
         }
     code = EXIT_TRUE if result.equivalent else EXIT_FALSE
     return code, _report("cocycle-equiv", result.equivalent, details)
+
+
+def _same_json(a, b) -> bool:
+    """Equal as JSON text; Python's ``==`` would also match 1 with 1.0
+    or true, which a document may not use interchangeably."""
+    return json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
 def _run_bundle_build(inputs: _Inputs, args) -> tuple:
@@ -272,7 +288,10 @@ _VERBS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and then kept: parsing
+    leaves no state in it, and building it costs more than a small job."""
     parser = argparse.ArgumentParser(
         prog="cechfib",
         description="Validate and classify combinatorial transition data.",
@@ -295,7 +314,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     runner = _VERBS[args.command]
     try:
         inputs = _Inputs(args.input)

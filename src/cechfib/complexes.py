@@ -10,52 +10,85 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 from .errors import ValidationError
 
 
 class SimplicialComplex:
-    """Downward-closed family of nonempty finite vertex sets."""
+    """Downward-closed family of nonempty finite vertex sets.
+
+    ``SimplicialComplex(simplices)`` takes the family as frozensets.
+    Constructors that already hold each simplex as a sorted vertex tuple
+    (:func:`build_complex`, the bundle restriction) pass ``by_dim``
+    instead: for each dimension k, its k-simplices as tuples of k + 1
+    distinct vertices in sorted order, so no simplex is sorted twice.
+    Either way the simplices are ordered here, the maximal ones found
+    and closure under faces checked.
+    """
 
     __slots__ = ("_simplices", "_maximal", "_vertices", "_by_dim", "_hash")
 
-    def __init__(self, simplices: Iterable[frozenset]):
-        closed = frozenset(simplices)
-        by_dim: Dict[int, list] = {}
-        for s in closed:
-            if not s:
-                raise ValidationError("empty simplex is not allowed")
-            by_dim.setdefault(len(s) - 1, []).append(s)
+    def __init__(
+        self,
+        simplices: Iterable[frozenset] = (),
+        *,
+        by_dim: Optional[Mapping[int, Iterable[tuple]]] = None,
+    ):
+        # tuples[k] and sets[k]: the k-simplices in order, as sorted
+        # vertex tuples and as the matching frozensets
+        tuples: Dict[int, tuple] = {}
+        sets: Dict[int, Iterable[frozenset]] = {}
         try:
-            for k, lst in by_dim.items():
-                by_dim[k] = sorted((tuple(sorted(s)), s) for s in lst)
+            if by_dim is None:
+                closed = frozenset(simplices)
+                groups: Dict[int, list] = {}
+                for s in closed:
+                    if not s:
+                        raise ValidationError("empty simplex is not allowed")
+                    groups.setdefault(len(s) - 1, []).append(s)
+                for k, lst in groups.items():
+                    tuples[k], sets[k] = zip(
+                        *sorted((tuple(sorted(s)), s) for s in lst)
+                    )
+            else:
+                for k, ts in by_dim.items():
+                    if ts:
+                        tuples[k] = tuple(sorted(ts))
+                        sets[k] = list(map(frozenset, tuples[k]))
+                closed = frozenset(itertools.chain.from_iterable(sets.values()))
         except TypeError as exc:
             raise ValidationError(
                 "vertex identifiers must be mutually orderable"
             ) from exc
         self._simplices = closed
-        self._by_dim = {
-            k: tuple(t for t, _ in pairs) for k, pairs in by_dim.items()
-        }
-        self._vertices = tuple(v for (v,) in self._by_dim.get(0, ()))
+        self._by_dim = layers = {k: tuples[k] for k in sorted(tuples)}
+        self._vertices = tuple(itertools.chain.from_iterable(layers.get(0, ())))
         # One pass over the codimension-1 faces: a simplex is maximal
-        # unless it is such a face, and every such face must be present.
+        # unless it is such a face, and the family is closed exactly
+        # when every such face is one of the non-maximal simplices.
         maximal = []
-        for k in range(self.dim + 1):
-            above = self._by_dim.get(k + 1, ())
-            faces = {t[:i] + t[i + 1:] for t in above for i in range(k + 2)}
-            missing = faces.difference(self._by_dim.get(k, ()))
-            if missing:
+        for k in range(max(layers, default=-1) + 1):
+            here = layers.get(k, ())
+            above = layers.get(k + 1)
+            if above is None:
+                maximal.extend(zip(here, sets.get(k, ())))
+                continue
+            faces = set(itertools.chain.from_iterable(
+                map(itertools.combinations, above, itertools.repeat(k + 1))
+            ))
+            tops = [p for p in zip(here, sets.get(k, ())) if p[0] not in faces]
+            if len(faces) != len(here) - len(tops):
+                missing = faces.difference(here)
                 simplex = next(
                     t for t in above
-                    if any(t[:i] + t[i + 1:] in missing for i in range(k + 2))
+                    if not missing.isdisjoint(itertools.combinations(t, k + 1))
                 )
                 raise ValidationError(
                     f"family is not closed under faces at {simplex!r}",
                     details={"simplex": simplex},
                 )
-            maximal.extend(p for p in by_dim.get(k, ()) if p[0] not in faces)
+            maximal.extend(tops)
         maximal.sort()
         self._maximal = tuple(s for _, s in maximal)
         self._hash = hash(closed)
@@ -114,9 +147,9 @@ def build_complex(maximal_simplices: Iterable[Iterable]) -> SimplicialComplex:
     Raises on a repeated vertex inside one declared simplex.  Rebuilding
     from the result's own maximal simplices reproduces it.
     """
-    closed = set()
-    for declared in maximal_simplices:
-        listed = list(declared)
+    declared: Dict[int, set] = {}
+    for simplex in maximal_simplices:
+        listed = list(simplex)
         if not listed:
             raise ValidationError("declared simplex is empty")
         if len(set(listed)) != len(listed):
@@ -125,15 +158,24 @@ def build_complex(maximal_simplices: Iterable[Iterable]) -> SimplicialComplex:
                 details={"simplex": listed},
             )
         try:
-            sorted(listed)
+            ordered = tuple(sorted(listed))
         except TypeError as exc:
             raise ValidationError(
                 "vertex identifiers must be mutually orderable"
             ) from exc
-        for k in range(1, len(listed) + 1):
-            for face in itertools.combinations(listed, k):
-                closed.add(frozenset(face))
-    return SimplicialComplex(closed)
+        declared.setdefault(len(ordered), set()).add(ordered)
+    # Largest first: a declared simplex already present is a face of a
+    # larger one, and so are all of its faces.
+    by_dim: Dict[int, set] = {}
+    for size in sorted(declared, reverse=True):
+        present = by_dim.setdefault(size - 1, set())
+        new = declared[size] - present
+        present |= new
+        for k in range(1, size):
+            by_dim.setdefault(k - 1, set()).update(itertools.chain.from_iterable(
+                map(itertools.combinations, new, itertools.repeat(k))
+            ))
+    return SimplicialComplex(by_dim=by_dim)
 
 
 def intersect_complexes(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComplex:

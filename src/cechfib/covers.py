@@ -176,9 +176,10 @@ def cech_nerve(cover: Cover) -> NerveComplex:
     def extend(prefix: tuple, met: SimplicialComplex, start: int):
         for pos in range(start, len(order)):
             idx = order[pos]
-            inter = intersect_complexes(met, cover.parts[idx])
-            if inter.is_empty():
+            part = cover.parts[idx]
+            if met.simplices.isdisjoint(part.simplices):
                 continue
+            inter = intersect_complexes(met, part)
             key = prefix + (idx,)
             witnesses[key] = inter
             extend(key, inter, pos + 1)

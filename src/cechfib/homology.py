@@ -15,6 +15,7 @@ depend on the peel; they serve induced-map isomorphism checks.
 from __future__ import annotations
 
 from collections import deque
+from itertools import combinations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -249,13 +250,57 @@ def _simplicial_homology(cc: ChainComplex, max_degree: int) -> HomologyResult:
 
 
 def is_point_like(x: SimplicialComplex) -> bool:
-    """Connected with the homology of a point (no higher homology)."""
+    """Connected with the homology of a point (no higher homology).
+
+    Decided by elementary collapses when they take ``x`` down to one
+    vertex; homology answers only when they stall, as they do on a
+    contractible complex with no free face such as the dunce hat.
+    """
     if x.is_empty():
         return False
+    if _collapses_to_point(x):
+        return True
     groups = homology(x).groups
     return groups[0] == HomologyGroup(1, ()) and all(
         g == HomologyGroup(0, ()) for g in groups[1:]
     )
+
+
+def _collapses_to_point(x: SimplicialComplex) -> bool:
+    """Whether elementary collapses leave a single vertex.
+
+    A simplex with exactly one live codimension-1 coface is a free face
+    of that coface, which is then maximal; removing the pair is a
+    homotopy equivalence and leaves a complex.  The order of removals
+    does not change a True answer.  A cone, with one vertex in every
+    maximal simplex, collapses onto that vertex, so it is answered from
+    the maximal simplices alone.
+    """
+    maximal = x.maximal_simplices
+    if maximal and frozenset.intersection(*maximal):
+        return True
+    cofaces = {t: set() for k in range(x.dim + 1) for t in x.simplices_of_dim(k)}
+    for k in range(1, x.dim + 1):
+        for t in x.simplices_of_dim(k):
+            for face in combinations(t, k):
+                cofaces[face].add(t)
+    free = [s for s, up in cofaces.items() if len(up) == 1]
+    while free:
+        s = free.pop()
+        up = cofaces.get(s)
+        if up is None or len(up) != 1:
+            continue
+        (t,) = up
+        del cofaces[s], cofaces[t]
+        # the other faces of t lose t, the faces of s lose s
+        for cell in (t, s):
+            for face in combinations(cell, len(cell) - 1):
+                rest = cofaces.get(face)
+                if rest is not None:
+                    rest.discard(cell)
+                    if len(rest) == 1:
+                        free.append(face)
+    return len(cofaces) == 1
 
 
 class HomologyWorkspace:

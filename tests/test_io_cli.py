@@ -411,6 +411,63 @@ def test_cli_cocycle_equiv_checks_one_nerve_per_pair(tmp_path, capsys, monkeypat
     assert len(calls) == 1
 
 
+
+def test_cli_cocycle_equiv_reads_a_shared_cover_once(tmp_path, capsys, monkeypatch):
+    """Equal "cover" entries are parsed once (JSON objects are equal in
+    any key order); a base listing its simplices in another order is
+    parsed again, found equal, and still shares the nerve."""
+    from cechfib import covers
+
+    parsed, checked = [], []
+    real_parse, real_good = docio.cover_from_doc, covers.is_good_cover
+    monkeypatch.setattr(docio, "cover_from_doc",
+                        lambda doc: parsed.append(doc) or real_parse(doc))
+    monkeypatch.setattr(covers, "is_good_cover",
+                        lambda cover, nerve=None: checked.append(cover)
+                        or real_good(cover, nerve))
+    p1 = write(tmp_path, "c1.json", circle_cocycle_doc(1))
+    p2 = write(tmp_path, "c2.json", circle_cocycle_doc(1))
+    code, report = run(capsys, "cocycle-equiv", "--input", p1, p2)
+    assert (code, report["verdict"]) == (cli.EXIT_TRUE, True)
+    assert (len(parsed), len(checked)) == (1, 1)
+
+    reordered = circle_cocycle_doc(1)
+    parts = reordered["cover"]["parts"]
+    reordered["cover"]["parts"] = dict(reversed(parts.items()))
+    p3 = write(tmp_path, "c3.json", reordered)
+    parsed.clear()
+    checked.clear()
+    assert run(capsys, "cocycle-equiv", "--input", p1, p3) == (code, report)
+    assert (len(parsed), len(checked)) == (1, 1)
+
+    reordered["cover"]["base"]["maximal"].reverse()
+    p4 = write(tmp_path, "c4.json", reordered)
+    parsed.clear()
+    checked.clear()
+    assert run(capsys, "cocycle-equiv", "--input", p1, p4) == (code, report)
+    assert (len(parsed), len(checked)) == (2, 1)
+
+
+@pytest.mark.parametrize("label", [1.0, True], ids=["float", "bool"])
+def test_cli_cocycle_equiv_compares_covers_as_json(tmp_path, capsys, label):
+    """A label that equals 1 in Python but is no JSON integer is still an
+    input error in the second document."""
+    def doc(second):
+        return {
+            "cover": {"base": {"maximal": [[0, second]]},
+                      "parts": {"U": {"maximal": [[0, second]]}}},
+            "group": Z2_DOC,
+            "values": {},
+        }
+
+    p1 = write(tmp_path, "c1.json", doc(1))
+    p2 = write(tmp_path, "c2.json", doc(label))
+    assert run(capsys, "cocycle-equiv", "--input", p1, p1) == (
+        cli.EXIT_TRUE, {"command": "cocycle-equiv", "details": {"bridge": {"U|U": 0}},
+                        "toolVersion": cli.__version__, "verdict": True})
+    assert run(capsys, "cocycle-equiv", "--input", p1, p2) == (cli.EXIT_INPUT, None)
+
+
 def gerbe_doc():
     from cechfib import abelian_coefficients, cech_nerve, validate_gerbe_cocycle
 
