@@ -23,7 +23,7 @@ from .classifying import (
 from .cocycles import are_equivalent, validate_cocycle
 from .covers import carrier_check, cech_nerve
 from .errors import BudgetExceededError, ValidationError
-from .gerbes import abelian_class, abelian_class_count, validate_gerbe_cocycle
+from .gerbes import abelian_classifier, validate_gerbe_cocycle
 from .groups import regular_action
 from .homology import homology
 from . import io as docio
@@ -228,11 +228,11 @@ def _run_gerbe_check(inputs: _Inputs, args) -> tuple:
 
 def _run_gerbe_class(inputs: _Inputs, args) -> tuple:
     data = docio.gerbe_from_doc(inputs.one())
-    label = abelian_class(data)
-    count = abelian_class_count(data.nerve, data.module.fiber)
+    classifier = abelian_classifier(data)
+    label = classifier.label(data.witnesses)
     return EXIT_TRUE, _report(
         "gerbe-class", True,
-        {"classLabel": list(label), "classCount": count},
+        {"classLabel": list(label), "classCount": classifier.class_count},
     )
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
+from .complexes import connected_components
 from .covers import Cover, NerveComplex, cech_nerve
 from .errors import BudgetExceededError, ValidationError
 from .groups import FiniteGroup, enumerate_homs, hom_conjugacy_classes
@@ -240,18 +241,24 @@ def are_equivalent(
 
     mu: Dict = {}
     tried = 0
+    settled = 0
     for (root,) in nerve.keys(1):
         if root in mu:
             continue
         for guess in group.elements():
             tried += 1
             if tried > budget:
+                components = len(connected_components(nerve.complex))
                 raise BudgetExceededError(
-                    f"equivalence search exceeded budget {budget}", budget
+                    f"equivalence search exceeded budget {budget} after "
+                    f"{tried - 1} guesses, with {settled} of {components} "
+                    f"nerve components settled",
+                    budget,
                 )
             component = propagate(root, guess)
             if component is not None:
                 mu.update(component)
+                settled += 1
                 break
         else:
             return EquivalenceResult(equivalent=False)

@@ -20,8 +20,8 @@ from typing import Dict, List, Mapping, Optional
 from .covers import Cover, NerveComplex, cech_nerve
 from .errors import BudgetExceededError, ValidationError
 from .groups import CrossedModule, abelian_decomposition
-from .homology import simplex_boundary_matrix
-from .snf import sparse_columns, sparse_multiply, sparse_smith_form
+from .homology import LatticeQuotient, simplex_boundary_matrix
+from .snf import sparse_columns
 
 DEFAULT_BUDGET = 1_000_000
 
@@ -233,9 +233,11 @@ def check_coherence_faces(data: GerbeCocycle) -> bool:
 class CechClassifier:
     """Degree-2 cochain classes of a nerve with finite abelian coefficients.
 
-    Coefficients are decomposed into cyclic factors; per factor the
-    cocycle lattice mod (coboundaries + modulus) is reduced by one Smith
-    form, giving canonical labels and the total class count.
+    Coefficients are decomposed into cyclic factors Z/m.  Per factor the
+    mod-m cocycles {v : delta2 v = 0 mod m} modulo the coboundaries and
+    m times the lattice are one :class:`~cechfib.homology.LatticeQuotient`
+    with generator columns [delta1 | m I], giving canonical labels and the
+    total class count.
     """
 
     def __init__(self, nerve: NerveComplex, coefficients):
@@ -244,99 +246,46 @@ class CechClassifier:
         self.factors, self.coords = abelian_decomposition(coefficients)
         cx = nerve.complex
         self.triangles = cx.simplices_of_dim(2)
-        edge_cobounds = simplex_boundary_matrix(cx, 2)
+        dim = len(self.triangles)
+        edges = cx.simplex_count(1)
+        delta1 = sparse_columns(simplex_boundary_matrix(cx, 2), dim)
         delta2 = sparse_columns(
             simplex_boundary_matrix(cx, 3), cx.simplex_count(3)
         )
-        self._reducers = [
-            _CyclicReducer(m, edge_cobounds, delta2, len(self.triangles))
+        self._quotients = [
+            LatticeQuotient(
+                delta2, dim,
+                [{**row, edges + i: m} for i, row in enumerate(delta1)],
+                edges + dim, m,
+            )
             for m in self.factors
         ]
-
-    @property
-    def class_count(self) -> int:
-        out = 1
-        for reducer in self._reducers:
-            out *= reducer.class_count
-        return out
+        self.class_count = 1
+        for quotient in self._quotients:
+            if quotient.group.betti:
+                raise ValidationError("cocycle lattice is not of finite index")
+            self.class_count *= math.prod(quotient.group.torsion)
 
     def label(self, witnesses: Mapping) -> tuple:
         out = []
-        for axis, reducer in enumerate(self._reducers):
+        for axis, quotient in enumerate(self._quotients):
             vec = [
                 self.coords[witnesses[tuple(t)]][axis] for t in self.triangles
             ]
-            out.extend(reducer.label(vec))
+            out.extend(quotient.label(vec))
         return tuple(out)
 
 
-class _CyclicReducer:
-    """Mod-m cocycles modulo coboundaries for one cyclic factor Z/m.
+def abelian_classifier(data: GerbeCocycle) -> CechClassifier:
+    """The classifier of the witness data's degree-2 classes.
 
-    ``edge_cobounds`` holds one sparse vector per edge, its coboundary
-    over the triangles; ``delta2`` is the coboundary from triangles to
-    tetrahedra as sparse rows.
+    Requires a trivial base group and abelian fiber.
     """
-
-    def __init__(self, modulus: int, edge_cobounds, delta2, dim: int):
-        self.modulus = modulus
-        self.dim = dim
-        # lattice of mod-m cocycles: coordinates scaled so delta2 lands in m*Z
-        if delta2:
-            form2 = sparse_smith_form(
-                delta2, (len(delta2), dim), want_left=False,
-                want_right=False, want_right_inverse=True,
-            )
-            diag = list(form2.diagonal) + [0] * (dim - len(form2.diagonal))
-            self._scale = [
-                modulus // math.gcd(diag[j], modulus) if diag[j] else 1
-                for j in range(dim)
-            ]
-            self._solver = form2.right_inverse
-        else:
-            self._scale = [1] * dim
-            self._solver = [{i: 1} for i in range(dim)]
-        # coboundary + modulus sublattice, in kernel coordinates: one
-        # column per edge, then m times each unit vector
-        cols1 = len(edge_cobounds)
-        generators = [{} for _ in range(dim)]
-        for j, vec in enumerate(edge_cobounds):
-            for i, v in vec.items():
-                generators[i][j] = v
-        for i in range(dim):
-            generators[i][cols1 + i] = modulus
-        rel = []
-        for s, row in zip(self._scale, sparse_multiply(self._solver, generators)):
-            if any(v % s for v in row.values()):
-                raise ValidationError("vector is not a mod-m cocycle")
-            rel.append({j: v // s for j, v in row.items()})
-        self._relation_form = sparse_smith_form(
-            rel, (dim, cols1 + dim), want_left=True, want_right=False
-        )
-        self.class_count = 1
-        for d in self._relation_form.diagonal:
-            if d == 0:
-                raise ValidationError("cocycle lattice is not of finite index")
-            self.class_count *= d
-
-    def _coordinates(self, vec) -> list:
-        out = []
-        for s, row in zip(self._scale, self._solver):
-            raw = sum(v * vec[j] for j, v in row.items())
-            if raw % s:
-                raise ValidationError("vector is not a mod-m cocycle")
-            out.append(raw // s)
-        return out
-
-    def label(self, vec) -> tuple:
-        coords = self._coordinates(vec)
-        form = self._relation_form
-        reduced = [
-            sum(v * coords[j] for j, v in row.items()) for row in form.left
-        ]
-        for i, d in enumerate(form.diagonal):
-            reduced[i] %= d
-        return tuple(reduced)
+    if data.module.base.order != 1:
+        raise ValidationError("base group must be trivial")
+    if not data.module.fiber.is_abelian:
+        raise ValidationError("fiber group must be abelian")
+    return CechClassifier(data.nerve, data.module.fiber)
 
 
 def abelian_class(data: GerbeCocycle) -> tuple:
@@ -345,12 +294,7 @@ def abelian_class(data: GerbeCocycle) -> tuple:
     Requires a trivial base group and abelian fiber; two data sets get
     the same label exactly when they differ by a coboundary.
     """
-    if data.module.base.order != 1:
-        raise ValidationError("base group must be trivial")
-    if not data.module.fiber.is_abelian:
-        raise ValidationError("fiber group must be abelian")
-    classifier = CechClassifier(data.nerve, data.module.fiber)
-    return classifier.label(data.witnesses)
+    return abelian_classifier(data).label(data.witnesses)
 
 
 def abelian_class_count(nerve: NerveComplex, coefficients) -> int:
@@ -394,32 +338,32 @@ def gerbes_equivalent(
     for h in fiber.elements():
         boundary_fibers.setdefault(module.boundary[h], []).append(h)
 
+    gauges = base.order ** len(indices)
     tried = 0
-    for gauge_tuple in itertools.product(base.elements(), repeat=len(indices)):
+    for number, gauge_tuple in enumerate(
+        itertools.product(base.elements(), repeat=len(indices)), 1
+    ):
         lam = dict(zip(indices, gauge_tuple))
         options: List[List[int]] = []
-        feasible = True
         for a, b in pairs:
             conj = base.mul(base.mul(lam[a], d1.edge(a, b)), base.inv(lam[b]))
             need = base.mul(d2.edge(a, b), base.inv(conj))
             choices = boundary_fibers.get(need)
             if not choices:
-                feasible = False
                 break
             options.append(choices)
-        if not feasible:
+        # a pruned gauge costs one trial, a feasible one a trial per shift
+        feasible = len(options) == len(pairs)
+        for combo in itertools.product(*options) if feasible else [None]:
             tried += 1
             if tried > budget:
                 raise BudgetExceededError(
-                    f"gerbe equivalence search exceeded budget {budget}", budget
+                    f"gerbe equivalence search exceeded budget {budget} after "
+                    f"{tried - 1} trials, reaching gauge {number} of {gauges}",
+                    budget,
                 )
-            continue
-        for combo in itertools.product(*options):
-            tried += 1
-            if tried > budget:
-                raise BudgetExceededError(
-                    f"gerbe equivalence search exceeded budget {budget}", budget
-                )
+            if combo is None:
+                break
             shift = dict(zip(pairs, combo))
             transformed = gerbe_coboundary(d1, lam, shift)
             if transformed.witnesses == d2.witnesses and \

@@ -6,14 +6,18 @@ come from the invariant factors of the boundaries after a peel: free
 faces and coreduction pairs with a unit entry are removed first, which
 only deletes rows and columns, and the Smith form runs on what remains.
 Simplicial homology peels from the augmentation C_0 -> Z, so that a
-closed surface has a place to start.  The workspace variant and
-:func:`cycle_basis` reduce the full boundaries in the fixed pivot order,
-so kernel bases, relation transforms and canonical class labels do not
-depend on the peel; they serve induced-map isomorphism checks.
+closed surface has a place to start.  A simplicial map is a homology
+isomorphism when both sides have the same groups and its mapping cone
+has none; the cone is peeled the same way.  Canonical class labels come
+from one lattice-quotient routine (:class:`LatticeQuotient`), which
+reduces the full matrices in the fixed pivot order so that labels do
+not depend on the peel; homology workspaces and the degree-2 classes of
+:mod:`cechfib.gerbes` both use it.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from itertools import combinations
 from dataclasses import dataclass
@@ -303,78 +307,64 @@ def _collapses_to_point(x: SimplicialComplex) -> bool:
     return len(cofaces) == 1
 
 
-class HomologyWorkspace:
-    """Homology with explicit cycle bases and canonical class labels.
+class LatticeQuotient:
+    """The lattice {v : A v = 0 mod m} modulo the span of generator columns.
 
-    Degree by degree this keeps a basis of the cycle lattice, the
-    relation matrix of the boundary image in that basis, and the Smith
-    transform that reduces cycle coordinates to a canonical form, so two
-    cycles are homologous exactly when their labels agree.
+    ``constraints`` are the rows of A (``dim`` columns) and ``generators``
+    the rows of a matrix with ``gen_count`` columns, each column a vector
+    of the lattice.  One Smith form of A gives kernel coordinates through
+    its right inverse; coordinate j is scaled by m / gcd(d_j, m), and with
+    m = 0 a coordinate of nonzero d_j must vanish and is dropped.  A
+    second Smith form reduces the generators in those coordinates, and a
+    vector's label is its coordinates under the left transform, each
+    reduced modulo its diagonal entry where that is nonzero: two lattice
+    vectors get the same label exactly when they differ by a combination
+    of the generators.
     """
 
-    def __init__(self, cc: ChainComplex, max_degree: int):
-        self.cc = cc
-        self.max_degree = max_degree
-        self._kernel_solver = {}
-        self._relations = {}
-        self._relation_snf = {}
-        for k in range(max_degree + 1):
-            self._prepare(k)
+    def __init__(self, constraints: SparseRows, dim: int,
+                 generators: SparseRows, gen_count: int, modulus: int):
+        self.modulus = modulus
+        form = sparse_smith_form(
+            constraints, (len(constraints), dim),
+            want_left=False, want_right=False, want_right_inverse=True,
+        )
+        diag = list(form.diagonal) + [0] * (dim - len(form.diagonal))
+        self._scale = [modulus // math.gcd(d, modulus) if d else 1 for d in diag]
+        self._solver = form.right_inverse
+        rel = self._scaled(sparse_multiply(self._solver, generators))
+        self._relation_form = sparse_smith_form(
+            rel, (len(rel), gen_count), want_left=True, want_right=False
+        )
+        self.group = HomologyGroup(
+            betti=len(rel) - self._relation_form.rank,
+            torsion=tuple(d for d in self._relation_form.diagonal if d > 1),
+        )
 
-    def _prepare(self, k: int) -> None:
-        n = self.cc.rank(k)
-        if k == 0 or self.cc.rank(k - 1) == 0:
-            solver = _unit_vectors(n)
-            rank = 0
-        else:
-            form = sparse_smith_form(
-                self.cc.boundary(k),
-                (self.cc.rank(k - 1), n),
-                want_left=False,
-                want_right=False,
-                want_right_inverse=True,
-            )
-            rank = form.rank
-            solver = form.right_inverse
-        self._kernel_solver[k] = (solver, rank)
+    def _scaled(self, rows: SparseRows) -> SparseRows:
+        """Kernel coordinates from rows of raw ones: a row of scale 0 must
+        vanish and is dropped, any other is divided by its scale."""
+        out = []
+        for s, row in zip(self._scale, rows):
+            if any(v % s if s else v for v in row.values()):
+                raise ValidationError(
+                    "vector is not a mod-m cocycle" if self.modulus
+                    else "chain is not a cycle"
+                )
+            if s:
+                out.append({j: v // s for j, v in row.items()})
+        return out
 
-    def cycle_coordinates(self, k: int, chain: Sequence[int]) -> List[int]:
-        solver, rank = self._kernel_solver[k]
-        coords = [sum(v * chain[j] for j, v in row.items()) for row in solver]
-        if any(coords[:rank]):
-            raise ValidationError("chain is not a cycle")
-        return coords[rank:]
+    def coordinates(self, vec: Sequence[int]) -> List[int]:
+        """Coordinates of a lattice vector in the kernel basis."""
+        column = [{0: v} for v in vec]
+        rows = self._scaled(sparse_multiply(self._solver, column))
+        return [row.get(0, 0) for row in rows]
 
-    def _relation_data(self, k: int):
-        if k not in self._relations:
-            solver, rank = self._kernel_solver[k]
-            # kernel coordinates of every boundary column
-            coords = sparse_multiply(solver, self.cc.boundary(k + 1))
-            if any(coords[:rank]):
-                raise ValidationError("chain is not a cycle")
-            rel = coords[rank:]
-            self._relations[k] = rel
-            self._relation_snf[k] = sparse_smith_form(
-                rel, (len(rel), self.cc.rank(k + 1)),
-                want_left=True, want_right=False,
-            )
-        return self._relations[k], self._relation_snf[k]
-
-    def group(self, k: int) -> HomologyGroup:
-        rel, form = self._relation_data(k)
-        kdim = len(rel)
-        betti = kdim - form.rank
-        torsion = tuple(d for d in form.diagonal if d > 1)
-        return HomologyGroup(betti=betti, torsion=torsion)
-
-    def class_label(self, k: int, chain: Sequence[int]) -> tuple:
-        """Canonical label of a cycle's homology class.
-
-        Labels of two cycles in the same degree agree iff the cycles are
-        homologous.
-        """
-        coords = self.cycle_coordinates(k, chain)
-        _, form = self._relation_data(k)
+    def label(self, vec: Sequence[int]) -> tuple:
+        """Canonical label of the vector's class in the quotient."""
+        coords = self.coordinates(vec)
+        form = self._relation_form
         reduced = [
             sum(v * coords[j] for j, v in row.items()) for row in form.left
         ]
@@ -383,13 +373,39 @@ class HomologyWorkspace:
                 reduced[i] %= d
         return tuple(reduced)
 
-    def relation_matrix(self, k: int) -> SparseRows:
-        """Sparse rows of the boundary image in cycle coordinates."""
-        return self._relation_data(k)[0]
 
+class HomologyWorkspace:
+    """Homology with canonical class labels.
 
-def _unit_vectors(n: int) -> SparseRows:
-    return [{i: 1} for i in range(n)]
+    Degree k is the quotient of the cycles by the boundaries, one
+    :class:`LatticeQuotient` with modulus 0, so two cycles are homologous
+    exactly when their labels agree.
+    """
+
+    def __init__(self, cc: ChainComplex, max_degree: int):
+        self.cc = cc
+        self.max_degree = max_degree
+        self._quotients = [
+            LatticeQuotient(
+                cc.boundary(k), cc.rank(k),
+                cc.boundary(k + 1), cc.rank(k + 1), 0,
+            )
+            for k in range(max_degree + 1)
+        ]
+
+    def cycle_coordinates(self, k: int, chain: Sequence[int]) -> List[int]:
+        return self._quotients[k].coordinates(chain)
+
+    def group(self, k: int) -> HomologyGroup:
+        return self._quotients[k].group
+
+    def class_label(self, k: int, chain: Sequence[int]) -> tuple:
+        """Canonical label of a cycle's homology class.
+
+        Labels of two cycles in the same degree agree iff the cycles are
+        homologous.
+        """
+        return self._quotients[k].label(chain)
 
 
 def _invariant_factors(rows: SparseRows, shape) -> tuple:
@@ -434,82 +450,51 @@ def _permutation_sign(perm: Sequence[int]) -> int:
     return sign
 
 
-def cycle_basis(cc: ChainComplex, k: int) -> SparseRows:
-    """Basis of the degree-k cycle lattice, one sparse column per vector.
+def _mapping_cone(
+    x: ChainComplex, y: ChainComplex, f: List[SparseRows], top: int
+) -> ChainComplex:
+    """The cone of a chain map f: X -> Y in degrees 0..top.
 
-    Cheaper than a full workspace: only the right transform of one Smith
-    reduction is tracked.
+    C_k = Y_k + X_(k-1), basis of Y first, with boundary
+    (y, x) -> (dy + f x, -dx); ``f[k]`` is the degree-k matrix of f.
     """
-    n = cc.rank(k)
-    if k == 0 or cc.rank(k - 1) == 0:
-        return _unit_vectors(n)
-    form = sparse_smith_form(
-        cc.boundary(k),
-        (cc.rank(k - 1), n),
-        want_left=False,
-        want_right=True,
-        want_right_inverse=False,
-    )
-    return form.right[form.rank:]
-
-
-def induced_map_surjective(
-    chain_map: SparseRows,
-    source_kernel: SparseRows,
-    target: HomologyWorkspace,
-    degree: int,
-) -> bool:
-    """Whether the induced map hits all of the target homology group.
-
-    ``chain_map`` is sparse rows in degree ``degree`` and
-    ``source_kernel`` a cycle basis as returned by :func:`cycle_basis`.
-    """
-    image_of: dict = {}
-    for i, row in enumerate(chain_map):
-        for l, v in row.items():
-            image_of.setdefault(l, []).append((i, v))
-    columns = []
-    for vec in source_kernel:
-        mapped = [0] * target.cc.rank(degree)
-        for l, x in vec.items():
-            for i, v in image_of.get(l, ()):
-                mapped[i] += v * x
-        columns.append(target.cycle_coordinates(degree, mapped))
-    relations = target.relation_matrix(degree)
-    kdim = len(relations)
-    if kdim == 0:
-        return True
-    src_rank = len(columns)
-    combined = [{} for _ in range(kdim)]
-    for j, coords in enumerate(columns):
-        for i, v in enumerate(coords):
-            if v:
-                combined[i][j] = v
-    for i, rel_row in enumerate(relations):
-        for c, v in rel_row.items():
-            combined[i][src_rank + c] = v
-    factors = _invariant_factors(
-        combined, (kdim, src_rank + target.cc.rank(degree + 1))
-    )
-    return len(factors) == kdim and all(d == 1 for d in factors)
+    ranks = tuple(y.rank(k) + x.rank(k - 1) for k in range(top + 1))
+    boundaries = []
+    for k in range(1, top + 1):
+        shift = y.rank(k)
+        rows = [
+            {**dy, **{shift + j: v for j, v in fx.items()}}
+            for dy, fx in zip(y.boundary(k), f[k - 1])
+        ]
+        rows += [
+            {shift + j: -v for j, v in dx.items()} for dx in x.boundary(k - 1)
+        ]
+        boundaries.append(rows)
+    return ChainComplex(ranks=ranks, boundaries=tuple(boundaries))
 
 
 def map_induces_homology_isomorphism(f: SimplicialMap, max_degree: int) -> bool:
     """Whether a simplicial map is a homology isomorphism through a degree.
 
-    Both sides must have equal invariants degree by degree and the induced
-    map must be surjective; a surjection between isomorphic finitely
-    generated abelian groups is an isomorphism.
+    Both sides must have equal groups in degrees 0..max_degree and the
+    mapping cone no homology there.  The cone's long exact sequence gives
+    0 -> coker f_k -> H_k(cone) -> ker f_(k-1) -> 0, so a zero cone makes
+    f_* onto in each of those degrees, and a surjection between isomorphic
+    finitely generated abelian groups is an isomorphism.  The cone's
+    entries are 0 or +-1, so the peel leaves little for the Smith form.
     """
-    src_cc = chain_complex_of(f.source, min(max_degree + 1, max(f.source.dim, 0)))
-    tgt_cc = chain_complex_of(f.target, min(max_degree + 1, max(f.target.dim, 0)))
-    src_hom = _simplicial_homology(src_cc, max_degree)
-    target = HomologyWorkspace(tgt_cc, max_degree)
-    chain_maps = simplicial_chain_map(f, max_degree)
-    for k in range(max_degree + 1):
-        if src_hom.group(k) != target.group(k):
-            return False
-        kernel = cycle_basis(src_cc, k)
-        if not induced_map_surjective(chain_maps[k], kernel, target, k):
-            return False
-    return True
+    src_cc, tgt_cc = (
+        chain_complex_of(x, min(max_degree + 1, max(x.dim, 0)))
+        for x in (f.source, f.target)
+    )
+    if _simplicial_homology(src_cc, max_degree) != _simplicial_homology(
+        tgt_cc, max_degree
+    ):
+        return False
+    cone = _mapping_cone(
+        src_cc, tgt_cc, simplicial_chain_map(f, max_degree), max_degree + 1
+    )
+    zero = HomologyGroup(0, ())
+    return all(
+        g == zero for g in homology_of_chain_complex(cone, max_degree).groups
+    )

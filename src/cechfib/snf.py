@@ -10,7 +10,7 @@ this way) and falls back to the classical minimum-pivot algorithm for
 whatever remains.  Its transforms are sparse vectors as well.
 Homology calls it only on the residue of a chain complex after
 collapses and coreductions (see :mod:`cechfib.homology`); transforms for
-cycle bases and class labels still come from full boundaries.
+class labels still come from full matrices.
 :func:`smith_normal_form` is the dense front end: it takes a plain list
 of rows and returns dense transforms.
 """

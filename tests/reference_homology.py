@@ -1,0 +1,318 @@
+"""Reference implementations of homology isomorphism checks and class
+labels, kept to test the library's current ones against: the induced
+map's surjectivity decided on a cycle basis of the source and the
+target's relation matrix, and class labels from two separate
+kernel/relation Smith-form routines, one over the integers
+(``HomologyWorkspace``) and one per cyclic coefficient factor
+(``_CyclicReducer``, used by ``CechClassifier``).  The code is as it
+stood before the mapping-cone check and the single lattice-quotient
+routine replaced it."""
+
+from __future__ import annotations
+
+import math
+from typing import List, Mapping, Sequence
+
+from cechfib import SimplicialMap, ValidationError
+from cechfib.covers import NerveComplex
+from cechfib.groups import abelian_decomposition
+from cechfib.homology import (
+    ChainComplex,
+    HomologyGroup,
+    _simplicial_homology,
+    chain_complex_of,
+    simplex_boundary_matrix,
+    simplicial_chain_map,
+)
+from cechfib.snf import (
+    SparseRows,
+    sparse_columns,
+    sparse_multiply,
+    sparse_smith_form,
+)
+
+
+class HomologyWorkspace:
+    """Homology with explicit cycle bases and canonical class labels.
+
+    Degree by degree this keeps a basis of the cycle lattice, the
+    relation matrix of the boundary image in that basis, and the Smith
+    transform that reduces cycle coordinates to a canonical form, so two
+    cycles are homologous exactly when their labels agree.
+    """
+
+    def __init__(self, cc: ChainComplex, max_degree: int):
+        self.cc = cc
+        self.max_degree = max_degree
+        self._kernel_solver = {}
+        self._relations = {}
+        self._relation_snf = {}
+        for k in range(max_degree + 1):
+            self._prepare(k)
+
+    def _prepare(self, k: int) -> None:
+        n = self.cc.rank(k)
+        if k == 0 or self.cc.rank(k - 1) == 0:
+            solver = _unit_vectors(n)
+            rank = 0
+        else:
+            form = sparse_smith_form(
+                self.cc.boundary(k),
+                (self.cc.rank(k - 1), n),
+                want_left=False,
+                want_right=False,
+                want_right_inverse=True,
+            )
+            rank = form.rank
+            solver = form.right_inverse
+        self._kernel_solver[k] = (solver, rank)
+
+    def cycle_coordinates(self, k: int, chain: Sequence[int]) -> List[int]:
+        solver, rank = self._kernel_solver[k]
+        coords = [sum(v * chain[j] for j, v in row.items()) for row in solver]
+        if any(coords[:rank]):
+            raise ValidationError("chain is not a cycle")
+        return coords[rank:]
+
+    def _relation_data(self, k: int):
+        if k not in self._relations:
+            solver, rank = self._kernel_solver[k]
+            # kernel coordinates of every boundary column
+            coords = sparse_multiply(solver, self.cc.boundary(k + 1))
+            if any(coords[:rank]):
+                raise ValidationError("chain is not a cycle")
+            rel = coords[rank:]
+            self._relations[k] = rel
+            self._relation_snf[k] = sparse_smith_form(
+                rel, (len(rel), self.cc.rank(k + 1)),
+                want_left=True, want_right=False,
+            )
+        return self._relations[k], self._relation_snf[k]
+
+    def group(self, k: int) -> HomologyGroup:
+        rel, form = self._relation_data(k)
+        kdim = len(rel)
+        betti = kdim - form.rank
+        torsion = tuple(d for d in form.diagonal if d > 1)
+        return HomologyGroup(betti=betti, torsion=torsion)
+
+    def class_label(self, k: int, chain: Sequence[int]) -> tuple:
+        """Canonical label of a cycle's homology class.
+
+        Labels of two cycles in the same degree agree iff the cycles are
+        homologous.
+        """
+        coords = self.cycle_coordinates(k, chain)
+        _, form = self._relation_data(k)
+        reduced = [
+            sum(v * coords[j] for j, v in row.items()) for row in form.left
+        ]
+        for i, d in enumerate(form.diagonal):
+            if d:
+                reduced[i] %= d
+        return tuple(reduced)
+
+    def relation_matrix(self, k: int) -> SparseRows:
+        """Sparse rows of the boundary image in cycle coordinates."""
+        return self._relation_data(k)[0]
+
+
+def _unit_vectors(n: int) -> SparseRows:
+    return [{i: 1} for i in range(n)]
+
+
+def _invariant_factors(rows: SparseRows, shape) -> tuple:
+    form = sparse_smith_form(
+        rows, shape, want_left=False, want_right=False, want_right_inverse=False
+    )
+    return tuple(d for d in form.diagonal if d != 0)
+
+
+def cycle_basis(cc: ChainComplex, k: int) -> SparseRows:
+    """Basis of the degree-k cycle lattice, one sparse column per vector.
+
+    Cheaper than a full workspace: only the right transform of one Smith
+    reduction is tracked.
+    """
+    n = cc.rank(k)
+    if k == 0 or cc.rank(k - 1) == 0:
+        return _unit_vectors(n)
+    form = sparse_smith_form(
+        cc.boundary(k),
+        (cc.rank(k - 1), n),
+        want_left=False,
+        want_right=True,
+        want_right_inverse=False,
+    )
+    return form.right[form.rank:]
+
+
+def induced_map_surjective(
+    chain_map: SparseRows,
+    source_kernel: SparseRows,
+    target: HomologyWorkspace,
+    degree: int,
+) -> bool:
+    """Whether the induced map hits all of the target homology group.
+
+    ``chain_map`` is sparse rows in degree ``degree`` and
+    ``source_kernel`` a cycle basis as returned by :func:`cycle_basis`.
+    """
+    image_of: dict = {}
+    for i, row in enumerate(chain_map):
+        for l, v in row.items():
+            image_of.setdefault(l, []).append((i, v))
+    columns = []
+    for vec in source_kernel:
+        mapped = [0] * target.cc.rank(degree)
+        for l, x in vec.items():
+            for i, v in image_of.get(l, ()):
+                mapped[i] += v * x
+        columns.append(target.cycle_coordinates(degree, mapped))
+    relations = target.relation_matrix(degree)
+    kdim = len(relations)
+    if kdim == 0:
+        return True
+    src_rank = len(columns)
+    combined = [{} for _ in range(kdim)]
+    for j, coords in enumerate(columns):
+        for i, v in enumerate(coords):
+            if v:
+                combined[i][j] = v
+    for i, rel_row in enumerate(relations):
+        for c, v in rel_row.items():
+            combined[i][src_rank + c] = v
+    factors = _invariant_factors(
+        combined, (kdim, src_rank + target.cc.rank(degree + 1))
+    )
+    return len(factors) == kdim and all(d == 1 for d in factors)
+
+
+def map_induces_homology_isomorphism(f: SimplicialMap, max_degree: int) -> bool:
+    """Whether a simplicial map is a homology isomorphism through a degree.
+
+    Both sides must have equal invariants degree by degree and the induced
+    map must be surjective; a surjection between isomorphic finitely
+    generated abelian groups is an isomorphism.
+    """
+    src_cc = chain_complex_of(f.source, min(max_degree + 1, max(f.source.dim, 0)))
+    tgt_cc = chain_complex_of(f.target, min(max_degree + 1, max(f.target.dim, 0)))
+    src_hom = _simplicial_homology(src_cc, max_degree)
+    target = HomologyWorkspace(tgt_cc, max_degree)
+    chain_maps = simplicial_chain_map(f, max_degree)
+    for k in range(max_degree + 1):
+        if src_hom.group(k) != target.group(k):
+            return False
+        kernel = cycle_basis(src_cc, k)
+        if not induced_map_surjective(chain_maps[k], kernel, target, k):
+            return False
+    return True
+
+
+class _CyclicReducer:
+    """Mod-m cocycles modulo coboundaries for one cyclic factor Z/m.
+
+    ``edge_cobounds`` holds one sparse vector per edge, its coboundary
+    over the triangles; ``delta2`` is the coboundary from triangles to
+    tetrahedra as sparse rows.
+    """
+
+    def __init__(self, modulus: int, edge_cobounds, delta2, dim: int):
+        self.modulus = modulus
+        self.dim = dim
+        # lattice of mod-m cocycles: coordinates scaled so delta2 lands in m*Z
+        if delta2:
+            form2 = sparse_smith_form(
+                delta2, (len(delta2), dim), want_left=False,
+                want_right=False, want_right_inverse=True,
+            )
+            diag = list(form2.diagonal) + [0] * (dim - len(form2.diagonal))
+            self._scale = [
+                modulus // math.gcd(diag[j], modulus) if diag[j] else 1
+                for j in range(dim)
+            ]
+            self._solver = form2.right_inverse
+        else:
+            self._scale = [1] * dim
+            self._solver = [{i: 1} for i in range(dim)]
+        # coboundary + modulus sublattice, in kernel coordinates: one
+        # column per edge, then m times each unit vector
+        cols1 = len(edge_cobounds)
+        generators = [{} for _ in range(dim)]
+        for j, vec in enumerate(edge_cobounds):
+            for i, v in vec.items():
+                generators[i][j] = v
+        for i in range(dim):
+            generators[i][cols1 + i] = modulus
+        rel = []
+        for s, row in zip(self._scale, sparse_multiply(self._solver, generators)):
+            if any(v % s for v in row.values()):
+                raise ValidationError("vector is not a mod-m cocycle")
+            rel.append({j: v // s for j, v in row.items()})
+        self._relation_form = sparse_smith_form(
+            rel, (dim, cols1 + dim), want_left=True, want_right=False
+        )
+        self.class_count = 1
+        for d in self._relation_form.diagonal:
+            if d == 0:
+                raise ValidationError("cocycle lattice is not of finite index")
+            self.class_count *= d
+
+    def _coordinates(self, vec) -> list:
+        out = []
+        for s, row in zip(self._scale, self._solver):
+            raw = sum(v * vec[j] for j, v in row.items())
+            if raw % s:
+                raise ValidationError("vector is not a mod-m cocycle")
+            out.append(raw // s)
+        return out
+
+    def label(self, vec) -> tuple:
+        coords = self._coordinates(vec)
+        form = self._relation_form
+        reduced = [
+            sum(v * coords[j] for j, v in row.items()) for row in form.left
+        ]
+        for i, d in enumerate(form.diagonal):
+            reduced[i] %= d
+        return tuple(reduced)
+
+
+class CechClassifier:
+    """Degree-2 cochain classes of a nerve with finite abelian coefficients.
+
+    Coefficients are decomposed into cyclic factors; per factor the
+    cocycle lattice mod (coboundaries + modulus) is reduced by one Smith
+    form, giving canonical labels and the total class count.
+    """
+
+    def __init__(self, nerve: NerveComplex, coefficients):
+        self.nerve = nerve
+        self.coefficients = coefficients
+        self.factors, self.coords = abelian_decomposition(coefficients)
+        cx = nerve.complex
+        self.triangles = cx.simplices_of_dim(2)
+        edge_cobounds = simplex_boundary_matrix(cx, 2)
+        delta2 = sparse_columns(
+            simplex_boundary_matrix(cx, 3), cx.simplex_count(3)
+        )
+        self._reducers = [
+            _CyclicReducer(m, edge_cobounds, delta2, len(self.triangles))
+            for m in self.factors
+        ]
+
+    @property
+    def class_count(self) -> int:
+        out = 1
+        for reducer in self._reducers:
+            out *= reducer.class_count
+        return out
+
+    def label(self, witnesses: Mapping) -> tuple:
+        out = []
+        for axis, reducer in enumerate(self._reducers):
+            vec = [
+                self.coords[witnesses[tuple(t)]][axis] for t in self.triangles
+            ]
+            out.extend(reducer.label(vec))
+        return tuple(out)

@@ -296,8 +296,32 @@ def test_cocycles_over_different_covers_are_rejected():
 def test_equivalence_budget_is_enforced():
     # inequivalent pair: the search must exhaust all seeds, beyond budget 2
     c = circle_cocycle(corpus.S3, value=3)
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(
+        BudgetExceededError,
+        match=r"^equivalence search exceeded budget 2 after 2 guesses, "
+              r"with 0 of 1 nerve components settled$",
+    ):
         are_equivalent(c, trivial_cocycle(c.cover, corpus.S3), budget=2)
+
+
+def test_equivalence_budget_error_counts_settled_components():
+    """Over two circles the first pair of loops is equivalent and settles
+    on the first guess; the second is not and spends the rest."""
+    two_circles = star_cover(build_complex(
+        [["a", "b"], ["b", "c"], ["a", "c"], ["d", "e"], ["e", "f"], ["d", "f"]]
+    ))
+    trivial = trivial_cocycle(two_circles, corpus.S3)
+    values = {pair: 0 for pair in trivial.nerve.keys(2)}
+    values[("d", "f")] = 3
+    twisted = validate_cocycle(two_circles, corpus.S3, values, nerve=trivial.nerve)
+    with pytest.raises(BudgetExceededError) as err:
+        are_equivalent(trivial, twisted, budget=4)
+    assert err.value.budget == 4
+    assert str(err.value) == (
+        "equivalence search exceeded budget 4 after 4 guesses, "
+        "with 1 of 2 nerve components settled"
+    )
+    assert not are_equivalent(trivial, twisted, budget=7).equivalent
 
 
 @pytest.mark.parametrize(

@@ -255,8 +255,38 @@ def test_gerbe_equivalence_budget():
         cover, coeff, edges,
         {t: (1 if t == triples[0] else 0) for t in triples}, nerve=nerve,
     )
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(
+        BudgetExceededError,
+        match=r"^gerbe equivalence search exceeded budget 3 after 3 trials, "
+              r"reaching gauge 1 of 1$",
+    ):
         gerbes_equivalent(d0, d1, budget=3)
+
+
+def test_gerbe_budget_error_says_which_gauge_it_reached():
+    """Base Z2 over the sphere's four indices gives 16 gauges, each with
+    2^6 shifts; a witness of order two against none runs out of budget
+    100 on the second gauge."""
+    cover, nerve, pairs, triples = sphere_setup()
+    module = validate_crossed_module(
+        corpus.Z2, corpus.Z4, [0, 1, 0, 1], [[0, 1, 2, 3], [0, 1, 2, 3]],
+    )
+    edges = {p: 0 for p in pairs}
+    d0 = validate_gerbe_cocycle(
+        cover, module, edges, {t: 0 for t in triples}, nerve=nerve
+    )
+    d1 = validate_gerbe_cocycle(
+        cover, module, edges,
+        {t: (2 if t == triples[0] else 0) for t in triples}, nerve=nerve,
+    )
+    with pytest.raises(BudgetExceededError) as err:
+        gerbes_equivalent(d0, d1, budget=100)
+    assert err.value.budget == 100
+    assert str(err.value) == (
+        "gerbe equivalence search exceeded budget 100 after 100 trials, "
+        "reaching gauge 2 of 16"
+    )
+    assert not gerbes_equivalent(d0, d1).equivalent
 
 
 def test_coherence_faces_matches_validator_exhaustively():

@@ -241,6 +241,47 @@ def test_cli_gerbe_verbs(tmp_path, capsys):
     assert any(report["details"]["classLabel"])
 
 
+def test_cli_gerbe_class_builds_one_classifier(tmp_path, capsys, monkeypatch):
+    """The label and the class count come from one classifier; data over
+    a nontrivial base exit 2 with the library's message."""
+    from cechfib import (
+        abelian_coefficients, adjoint_crossed_module, cech_nerve, gerbes,
+        validate_gerbe_cocycle,
+    )
+
+    built = []
+    real_init = gerbes.CechClassifier.__init__
+
+    def counting(self, nerve, coefficients):
+        built.append(coefficients)
+        real_init(self, nerve, coefficients)
+
+    monkeypatch.setattr(gerbes.CechClassifier, "__init__", counting)
+    cover = star_cover(corpus.BOUNDARY_3SIMPLEX)
+    nerve = cech_nerve(cover)
+    pairs, triples = nerve.keys(2), nerve.keys(3)
+    data = validate_gerbe_cocycle(
+        cover, abelian_coefficients(corpus.Z2), {p: 0 for p in pairs},
+        {t: (1 if t == triples[0] else 0) for t in triples}, nerve=nerve,
+    )
+    path = write(tmp_path, "gerbe.json", docio.gerbe_to_doc(data))
+    code, report = run(capsys, "gerbe-class", "--input", path)
+    assert code == cli.EXIT_TRUE
+    assert report["details"] == {"classCount": 2, "classLabel": [0, 0, 0, 1]}
+    assert len(built) == 1
+
+    data = validate_gerbe_cocycle(
+        cover, adjoint_crossed_module(corpus.Z2), {p: 0 for p in pairs},
+        {t: 0 for t in triples}, nerve=nerve,
+    )
+    path = write(tmp_path, "bad.json", docio.gerbe_to_doc(data))
+    assert cli.main(["gerbe-class", "--input", path]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err == (
+        "cechfib: input error: base group must be trivial\n"
+    )
+    assert len(built) == 1
+
+
 def test_cli_bar_homology(tmp_path, capsys):
     path = write(tmp_path, "z2.json", Z2_DOC)
     code, report = run(capsys, "bar-homology", "--input", path, "--max-degree", "3")
