@@ -290,7 +290,10 @@ def bundle_isomorphism(
             tried += 1
             if tried > budget:
                 raise BudgetExceededError(
-                    f"isomorphism search exceeded budget {budget}", budget
+                    f"isomorphism search exceeded budget {budget} after "
+                    f"{tried - 1} guesses, with {i} of {len(base_vertices)} "
+                    f"base vertices settled",
+                    budget,
                 )
             for e, w in zip(source_fiber, image):
                 mapping[e] = w

@@ -145,6 +145,8 @@ def validate_milnor_point(
     cleaned = {tuple(k): int(v) for k, v in values.items()}
     if any(not (0 <= v < group.order) for v in cleaned.values()):
         violations.append((2, "values out of range for the group"))
+    # condition 4 multiplies, so it reads only the values in range
+    elements = {k: v for k, v in cleaned.items() if 0 <= v < group.order}
     for i in support:
         if cleaned.get((i, i), 0) != 0:
             violations.append((3, f"diagonal value at ({i}, {i}) is not the identity"))
@@ -153,9 +155,9 @@ def validate_milnor_point(
     for i in support:
         for j in support:
             for k in support:
-                if (i, j) in cleaned and (j, k) in cleaned and (i, k) in cleaned:
-                    lhs = group.mul(cleaned[(i, j)], cleaned[(j, k)])
-                    if lhs != cleaned[(i, k)]:
+                if (i, j) in elements and (j, k) in elements and (i, k) in elements:
+                    lhs = group.mul(elements[(i, j)], elements[(j, k)])
+                    if lhs != elements[(i, k)]:
                         violations.append(
                             (4, f"composition fails on triple ({i}, {j}, {k})")
                         )

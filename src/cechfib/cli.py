@@ -1,9 +1,15 @@
 """Batch command line: load JSON documents, run a verb, emit a report.
 
-Exit codes: 0 success / verdict true; 1 validated false; 2 input error;
-3 search budget exceeded.  Reports are JSON with a top-level verdict and
-details; identical inputs produce byte-identical reports apart from the
-versioned toolVersion field.  Nothing is written on exit codes 2 and 3.
+Each verb is one ``_VERBS`` entry: how many documents it reads, a runner
+that turns them into a verdict and report details, and whether it takes
+``--mode`` (only ``bundle-build``).  Every verb accepts ``--budget``,
+read by ``cocycle-equiv`` and ``classify``, and ``--max-degree``, read
+by ``homology`` and ``bar-homology``.
+
+Exit codes: 0 verdict true; 1 verdict false, report written; 2 input
+error; 3 search budget exceeded.  Nothing is written on exit codes 2 and
+3.  Reports are JSON with a top-level verdict and details; identical
+inputs give byte-identical reports apart from the toolVersion field.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ import functools
 import json
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import Callable, List, NamedTuple, Optional
 
 from . import __version__
 from .bundles import pullback, skeletal_construction, total_space
@@ -36,86 +42,71 @@ EXIT_BUDGET = 3
 DEFAULT_BUDGET = 1_000_000
 
 
-class _Inputs:
-    def __init__(self, paths: List[str]):
-        self.docs = []
-        for p in paths:
-            path = Path(p)
-            if not path.exists():
-                raise ValidationError(f"input file {p!r} does not exist")
-            try:
-                self.docs.append(json.loads(path.read_text(encoding="utf-8")))
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"input file {p!r} is not JSON: {exc}")
-
-    def one(self):
-        if len(self.docs) != 1:
-            raise ValidationError(f"expected 1 input document, got {len(self.docs)}")
-        return self.docs[0]
-
-    def two(self):
-        if len(self.docs) != 2:
-            raise ValidationError(f"expected 2 input documents, got {len(self.docs)}")
-        return self.docs
+class _Verb(NamedTuple):
+    inputs: int
+    run: Callable  # (docs, args) -> (verdict, details)
+    mode: bool = False
 
 
-def _report(command: str, verdict, details) -> dict:
-    return {
-        "toolVersion": __version__,
-        "command": command,
-        "verdict": verdict,
-        "details": details,
-    }
+def _load(paths: List[str]) -> list:
+    docs = []
+    for p in paths:
+        try:
+            text = Path(p).read_text(encoding="utf-8")
+        except FileNotFoundError:
+            raise ValidationError(f"input file {p!r} does not exist")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ValidationError(f"input file {p!r} is not readable UTF-8: {exc}")
+        try:
+            docs.append(json.loads(text))
+        except (json.JSONDecodeError, RecursionError) as exc:
+            raise ValidationError(f"input file {p!r} is not JSON: {exc}")
+    return docs
 
 
-def _validated_false(command: str, exc: ValidationError) -> tuple:
-    details = {"error": str(exc)}
-    if getattr(exc, "details", None):
-        details["context"] = _stringify(exc.details)
-    return EXIT_FALSE, _report(command, False, details)
+def _checker(parse, validate, details, *, context=True):
+    """Runner of a verb whose broken law is a false verdict: a document
+    that ``parse`` rejects is an input error, and only ``validate``'s
+    ValidationError is reported, with its details unless ``context`` is off."""
+    def run(docs, args):
+        parsed = parse(docs[0])
+        try:
+            result = validate(*parsed)
+        except ValidationError as exc:
+            out = {"error": str(exc)}
+            if context and getattr(exc, "details", None):
+                out["context"] = _stringify(exc.details)
+            return False, out
+        return True, details(result)
+    return run
 
 
-def _run_validate_complex(inputs: _Inputs, args) -> tuple:
-    try:
-        x = docio.complex_from_doc(inputs.one())
-    except ValidationError as exc:
-        return EXIT_FALSE, _report("validate-complex", False, {"error": str(exc)})
-    return EXIT_TRUE, _report(
-        "validate-complex", True,
-        {"vertices": len(x.vertices), "dim": x.dim,
-         "simplexCounts": [x.simplex_count(k) for k in range(x.dim + 1)]},
-    )
+def _homology_run(load, compute, default_degree):
+    """Runner of a homology verb: Betti numbers and torsion up to
+    ``--max-degree``, else up to ``default_degree`` of the loaded input."""
+    def run(docs, args):
+        x = load(docs[0])
+        degree = args.max_degree if args.max_degree is not None else default_degree(x)
+        result = compute(x, degree)
+        return True, {"betti": list(result.betti_numbers()),
+                      "torsion": [list(t) for t in result.torsion()]}
+    return run
 
 
-def _run_homology(inputs: _Inputs, args) -> tuple:
-    x = docio.complex_from_doc(inputs.one())
-    degree = args.max_degree if args.max_degree is not None else max(x.dim, 0)
-    result = homology(x, degree)
-    return EXIT_TRUE, _report(
-        "homology", True,
-        {"betti": list(result.betti_numbers()),
-         "torsion": [list(t) for t in result.torsion()]},
-    )
-
-
-def _run_nerve(inputs: _Inputs, args) -> tuple:
-    cover = docio.cover_from_doc(inputs.one())
-    nerve = cech_nerve(cover)
+def _run_nerve(docs, args) -> tuple:
+    nerve = cech_nerve(docio.cover_from_doc(docs[0]))
     witness_sizes = {
         "|".join(str(i) for i in key): len(w.simplices)
         for key, w in sorted(nerve.witnesses.items())
     }
-    return EXIT_TRUE, _report(
-        "nerve", True,
-        {"nerve": docio.complex_to_doc(nerve.complex),
-         "witnessSizes": witness_sizes},
-    )
+    return True, {"nerve": docio.complex_to_doc(nerve.complex),
+                  "witnessSizes": witness_sizes}
 
 
-def _run_cover_check(inputs: _Inputs, args) -> tuple:
-    cover = docio.cover_from_doc(inputs.one())
+def _run_cover_check(docs, args) -> tuple:
+    cover = docio.cover_from_doc(docs[0])
     report = cech_nerve(cover).goodness
-    details = {
+    return report.good, {
         "good": report.good,
         "carrier": carrier_check(cover),
         "failures": [
@@ -123,23 +114,10 @@ def _run_cover_check(inputs: _Inputs, args) -> tuple:
             for key, reason in report.failures
         ],
     }
-    code = EXIT_TRUE if report.good else EXIT_FALSE
-    return code, _report("cover-check", report.good, details)
 
 
-def _run_cocycle_check(inputs: _Inputs, args) -> tuple:
-    parsed = docio.parse_cocycle_doc(inputs.one())
-    try:
-        cocycle = validate_cocycle(*parsed)
-    except ValidationError as exc:
-        return _validated_false("cocycle-check", exc)
-    return EXIT_TRUE, _report(
-        "cocycle-check", True, {"pairs": len(cocycle.values)}
-    )
-
-
-def _run_cocycle_equiv(inputs: _Inputs, args) -> tuple:
-    d1, d2 = inputs.two()
+def _run_cocycle_equiv(docs, args) -> tuple:
+    d1, d2 = docs
     c1 = docio.cocycle_from_doc(d1)
     docio.require_keys(d2, "cocycle", ("cover", "group", "values"))
     if _same_json(d2["cover"], d1["cover"]):
@@ -163,8 +141,7 @@ def _run_cocycle_equiv(inputs: _Inputs, args) -> tuple:
             "|".join(map(str, key)): value
             for key, value in sorted(result.bridge.items())
         }
-    code = EXIT_TRUE if result.equivalent else EXIT_FALSE
-    return code, _report("cocycle-equiv", result.equivalent, details)
+    return result.equivalent, details
 
 
 def _same_json(a, b) -> bool:
@@ -173,90 +150,41 @@ def _same_json(a, b) -> bool:
     return json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
-def _run_bundle_build(inputs: _Inputs, args) -> tuple:
-    doc = inputs.one()
+def _run_bundle_build(docs, args) -> tuple:
+    doc = docs[0]
     cocycle = docio.cocycle_from_doc(doc)
-    if doc.get("action"):
-        action = docio.action_from_doc(doc["action"], cocycle.group)
-    else:
-        action = regular_action(cocycle.group)
+    action = (docio.action_from_doc(doc["action"], cocycle.group)
+              if doc.get("action") else regular_action(cocycle.group))
     builder = total_space if args.mode == "direct" else skeletal_construction
     bundle = builder(cocycle, action)
-    return EXIT_TRUE, _report(
-        "bundle-build", True,
-        {"mode": args.mode, "bundle": docio.bundle_to_doc(bundle)},
-    )
+    return True, {"mode": args.mode, "bundle": docio.bundle_to_doc(bundle)}
 
 
-def _run_pullback(inputs: _Inputs, args) -> tuple:
-    bundle_doc, map_doc = inputs.two()
+def _run_pullback(docs, args) -> tuple:
+    bundle_doc, map_doc = docs
     bundle = docio.bundle_from_doc(bundle_doc)
     docio.require_keys(map_doc, "pullback map", ("source", "vertexMap"))
     source = docio.complex_from_doc(map_doc["source"])
     f = docio.map_from_doc(map_doc, source, bundle.base)
-    result = pullback(bundle, f)
-    return EXIT_TRUE, _report(
-        "pullback", True, {"bundle": docio.bundle_to_doc(result)}
-    )
+    return True, {"bundle": docio.bundle_to_doc(pullback(bundle, f))}
 
 
-def _run_classify(inputs: _Inputs, args) -> tuple:
-    cover_doc, group_doc = inputs.two()
-    cover = docio.cover_from_doc(cover_doc)
-    group = docio.group_from_doc(group_doc)
+def _run_classify(docs, args) -> tuple:
+    cover = docio.cover_from_doc(docs[0])
+    group = docio.group_from_doc(docs[1])
     report = classification_check(cover, group, budget=args.budget)
-    details = {
+    return report.verdict, {
         "classes": report.cocycle_classes,
         "homClasses": report.hom_classes,
         "pullbacksMatch": list(report.pullbacks_match),
     }
-    code = EXIT_TRUE if report.verdict else EXIT_FALSE
-    return code, _report("classify", report.verdict, details)
 
 
-def _run_gerbe_check(inputs: _Inputs, args) -> tuple:
-    parsed = docio.parse_gerbe_doc(inputs.one())
-    try:
-        data = validate_gerbe_cocycle(*parsed)
-    except ValidationError as exc:
-        return _validated_false("gerbe-check", exc)
-    return EXIT_TRUE, _report(
-        "gerbe-check", True,
-        {"pairs": len(data.edge_values), "witnesses": len(data.witnesses)},
-    )
-
-
-def _run_gerbe_class(inputs: _Inputs, args) -> tuple:
-    data = docio.gerbe_from_doc(inputs.one())
+def _run_gerbe_class(docs, args) -> tuple:
+    data = docio.gerbe_from_doc(docs[0])
     classifier = abelian_classifier(data)
-    label = classifier.label(data.witnesses)
-    return EXIT_TRUE, _report(
-        "gerbe-class", True,
-        {"classLabel": list(label), "classCount": classifier.class_count},
-    )
-
-
-def _run_bar_homology(inputs: _Inputs, args) -> tuple:
-    group = docio.group_from_doc(inputs.one())
-    degree = args.max_degree if args.max_degree is not None else 3
-    result = bar_homology(group, degree)
-    return EXIT_TRUE, _report(
-        "bar-homology", True,
-        {"betti": list(result.betti_numbers()),
-         "torsion": [list(t) for t in result.torsion()]},
-    )
-
-
-def _run_milnor_check(inputs: _Inputs, args) -> tuple:
-    parsed = docio.parse_milnor_doc(inputs.one())
-    try:
-        point = validate_milnor_point(*parsed)
-    except ValidationError as exc:
-        return _validated_false("milnor-check", exc)
-    return EXIT_TRUE, _report(
-        "milnor-check", True,
-        {"support": [i for i, t in enumerate(point.coordinates) if t != 0]},
-    )
+    return True, {"classLabel": list(classifier.label(data.witnesses)),
+                  "classCount": classifier.class_count}
 
 
 def _stringify(value):
@@ -272,19 +200,35 @@ def _stringify(value):
 
 
 _VERBS = {
-    "validate-complex": _run_validate_complex,
-    "homology": _run_homology,
-    "nerve": _run_nerve,
-    "cover-check": _run_cover_check,
-    "cocycle-check": _run_cocycle_check,
-    "cocycle-equiv": _run_cocycle_equiv,
-    "bundle-build": _run_bundle_build,
-    "pullback": _run_pullback,
-    "classify": _run_classify,
-    "gerbe-check": _run_gerbe_check,
-    "gerbe-class": _run_gerbe_class,
-    "bar-homology": _run_bar_homology,
-    "milnor-check": _run_milnor_check,
+    # build_complex's details would name the offending simplex; this
+    # verb's report has never carried them
+    "validate-complex": _Verb(1, _checker(
+        lambda doc: (doc,), docio.complex_from_doc,
+        lambda x: {"vertices": len(x.vertices), "dim": x.dim,
+                   "simplexCounts": [x.simplex_count(k) for k in range(x.dim + 1)]},
+        context=False)),
+    "homology": _Verb(1, _homology_run(
+        docio.complex_from_doc, homology, lambda x: max(x.dim, 0))),
+    "nerve": _Verb(1, _run_nerve),
+    "cover-check": _Verb(1, _run_cover_check),
+    "cocycle-check": _Verb(1, _checker(
+        docio.parse_cocycle_doc, validate_cocycle,
+        lambda cocycle: {"pairs": len(cocycle.values)})),
+    "cocycle-equiv": _Verb(2, _run_cocycle_equiv),
+    "bundle-build": _Verb(1, _run_bundle_build, mode=True),
+    "pullback": _Verb(2, _run_pullback),
+    "classify": _Verb(2, _run_classify),
+    "gerbe-check": _Verb(1, _checker(
+        docio.parse_gerbe_doc, validate_gerbe_cocycle,
+        lambda data: {"pairs": len(data.edge_values),
+                      "witnesses": len(data.witnesses)})),
+    "gerbe-class": _Verb(1, _run_gerbe_class),
+    "bar-homology": _Verb(1, _homology_run(
+        docio.group_from_doc, bar_homology, lambda group: 3)),
+    "milnor-check": _Verb(1, _checker(
+        docio.parse_milnor_doc, validate_milnor_point,
+        lambda point: {"support": [i for i, t in enumerate(point.coordinates)
+                                   if t != 0]})),
 }
 
 
@@ -297,8 +241,8 @@ def _parser() -> argparse.ArgumentParser:
         description="Validate and classify combinatorial transition data.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for verb in _VERBS:
-        p = sub.add_parser(verb)
+    for name, verb in _VERBS.items():
+        p = sub.add_parser(name)
         p.add_argument("--input", nargs="+", required=True,
                        help="input JSON document(s)")
         p.add_argument("--output", default=None,
@@ -307,7 +251,7 @@ def _parser() -> argparse.ArgumentParser:
                        help="cap on exhaustive search size")
         p.add_argument("--max-degree", type=int, default=None, dest="max_degree",
                        help="top homology degree for homology verbs")
-        if verb == "bundle-build":
+        if verb.mode:
             p.add_argument("--mode", choices=("direct", "skeletal"),
                            default="direct")
     return parser
@@ -315,22 +259,28 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = _parser().parse_args(argv)
-    runner = _VERBS[args.command]
+    verb = _VERBS[args.command]
     try:
-        inputs = _Inputs(args.input)
-        code, report = runner(inputs, args)
+        docs = _load(args.input)
+        if len(docs) != verb.inputs:
+            noun = "document" if verb.inputs == 1 else "documents"
+            raise ValidationError(
+                f"expected {verb.inputs} input {noun}, got {len(docs)}")
+        verdict, details = verb.run(docs, args)
     except BudgetExceededError as exc:
         print(f"cechfib: budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except ValidationError as exc:
         print(f"cechfib: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    report = {"toolVersion": __version__, "command": args.command,
+              "verdict": verdict, "details": details}
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
-    return code
+    return EXIT_TRUE if verdict else EXIT_FALSE
 
 
 if __name__ == "__main__":

@@ -231,20 +231,21 @@ def section_map(cover: Cover, nerve: Optional[NerveComplex] = None) -> Simplicia
 
     Each subdivision vertex is a base simplex; it goes to the least index
     whose part contains that simplex.  Requires the carrier condition.
+    One walk over the parts in index order finds every simplex's least
+    index, and so also whether each base simplex lies in some part.
     """
-    if not carrier_check(cover):
+    least: Dict = {}
+    for idx in cover.indices:
+        for simplex in cover.parts[idx].simplices:
+            least.setdefault(simplex, idx)
+    if not all(s in least for s in cover.base.maximal_simplices):
         raise ValidationError(
             "carrier condition fails: some base simplex lies in no part"
         )
     if nerve is None:
         nerve = cech_nerve(cover)
     sd, carrier = barycentric_subdivision(cover.base)
-    vertex_map = {}
-    for v in sd.vertices:
-        simplex = carrier[v]
-        vertex_map[v] = next(
-            idx for idx in cover.indices if cover.parts[idx].has_simplex(simplex)
-        )
+    vertex_map = {v: least[carrier[v]] for v in sd.vertices}
     return SimplicialMap(sd, nerve.complex, vertex_map)
 
 

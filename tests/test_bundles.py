@@ -3,6 +3,7 @@ import random
 import pytest
 
 from cechfib import (
+    BudgetExceededError,
     GroupAction,
     SimplicialMap,
     ValidationError,
@@ -11,6 +12,7 @@ from cechfib import (
     closed_star_cover,
     connected_components,
     euler_characteristic,
+    from_homomorphism,
     holonomy,
     homology,
     local_trivialization_check,
@@ -295,3 +297,24 @@ def test_local_equivalence_implies_global_homology_iso():
         }
         assert image_simplices == restricted.total.simplices
     assert map_induces_homology_isomorphism(deck, 1)
+
+
+def test_bundle_isomorphism_budget_says_how_far_it_got():
+    """The trivial S3 bundle over the torus against one with order-3
+    monodromy: the fiber bijections cannot be exhausted in 10 guesses."""
+    cover, nerve, _ = corpus.cached_star_cover("torus")
+    group = corpus.S3
+    twisted = next(
+        images for images in corpus.cached_homs("torus", group)
+        if {group.element_order(g) for g in images} == {1, 3}
+    )
+    action = regular_action(group)
+    trivial = total_space(trivial_cocycle(cover, group, nerve=nerve), action)
+    order3 = total_space(from_homomorphism(twisted, cover, group, nerve=nerve), action)
+    with pytest.raises(BudgetExceededError) as info:
+        bundle_isomorphism(trivial, order3, budget=10)
+    assert str(info.value) == (
+        "isomorphism search exceeded budget 10 after 10 guesses, "
+        "with 4 of 7 base vertices settled"
+    )
+    assert info.value.budget == 10

@@ -158,6 +158,19 @@ def test_milnor_rejects_nonidentity_diagonal():
     assert 3 in numbers
 
 
+def test_milnor_out_of_range_values_are_violations_not_crashes():
+    with pytest.raises(ValidationError) as err:
+        validate_milnor_point(
+            [Fraction(1, 2), Fraction(1, 2)],
+            {(0, 0): 2, (1, 1): 0, (0, 1): 1, (1, 0): -1},
+            corpus.Z2,
+        )
+    assert err.value.details["violations"] == [
+        (2, "values out of range for the group"),
+        (3, "diagonal value at (0, 0) is not the identity"),
+    ]
+
+
 def test_milnor_valid_two_point_support():
     validate_milnor_point(
         [Fraction(1, 3), Fraction(2, 3)],

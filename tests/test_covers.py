@@ -142,8 +142,35 @@ def test_section_map_requires_carrier():
         {"A": build_complex([["a"]]), "B": build_complex([["b"]])},
         check_union=False,
     )
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=(
+            "^carrier condition fails: some base simplex lies in no part$")):
         section_map(bad)
+
+
+def scanned_vertex_map(cover):
+    """Least covering index of each subdivision vertex by scanning the
+    parts in index order: the reference for ``section_map``."""
+    sd, carrier = barycentric_subdivision(cover.base)
+    return {
+        v: next(idx for idx in cover.indices
+                if cover.parts[idx].has_simplex(carrier[v]))
+        for v in sd.vertices
+    }
+
+
+def _section_covers():
+    for name, x in corpus.SURFACES.items():
+        yield pytest.param(lambda x=x: star_cover(x), id=f"star-{name}")
+        yield pytest.param(lambda x=x: closed_star_cover(x), id=f"closed-star-{name}")
+    for name in ("torus", "rp2"):
+        once = barycentric_subdivision(corpus.SURFACES[name])[0]
+        yield pytest.param(lambda x=once: star_cover(x), id=f"star-{name}-rung1")
+
+
+@pytest.mark.parametrize("make_cover", list(_section_covers()))
+def test_section_map_matches_the_scan(make_cover):
+    cover = make_cover()
+    assert section_map(cover).vertex_map == scanned_vertex_map(cover)
 
 
 def test_disjoint_union_requires_same_base():
