@@ -253,9 +253,16 @@ def bundle_isomorphism(
 ) -> Optional[Dict]:
     """Fiber-preserving simplicial isomorphism over a common base.
 
-    Searches vertex by vertex over the base, trying fiber bijections in
-    sorted order, so the first hit is the lexicographically least witness.
-    Returns the total-vertex bijection, or None.
+    Total vertices of ``b1`` are taken in base-vertex order, then fiber
+    order.  The least unassigned one branches over its ``b2`` fiber in
+    order, skipping images already used, one budget unit per guess.
+    Each assignment e -> w is propagated along lifted edges: for every
+    base vertex b' that e has neighbours over, w must have some, and
+    when w has exactly one, every neighbour of e over b' is forced to
+    it.  A total simplex is checked once the search has passed its last
+    vertex in branch order.  Forced images hold in every isomorphism
+    extending the guesses, so the first hit is the lexicographically
+    least witness.  Returns the total-vertex bijection, or None.
     """
     if b1.base != b2.base:
         return None
@@ -264,52 +271,108 @@ def bundle_isomorphism(
     for k in range(max(b1.total.dim, b2.total.dim) + 1):
         if b1.total.simplex_count(k) != b2.total.simplex_count(k):
             return None
-    base_vertices = list(b1.base.vertices)
-    fibers1 = {v: b1.fiber_over(v) for v in base_vertices}
-    fibers2 = {v: b2.fiber_over(v) for v in base_vertices}
-    simplices1 = sorted(
-        (tuple(sorted(s)) for s in b1.total.simplices), key=lambda s: (len(s), s)
-    )
-    position = {v: i for i, v in enumerate(base_vertices)}
-    # simplices become checkable once all their base vertices are assigned
-    by_latest: Dict[int, List[tuple]] = {i: [] for i in range(len(base_vertices))}
-    for s in simplices1:
-        latest = max(position[b1.projection(v)] for v in s)
-        by_latest[latest].append(s)
-
-    tried = 0
+    order = [e for v in b1.base.vertices for e in b1.fiber_over(v)]
+    position = {e: i for i, e in enumerate(order)}
+    # simplices become checkable once the search passes their last vertex
+    by_last: List[List[tuple]] = [[] for _ in order]
+    for k in range(1, b1.total.dim + 1):
+        for s in b1.total.simplices_of_dim(k):
+            by_last[max(map(position.__getitem__, s))].append(s)
+    near1 = _lifted_neighbours(b1)
+    near2 = _lifted_neighbours(b2)
+    simplices2 = b2.total.simplices
     mapping: Dict = {}
+    used = set()
+    tried = 0
 
-    def extend(i: int) -> bool:
+    def assign(e, w, trail: list) -> bool:
+        # e -> w and everything it forces, recorded on the trail; False
+        # on a contradiction
+        mapping[e] = w
+        used.add(w)
+        trail.append(e)
+        stack = [(e, w)]
+        while stack:
+            x, y = stack.pop()
+            over_y = near2.get(y, {})
+            for b, xs in near1.get(x, {}).items():
+                ys = over_y.get(b)
+                if ys is None:
+                    return False
+                if len(ys) > 1:
+                    continue
+                forced = ys[0]
+                for x2 in xs:
+                    if x2 in mapping:
+                        if mapping[x2] != forced:
+                            return False
+                    elif forced in used:
+                        return False
+                    else:
+                        mapping[x2] = forced
+                        used.add(forced)
+                        trail.append(x2)
+                        stack.append((x2, forced))
+        return True
+
+    def fits(i: int) -> bool:
+        return all(
+            frozenset(map(mapping.__getitem__, s)) in simplices2
+            for s in by_last[i]
+        )
+
+    def undo(trail: list) -> None:
+        for x in trail:
+            used.discard(mapping.pop(x))
+        trail.clear()
+
+    def guess(i: int, w, trail: list) -> bool:
         nonlocal tried
-        if i == len(base_vertices):
+        tried += 1
+        if tried > budget:
+            raise BudgetExceededError(
+                f"isomorphism search exceeded budget {budget} after "
+                f"{tried - 1} guesses, with {len(mapping)} of {len(order)} "
+                f"total vertices assigned",
+                budget,
+            )
+        if assign(order[i], w, trail) and fits(i):
             return True
-        v = base_vertices[i]
-        source_fiber = fibers1[v]
-        for image in itertools.permutations(fibers2[v]):
-            tried += 1
-            if tried > budget:
-                raise BudgetExceededError(
-                    f"isomorphism search exceeded budget {budget} after "
-                    f"{tried - 1} guesses, with {i} of {len(base_vertices)} "
-                    f"base vertices settled",
-                    budget,
-                )
-            for e, w in zip(source_fiber, image):
-                mapping[e] = w
-            if all(
-                b2.total.has_simplex(frozenset(mapping[e] for e in s))
-                for s in by_latest[i]
-            ):
-                if extend(i + 1):
-                    return True
-            for e in source_fiber:
-                del mapping[e]
+        undo(trail)
         return False
 
-    if extend(0):
-        return dict(mapping)
-    return None
+    # one frame per open guess: its position, the images left to try and
+    # the vertices the current guess assigned
+    frames: List[tuple] = []
+    i = 0
+    while i < len(order):
+        e = order[i]
+        if e in mapping:
+            if fits(i):
+                i += 1
+                continue
+        else:
+            frames.append((i, iter(b2.fiber_over(b1.projection(e))), []))
+        while frames:
+            i, images, trail = frames[-1]
+            undo(trail)
+            if any(guess(i, w, trail) for w in images if w not in used):
+                break
+            frames.pop()
+        else:
+            return None
+        i += 1
+    return {e: mapping[e] for e in order}
+
+
+def _lifted_neighbours(bundle: Bundle) -> Dict[object, Dict[object, list]]:
+    """Each total vertex's neighbours, grouped by their base vertex."""
+    near: Dict[object, Dict[object, list]] = {}
+    base_of = bundle.projection.vertex_map
+    for u, v in bundle.total.simplices_of_dim(1):
+        near.setdefault(u, {}).setdefault(base_of[v], []).append(v)
+        near.setdefault(v, {}).setdefault(base_of[u], []).append(u)
+    return near
 
 
 def local_trivialization_check(bundle: Bundle, cover) -> Dict:

@@ -276,17 +276,18 @@ def bundle_to_doc(bundle) -> dict:
             return "|".join(flatten(x) for x in v)
         return str(v)
 
-    total = SimplicialComplex(
-        frozenset(
-            frozenset(flatten(v) for v in s) for s in bundle.total.simplices
-        )
+    # the closure of the flattened maximal simplices is the flattening of
+    # the closure, label collisions included
+    flat = {v: flatten(v) for v in bundle.total.vertices}
+    total = build_complex(
+        frozenset(map(flat.__getitem__, s))
+        for s in bundle.total.maximal_simplices
     )
     doc = {
         "total": complex_to_doc(total),
         "base": complex_to_doc(bundle.base),
         "projection": {
-            flatten(v): str(bundle.projection(v))
-            for v in bundle.total.vertices
+            flat[v]: str(bundle.projection(v)) for v in bundle.total.vertices
         },
         "fiber": [str(f) for f in bundle.fiber],
     }

@@ -11,6 +11,7 @@ from cechfib import (
     bundle_isomorphism,
     closed_star_cover,
     connected_components,
+    enumerate_homs,
     euler_characteristic,
     from_homomorphism,
     holonomy,
@@ -27,6 +28,7 @@ from cechfib import (
     section_map,
     skeletal_construction,
     star_cover,
+    symmetric_group,
     total_space,
     trivial_cocycle,
     validate_cocycle,
@@ -299,9 +301,8 @@ def test_local_equivalence_implies_global_homology_iso():
     assert map_induces_homology_isomorphism(deck, 1)
 
 
-def test_bundle_isomorphism_budget_says_how_far_it_got():
-    """The trivial S3 bundle over the torus against one with order-3
-    monodromy: the fiber bijections cannot be exhausted in 10 guesses."""
+def torus_s3_pair():
+    """The trivial S3 bundle over the torus and one with order-3 monodromy."""
     cover, nerve, _ = corpus.cached_star_cover("torus")
     group = corpus.S3
     twisted = next(
@@ -311,10 +312,38 @@ def test_bundle_isomorphism_budget_says_how_far_it_got():
     action = regular_action(group)
     trivial = total_space(trivial_cocycle(cover, group, nerve=nerve), action)
     order3 = total_space(from_homomorphism(twisted, cover, group, nerve=nerve), action)
-    with pytest.raises(BudgetExceededError) as info:
-        bundle_isomorphism(trivial, order3, budget=10)
-    assert str(info.value) == (
-        "isomorphism search exceeded budget 10 after 10 guesses, "
-        "with 4 of 7 base vertices settled"
+    return trivial, order3
+
+
+def test_bundle_isomorphism_separates_torus_s3_monodromy_within_budget():
+    """Propagation along lifted edges rules out every image of the first
+    total vertex, so the pair is decided in a handful of guesses."""
+    trivial, order3 = torus_s3_pair()
+    assert bundle_isomorphism(trivial, order3, budget=10) is None
+    assert bundle_isomorphism(order3, trivial, budget=10) is None
+
+
+def test_bundle_isomorphism_separates_rp2_s4_monodromy_within_budget():
+    """The trivial S4 bundle over RP2 against one with order-2 monodromy."""
+    group = symmetric_group(4)
+    cover, nerve, presentation = corpus.cached_star_cover("rp2")
+    twisted = next(
+        images for images in enumerate_homs(presentation, group)
+        if {group.element_order(g) for g in images} == {1, 2}
     )
-    assert info.value.budget == 10
+    action = regular_action(group)
+    trivial = total_space(trivial_cocycle(cover, group, nerve=nerve), action)
+    order2 = total_space(from_homomorphism(twisted, cover, group, nerve=nerve), action)
+    assert bundle_isomorphism(trivial, order2, budget=100) is None
+
+
+def test_bundle_isomorphism_budget_says_how_far_it_got():
+    """Three guesses do not decide the torus x S3 pair."""
+    trivial, order3 = torus_s3_pair()
+    with pytest.raises(BudgetExceededError) as info:
+        bundle_isomorphism(trivial, order3, budget=3)
+    assert str(info.value) == (
+        "isomorphism search exceeded budget 3 after 3 guesses, "
+        "with 0 of 42 total vertices assigned"
+    )
+    assert info.value.budget == 3
