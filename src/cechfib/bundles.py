@@ -232,7 +232,7 @@ def restrict_bundle(bundle: Bundle, sub: SimplicialComplex) -> Bundle:
     for image in sub.simplices:
         for t in bundle._over.get(image, ()):
             by_dim.setdefault(len(t) - 1, []).append(t)
-    total = SimplicialComplex(by_dim=by_dim)
+    total = SimplicialComplex._trusted(layers=by_dim)
     projection = SimplicialMap(
         total, sub, {v: bundle.projection(v) for v in total.vertices}
     )
@@ -412,7 +412,7 @@ def patch_bundles(cover, locals_: Mapping) -> Bundle:
         overlap = cover.parts[a].simplices & cover.parts[b].simplices
         if not overlap:
             continue
-        sub = SimplicialComplex(overlap)
+        sub = SimplicialComplex._trusted(overlap)
         ra = restrict_bundle(locals_[a], sub)
         rb = restrict_bundle(locals_[b], sub)
         if ra.total.simplices != rb.total.simplices:
@@ -432,7 +432,8 @@ def patch_bundles(cover, locals_: Mapping) -> Bundle:
     all_simplices = frozenset().union(
         *(locals_[idx].total.simplices for idx in indices)
     )
-    total = SimplicialComplex(all_simplices)
+    total = SimplicialComplex._trusted(all_simplices)
+    total.vertices  # the locals' labels must be orderable together
     vertex_map: Dict = {}
     for idx in indices:
         for v in locals_[idx].total.vertices:

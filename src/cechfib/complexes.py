@@ -1,7 +1,7 @@
 """Finite abstract simplicial complexes, maps, subdivision and cylinders.
 
-A complex is stored as the downward closure of its maximal simplices.
-Vertex identifiers are opaque but must be mutually orderable; every
+A complex is a downward-closed family of vertex sets.  Vertex
+identifiers are opaque but must be mutually orderable; every
 construction here is deterministic because simplices are always
 enumerated in sorted order.
 """
@@ -15,19 +15,52 @@ from typing import Dict, Iterable, Mapping, Optional, Tuple
 from .errors import ValidationError
 
 
+_UNORDERABLE = "vertex identifiers must be mutually orderable"
+
+
+def _in_order(items) -> tuple:
+    """``items`` sorted: the one place where vertex labels are compared.
+
+    A sort that succeeds has compared every adjacent pair of its output,
+    so a family whose vertices sort here has mutually orderable labels.
+    """
+    try:
+        return tuple(sorted(items))
+    except TypeError as exc:
+        raise ValidationError(_UNORDERABLE) from exc
+
+
+def _tops_and_gaps(family: frozenset) -> Tuple[frozenset, set]:
+    """The maximal sets of a family of nonempty sets, and the
+    codimension-1 faces of its sets that are missing from it."""
+    faces = set(map(frozenset, itertools.chain.from_iterable(
+        itertools.combinations(s, len(s) - 1) for s in family
+    )))
+    faces.discard(frozenset())
+    return family - faces, faces - family
+
+
+class _Known(tuple):
+    """(family, layers, maximal) from a maker that knows them valid."""
+
+
 class SimplicialComplex:
     """Downward-closed family of nonempty finite vertex sets.
 
-    ``SimplicialComplex(simplices)`` takes the family as frozensets.
-    Constructors that already hold each simplex as a sorted vertex tuple
-    (:func:`build_complex`, the bundle restriction) pass ``by_dim``
-    instead: for each dimension k, its k-simplices as tuples of k + 1
-    distinct vertices in sorted order, so no simplex is sorted twice.
-    Either way the simplices are ordered here, the maximal ones found
-    and closure under faces checked.
+    ``SimplicialComplex(simplices)`` takes the family as frozensets;
+    ``by_dim`` gives it instead as, for each dimension k, its k-simplices
+    as tuples of k + 1 distinct vertices in sorted order.  The family is
+    checked here, and every error raised here: an empty simplex, a gap
+    in the closure under faces, labels that cannot be ordered.
+
+    A complex keeps what its maker knows (the family, or the simplices
+    as sorted tuples by dimension and the maximal ones) and derives each
+    other view once, on first read: the ordered layers behind
+    ``simplices_of_dim``, ``simplex_count`` and ``dim``, the sorted
+    ``vertices`` and ``maximal_simplices``, and the family.
     """
 
-    __slots__ = ("_simplices", "_maximal", "_vertices", "_by_dim", "_hash")
+    __slots__ = ("_simplices", "_layers", "_tops", "_vertices", "_by_dim", "_maximal")
 
     def __init__(
         self,
@@ -35,108 +68,113 @@ class SimplicialComplex:
         *,
         by_dim: Optional[Mapping[int, Iterable[tuple]]] = None,
     ):
-        # tuples[k] and sets[k]: the k-simplices in order, as sorted
-        # vertex tuples and as the matching frozensets
-        tuples: Dict[int, tuple] = {}
-        sets: Dict[int, Iterable[frozenset]] = {}
+        self._vertices = self._by_dim = self._maximal = None
+        if type(simplices) is _Known:  # from _trusted: nothing to check
+            self._simplices, self._layers, self._tops = simplices
+            return
+        if by_dim is not None:
+            simplices = map(frozenset, itertools.chain.from_iterable(by_dim.values()))
         try:
-            if by_dim is None:
-                closed = frozenset(simplices)
-                groups: Dict[int, list] = {}
-                for s in closed:
-                    if not s:
-                        raise ValidationError("empty simplex is not allowed")
-                    groups.setdefault(len(s) - 1, []).append(s)
-                for k, lst in groups.items():
-                    tuples[k], sets[k] = zip(
-                        *sorted((tuple(sorted(s)), s) for s in lst)
-                    )
-            else:
-                for k, ts in by_dim.items():
-                    if ts:
-                        tuples[k] = tuple(sorted(ts))
-                        sets[k] = list(map(frozenset, tuples[k]))
-                closed = frozenset(itertools.chain.from_iterable(sets.values()))
+            closed = frozenset(simplices)
         except TypeError as exc:
+            raise ValidationError(_UNORDERABLE) from exc
+        self._simplices, self._layers = closed, None
+        if frozenset() in closed:
+            raise ValidationError("empty simplex is not allowed")
+        self._tops, missing = _tops_and_gaps(closed)
+        if missing:
+            # ordering the layers first reports unorderable labels before
+            # the gap; the gap is named at its least dimension
+            size = min(map(len, missing))
+            simplex = next(
+                t for t in self._ordered_layers()[size]
+                if not missing.isdisjoint(map(frozenset, itertools.combinations(t, size)))
+            )
             raise ValidationError(
-                "vertex identifiers must be mutually orderable"
-            ) from exc
-        self._simplices = closed
-        self._by_dim = layers = {k: tuples[k] for k in sorted(tuples)}
-        self._vertices = tuple(itertools.chain.from_iterable(layers.get(0, ())))
-        # One pass over the codimension-1 faces: a simplex is maximal
-        # unless it is such a face, and the family is closed exactly
-        # when every such face is one of the non-maximal simplices.
-        maximal = []
-        for k in range(max(layers, default=-1) + 1):
-            here = layers.get(k, ())
-            above = layers.get(k + 1)
-            if above is None:
-                maximal.extend(zip(here, sets.get(k, ())))
-                continue
-            faces = set(itertools.chain.from_iterable(
-                map(itertools.combinations, above, itertools.repeat(k + 1))
-            ))
-            tops = [p for p in zip(here, sets.get(k, ())) if p[0] not in faces]
-            if len(faces) != len(here) - len(tops):
-                missing = faces.difference(here)
-                simplex = next(
-                    t for t in above
-                    if not missing.isdisjoint(itertools.combinations(t, k + 1))
-                )
-                raise ValidationError(
-                    f"family is not closed under faces at {simplex!r}",
-                    details={"simplex": simplex},
-                )
-            maximal.extend(tops)
-        maximal.sort()
-        self._maximal = tuple(s for _, s in maximal)
-        self._hash = hash(closed)
+                f"family is not closed under faces at {simplex!r}",
+                details={"simplex": simplex},
+            )
+        self.vertices  # labels must be orderable: checked now, not on a read
+
+    @classmethod
+    def _trusted(cls, simplices=None, *, layers=None, tops=None) -> "SimplicialComplex":
+        """A complex whose maker knows it closed, with orderable labels:
+        its frozenset family, or its simplices as sorted tuples by
+        dimension, and its maximal simplices where known."""
+        return cls(_Known((simplices, layers, tops)))
+
+    def _ordered_layers(self) -> Dict[int, tuple]:
+        """Each dimension's simplices as sorted vertex tuples, in order."""
+        if self._by_dim is None:
+            layers = self._layers
+            if layers is None:
+                by_size = itertools.groupby(sorted(self._simplices, key=len), len)
+                layers = {size - 1: map(tuple, map(sorted, list(group)))
+                          for size, group in by_size}
+            self._layers = self._by_dim = {
+                k: _in_order(layers[k]) for k in sorted(layers)
+            }
+        return self._by_dim
 
     @property
     def vertices(self) -> tuple:
+        if self._vertices is None:
+            self._vertices = _in_order(
+                frozenset().union(*self._simplices) if self._layers is None
+                else itertools.chain.from_iterable(self._layers.get(0, ()))
+            )
         return self._vertices
 
     @property
     def simplices(self) -> frozenset:
+        if self._simplices is None:
+            self._simplices = frozenset(map(
+                frozenset, itertools.chain.from_iterable(self._layers.values())
+            ))
         return self._simplices
 
     @property
     def maximal_simplices(self) -> tuple:
+        if self._maximal is None:
+            if self._tops is None:
+                self._tops = _tops_and_gaps(self.simplices)[0]
+            self._maximal = tuple(map(
+                frozenset, _in_order(map(tuple, map(sorted, self._tops)))
+            ))
         return self._maximal
 
     @property
     def dim(self) -> int:
         """Dimension of the complex; -1 when empty."""
-        return max(self._by_dim, default=-1)
+        return max(self._ordered_layers(), default=-1)
 
     def simplices_of_dim(self, k: int) -> tuple:
         """Sorted tuple of k-simplices, each a sorted vertex tuple."""
-        return self._by_dim.get(k, ())
+        return self._ordered_layers().get(k, ())
 
     def simplex_count(self, k: int) -> int:
-        return len(self._by_dim.get(k, ()))
+        return len(self._ordered_layers().get(k, ()))
 
     def has_simplex(self, simplex) -> bool:
-        return frozenset(simplex) in self._simplices
+        return frozenset(simplex) in self.simplices
 
     def is_empty(self) -> bool:
-        return not self._simplices
+        return not (self._layers if self._simplices is None else self._simplices)
 
     def is_subcomplex_of(self, other: "SimplicialComplex") -> bool:
-        return self._simplices <= other._simplices
+        return self.simplices <= other.simplices
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SimplicialComplex):
             return NotImplemented
-        return self._simplices == other._simplices
+        return self.simplices == other.simplices
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self.simplices)  # a frozenset keeps its hash
 
     def __repr__(self) -> str:
         return (
-            f"SimplicialComplex({len(self._vertices)} vertices, "
+            f"SimplicialComplex({len(self.vertices)} vertices, "
             f"dim {self.dim})"
         )
 
@@ -144,8 +182,13 @@ class SimplicialComplex:
 def build_complex(maximal_simplices: Iterable[Iterable]) -> SimplicialComplex:
     """Downward closure of the declared simplices.
 
-    Raises on a repeated vertex inside one declared simplex.  Rebuilding
-    from the result's own maximal simplices reproduces it.
+    Raises on an empty declared simplex, a repeated vertex inside one,
+    and labels that cannot be ordered, all before it returns.  It closes
+    the family largest first as sorted vertex tuples, skipping a declared
+    simplex that is already a face of a larger one; those it keeps are
+    the maximal simplices, and the complex orders its views on first
+    read.  Rebuilding from the result's own maximal simplices reproduces
+    it.
     """
     declared: Dict[int, set] = {}
     for simplex in maximal_simplices:
@@ -157,29 +200,28 @@ def build_complex(maximal_simplices: Iterable[Iterable]) -> SimplicialComplex:
                 f"repeated vertex in declared simplex {listed!r}",
                 details={"simplex": listed},
             )
-        try:
-            ordered = tuple(sorted(listed))
-        except TypeError as exc:
-            raise ValidationError(
-                "vertex identifiers must be mutually orderable"
-            ) from exc
-        declared.setdefault(len(ordered), set()).add(ordered)
+        declared.setdefault(len(listed), set()).add(_in_order(listed))
     # Largest first: a declared simplex already present is a face of a
-    # larger one, and so are all of its faces.
+    # larger one, and so are all of its faces; the others are maximal.
     by_dim: Dict[int, set] = {}
+    tops: list = []
     for size in sorted(declared, reverse=True):
         present = by_dim.setdefault(size - 1, set())
         new = declared[size] - present
         present |= new
+        tops.extend(new)
         for k in range(1, size):
             by_dim.setdefault(k - 1, set()).update(itertools.chain.from_iterable(
                 map(itertools.combinations, new, itertools.repeat(k))
             ))
-    return SimplicialComplex(by_dim=by_dim)
+    x = SimplicialComplex._trusted(layers=by_dim, tops=tops)
+    x.vertices  # every pair of labels is compared now, not on a later read
+    return x
 
 
 def intersect_complexes(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComplex:
-    return SimplicialComplex(a.simplices & b.simplices)
+    """The common subcomplex: two closed families meet in a closed one."""
+    return SimplicialComplex._trusted(a.simplices & b.simplices)
 
 
 def euler_characteristic(x: SimplicialComplex) -> int:

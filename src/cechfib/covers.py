@@ -102,7 +102,7 @@ def star_cover(x: SimplicialComplex) -> Cover:
     for chain in sd.simplices:
         for v in min(chain, key=len):
             stars[v].append(chain)
-    parts = {v: SimplicialComplex(stars[v]) for v in x.vertices}
+    parts = {v: SimplicialComplex._trusted(frozenset(stars[v])) for v in x.vertices}
     return Cover(sd, parts)
 
 

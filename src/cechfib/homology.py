@@ -18,8 +18,8 @@ not depend on the peel; homology workspaces and the degree-2 classes of
 from __future__ import annotations
 
 import math
-from collections import deque
-from itertools import combinations
+from collections import Counter, deque
+from itertools import chain, combinations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -277,11 +277,15 @@ def _collapses_to_point(x: SimplicialComplex) -> bool:
     of that coface, which is then maximal; removing the pair is a
     homotopy equivalence and leaves a complex.  The order of removals
     does not change a True answer.  A cone, with one vertex in every
-    maximal simplex, collapses onto that vertex, so it is answered from
-    the maximal simplices alone.
+    maximal simplex, collapses onto that vertex, so it is answered by
+    counting: dropping v sends the simplices through v other than {v}
+    one-to-one into those without v, so v lies in at most (n + 1) / 2
+    of the n simplices, with equality exactly when every simplex without
+    v spans one with v, that is, when x is a cone over v.
     """
-    maximal = x.maximal_simplices
-    if maximal and frozenset.intersection(*maximal):
+    simplices = x.simplices
+    counts = Counter(chain.from_iterable(simplices))
+    if 2 * max(counts.values(), default=0) - 1 == len(simplices):
         return True
     cofaces = {t: set() for k in range(x.dim + 1) for t in x.simplices_of_dim(k)}
     for k in range(1, x.dim + 1):

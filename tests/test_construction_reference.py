@@ -1,10 +1,11 @@
 """Complex construction and goodness against their reference versions.
 
 ``build_complex`` closes each declared simplex once as sorted tuples and
-``SimplicialComplex`` orders them without sorting a face twice;
-``is_point_like`` decides by elementary collapses and uses homology only
-when they stall.  The references in ``reference_complexes`` are the
-implementations these replaced.
+hands the closure and its maximal simplices to the complex, which orders
+its views only when they are first read; ``is_point_like`` decides by
+elementary collapses and uses homology only when they stall.  The
+references in ``reference_complexes`` are the implementations these
+replaced.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from cechfib import (
     is_point_like,
     star_cover,
 )
+from cechfib.complexes import intersect_complexes
 
 import corpus
 from reference_complexes import (
@@ -112,15 +114,123 @@ def test_construction_errors_keep_their_messages():
          "vertex identifiers must be mutually orderable"),
         (lambda: build_complex([["a", "b"], [1, 2]]),
          "vertex identifiers must be mutually orderable"),
+        # each declared simplex sorts on its own; only the vertex set does not
+        (lambda: build_complex([[1], ["a"]]),
+         "vertex identifiers must be mutually orderable"),
+        (lambda: build_complex([[1, 2], ["a", "b"]]),
+         "vertex identifiers must be mutually orderable"),
         (lambda: SimplicialComplex([frozenset()]), "empty simplex is not allowed"),
         (lambda: SimplicialComplex([frozenset({"a"}), frozenset({1})]),
+         "vertex identifiers must be mutually orderable"),
+        (lambda: SimplicialComplex(by_dim={0: [(1,), ("a",)]}),
          "vertex identifiers must be mutually orderable"),
         (lambda: SimplicialComplex([frozenset({0, 1}), frozenset({0})]),
          "family is not closed under faces at (0, 1)"),
     ]
+    # outcome reads every view after construction, so each error must
+    # come from the constructor itself
     for make, message in cases:
         kind, _, text, _ = outcome(make)
         assert (kind, text) == ("raised", message)
+
+
+# -- every view, in every read order ----------------------------------------
+
+# pairs of valid declared families relabelled as integers, strings or
+# pairs, the three kinds of label the library builds complexes from
+LABELLED_PAIRS = st.tuples(VALID, VALID, st.sampled_from([
+    lambda v: v, lambda v: f"v{v}", lambda v: (v % 2, v),
+])).map(lambda drawn: tuple(
+    [[drawn[2](v) for v in s] for s in declared] for declared in drawn[:2]
+))
+
+# each view of a complex x; twin is an equal complex built from the
+# reference's family, so that equality can be the first read of x
+VIEWS = {
+    "vertices": lambda x, twin: x.vertices,
+    "dim": lambda x, twin: x.dim,
+    "layers": lambda x, twin: tuple(x.simplices_of_dim(k) for k in range(-1, 6)),
+    "counts": lambda x, twin: tuple(x.simplex_count(k) for k in range(-1, 6)),
+    "maximal": lambda x, twin: x.maximal_simplices,
+    "simplices": lambda x, twin: x.simplices,
+    "hash": lambda x, twin: hash(x),
+    "equal": lambda x, twin: (x == twin, x == POINT_X),
+    "repr": lambda x, twin: repr(x),
+}
+
+POINT_X = SimplicialComplex([frozenset({"x"})])
+
+# first reads: maximal simplices, hash, equality, the ordered layers, the
+# vertices, and the derived family
+READ_ORDERS = [
+    ("maximal", "hash", "equal", "layers", "counts", "vertices", "dim",
+     "simplices", "repr"),
+    ("hash", "equal", "repr", "maximal", "simplices", "vertices", "dim",
+     "layers", "counts"),
+    ("equal", "maximal", "layers", "hash", "vertices", "counts", "dim",
+     "repr", "simplices"),
+    ("layers", "counts", "dim", "maximal", "vertices", "simplices", "hash",
+     "equal", "repr"),
+    ("vertices", "repr", "simplices", "counts", "hash", "maximal", "dim",
+     "layers", "equal"),
+    ("simplices", "dim", "maximal", "equal", "layers", "hash", "vertices",
+     "counts", "repr"),
+]
+
+
+def reference_views(ref: ReferenceComplex) -> dict:
+    return {
+        "vertices": ref.vertices,
+        "dim": ref.dim,
+        "layers": tuple(ref.simplices_of_dim(k) for k in range(-1, 6)),
+        "counts": tuple(len(ref.simplices_of_dim(k)) for k in range(-1, 6)),
+        "maximal": ref.maximal_simplices,
+        "simplices": ref.simplices,
+        "hash": hash(ref.simplices),
+        "equal": (True, ref.simplices == POINT_X.simplices),
+        "repr": f"SimplicialComplex({len(ref.vertices)} vertices, dim {ref.dim})",
+    }
+
+
+def read_in_order(x, order, ref) -> dict:
+    twin = SimplicialComplex(ref.simplices)
+    return {name: VIEWS[name](x, twin) for name in order}
+
+
+def constructions(declared, other):
+    """Each construction of one complex, with its reference."""
+    ref = reference_build_complex(declared)
+    ref_other = reference_build_complex(other)
+    by_dim = {k: list(reversed(ref.simplices_of_dim(k))) for k in range(ref.dim + 1)}
+    return [
+        (lambda: build_complex(declared), ref),
+        (lambda: intersect_complexes(build_complex(declared), build_complex(other)),
+         ReferenceComplex(ref.simplices & ref_other.simplices)),
+        (lambda: SimplicialComplex(ref.simplices), ref),
+        (lambda: SimplicialComplex(by_dim=by_dim), ref),
+    ]
+
+
+@pytest.mark.parametrize("order", READ_ORDERS, ids=lambda o: o[0] + "-first")
+@given(LABELLED_PAIRS)
+@settings(max_examples=60, deadline=None)
+def test_every_view_matches_reference_in_every_read_order(order, pair):
+    for make, ref in constructions(*pair):
+        assert read_in_order(make(), order, ref) == reference_views(ref)
+
+
+def test_star_cover_nerve_orders_no_layer(monkeypatch):
+    # what the nerve verb reads: every witness's size, and the nerve's
+    # maximal simplices; goodness reads each witness's family alone
+    def refuse(self):
+        raise AssertionError("a complex ordered its layers")
+
+    monkeypatch.setattr(SimplicialComplex, "_ordered_layers", refuse)
+    nerve = cech_nerve(star_cover(corpus.TORUS_SEVEN))
+    sizes = [len(w.simplices) for w in nerve.witnesses.values()]
+    assert len(sizes) == 7 + 21 + 14 and min(sizes) > 0
+    assert len(nerve.complex.maximal_simplices) == 14
+    assert nerve.goodness.good
 
 
 # -- goodness ---------------------------------------------------------------
