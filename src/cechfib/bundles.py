@@ -70,16 +70,25 @@ class Bundle:
 
 
 def validate_bundle(bundle: Bundle) -> Bundle:
-    """Check projection rigidity and the constant fiber count."""
+    """Check projection rigidity and the constant fiber count.
+
+    Endpoints are compared by identity before equality.  Rigidity is
+    read from the projection, which learned it while checking its images
+    or from its maker, or computes it once; only a collapse is located in
+    order.
+    """
     proj = bundle.projection
-    if proj.source != bundle.total or proj.target != bundle.base:
+    if (proj.source is not bundle.total and proj.source != bundle.total) or (
+        proj.target is not bundle.base and proj.target != bundle.base
+    ):
         raise ValidationError("projection endpoints do not match the bundle")
-    for s in bundle.total.maximal_simplices:
-        if len(proj.image_simplex(s)) != len(s):
-            raise ValidationError(
-                f"projection collapses simplex {tuple(sorted(s))!r}",
-                details={"simplex": tuple(sorted(s))},
-            )
+    if not proj._keeps_dimensions():
+        s = next(s for s in bundle.total.maximal_simplices
+                 if len(proj.image_simplex(s)) != len(s))
+        raise ValidationError(
+            f"projection collapses simplex {tuple(sorted(s))!r}",
+            details={"simplex": tuple(sorted(s))},
+        )
     size = len(bundle.fiber)
     for v in bundle.base.vertices:
         count = len(bundle.fiber_over(v))
@@ -89,6 +98,19 @@ def validate_bundle(bundle: Bundle) -> Bundle:
                 details={"vertex": v},
             )
     return bundle
+
+
+def _lifted(pieces, base, fiber, action) -> Bundle:
+    """The bundle whose total is the closure of ``pieces``, each a set of
+    (base vertex, ...) pairs with one pair over each vertex of a base
+    simplex, projected by first entries: by construction a simplicial
+    map that keeps every simplex's size."""
+    total = build_complex(pieces)
+    projection = SimplicialMap._trusted(
+        total, base, {v: v[0] for v in total.vertices}, rigid=True
+    )
+    return Bundle(total=total, base=base, projection=projection,
+                  fiber=tuple(fiber), action=action)
 
 
 def total_space(cocycle: Cocycle1, action: GroupAction) -> Bundle:
@@ -112,19 +134,7 @@ def total_space(cocycle: Cocycle1, action: GroupAction) -> Bundle:
                 for alpha in ordered
             }
             simplices.append(lift)
-    total = build_complex(simplices)
-    projection = SimplicialMap(
-        total, nerve, {v: v[0] for v in total.vertices}
-    )
-    return validate_bundle(
-        Bundle(
-            total=total,
-            base=nerve,
-            projection=projection,
-            fiber=tuple(action.fiber),
-            action=action,
-        )
-    )
+    return validate_bundle(_lifted(simplices, nerve, action.fiber, action))
 
 
 def skeletal_construction(cocycle: Cocycle1, action: GroupAction) -> Bundle:
@@ -168,17 +178,7 @@ def skeletal_construction(cocycle: Cocycle1, action: GroupAction) -> Bundle:
         ordered = tuple(sorted(s))
         for lift in lifts[ordered]:
             pieces.append(set(lift))
-    total = build_complex(pieces)
-    projection = SimplicialMap(total, nerve, {v: v[0] for v in total.vertices})
-    return validate_bundle(
-        Bundle(
-            total=total,
-            base=nerve,
-            projection=projection,
-            fiber=tuple(action.fiber),
-            action=action,
-        )
-    )
+    return validate_bundle(_lifted(pieces, nerve, action.fiber, action))
 
 
 def product_bundle(base: SimplicialComplex, fiber) -> Bundle:
@@ -188,9 +188,7 @@ def product_bundle(base: SimplicialComplex, fiber) -> Bundle:
     for s in base.maximal_simplices:
         for f in fiber:
             pieces.append({(v, f) for v in s})
-    total = build_complex(pieces)
-    projection = SimplicialMap(total, base, {v: v[0] for v in total.vertices})
-    return Bundle(total=total, base=base, projection=projection, fiber=fiber)
+    return _lifted(pieces, base, fiber, None)
 
 
 def pullback(bundle: Bundle, f: SimplicialMap) -> Bundle:
@@ -209,19 +207,7 @@ def pullback(bundle: Bundle, f: SimplicialMap) -> Bundle:
             for e in lift:
                 over[bundle.projection(e)] = e
             pieces.append({(x, over[f(x)]) for x in s})
-    total = build_complex(pieces) if pieces else SimplicialComplex([])
-    projection = SimplicialMap(
-        total, f.source, {v: v[0] for v in total.vertices}
-    )
-    return validate_bundle(
-        Bundle(
-            total=total,
-            base=f.source,
-            projection=projection,
-            fiber=bundle.fiber,
-            action=bundle.action,
-        )
-    )
+    return validate_bundle(_lifted(pieces, f.source, bundle.fiber, bundle.action))
 
 
 def restrict_bundle(bundle: Bundle, sub: SimplicialComplex) -> Bundle:
@@ -233,7 +219,7 @@ def restrict_bundle(bundle: Bundle, sub: SimplicialComplex) -> Bundle:
         for t in bundle._over.get(image, ()):
             by_dim.setdefault(len(t) - 1, []).append(t)
     total = SimplicialComplex._trusted(layers=by_dim)
-    projection = SimplicialMap(
+    projection = SimplicialMap._trusted(
         total, sub, {v: bundle.projection(v) for v in total.vertices}
     )
     return Bundle(

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence
 
-from .bundles import Bundle, bundle_isomorphism, total_space
+from .bundles import Bundle, _lifted, bundle_isomorphism, total_space
 from .cocycles import Cocycle1, merge_equivalent, monodromy_representatives
-from .complexes import SimplicialMap, build_complex
 from .covers import Cover
 from .errors import ValidationError
 from .groups import FiniteGroup, regular_action
@@ -379,15 +378,7 @@ def pullback_universal(
                 for pos in range(len(ordered))
             }
             pieces.append(lift)
-    total = build_complex(pieces)
-    projection = SimplicialMap(total, nerve, {v: v[0] for v in total.vertices})
-    return Bundle(
-        total=total,
-        base=nerve,
-        projection=projection,
-        fiber=tuple(group.elements()),
-        action=regular_action(group),
-    )
+    return _lifted(pieces, nerve, group.elements(), regular_action(group))
 
 
 @dataclass(frozen=True)

@@ -120,20 +120,17 @@ def _run_cocycle_equiv(docs, args) -> tuple:
     d1, d2 = docs
     c1 = docio.cocycle_from_doc(d1)
     docio.require_keys(d2, "cocycle", ("cover", "group", "values"))
-    if _same_json(d2["cover"], d1["cover"]):
-        # one cover document: validate over the first cocycle's nerve
-        c2 = validate_cocycle(
-            c1.cover,
-            docio.group_from_doc(d2["group"]),
-            docio.cocycle_values_from_doc(d2["values"]),
-            nerve=c1.nerve,
-        )
+    # a cover or group document the two share is parsed once, and one
+    # cover is validated over the first cocycle's nerve
+    shared = _same_json(d2["cover"], d1["cover"])
+    cover = c1.cover if shared else docio.cover_from_doc(d2["cover"])
+    group = (c1.group if _same_json(d2["group"], d1["group"])
+             else docio.group_from_doc(d2["group"]))
+    values = docio.cocycle_values_from_doc(d2["values"])
+    if shared or cover == c1.cover:
+        c2 = validate_cocycle(c1.cover, group, values, nerve=c1.nerve)
     else:
-        cover, group, values = docio.parse_cocycle_doc(d2)
-        if cover == c1.cover:
-            c2 = validate_cocycle(c1.cover, group, values, nerve=c1.nerve)
-        else:
-            c2 = validate_cocycle(cover, group, values)
+        c2 = validate_cocycle(cover, group, values)
     result = are_equivalent(c1, c2, budget=args.budget)
     details = {}
     if result.equivalent:

@@ -133,14 +133,17 @@ class SimplicialComplex:
             ))
         return self._simplices
 
+    def _top_sets(self):
+        """The maximal simplices as vertex collections, in no order."""
+        if self._tops is None:
+            self._tops = _tops_and_gaps(self.simplices)[0]
+        return self._tops
+
     @property
     def maximal_simplices(self) -> tuple:
         if self._maximal is None:
-            if self._tops is None:
-                self._tops = _tops_and_gaps(self.simplices)[0]
-            self._maximal = tuple(map(
-                frozenset, _in_order(map(tuple, map(sorted, self._tops)))
-            ))
+            tops = map(tuple, map(sorted, self._top_sets()))
+            self._maximal = tuple(map(frozenset, _in_order(tops)))
         return self._maximal
 
     @property
@@ -257,9 +260,16 @@ def connected_components(x: SimplicialComplex) -> tuple:
 
 
 class SimplicialMap:
-    """Vertex map under which every simplex image is again a simplex."""
+    """Vertex map under which every simplex image is again a simplex.
 
-    __slots__ = ("source", "target", "vertex_map")
+    Checked in one pass: each maximal source simplex's image must be a
+    target simplex, which covers every vertex too.  Only on a failure are
+    vertices, then simplices, checked in order to name the first fault.
+    The pass also learns whether a maximal simplex loses a vertex.
+    ``_trusted`` takes a map that its maker knows simplicial, unchecked.
+    """
+
+    __slots__ = ("source", "target", "vertex_map", "_rigid")
 
     def __init__(
         self,
@@ -268,26 +278,34 @@ class SimplicialMap:
         vertex_map: Mapping,
     ):
         vm = dict(vertex_map)
-        missing = [v for v in source.vertices if v not in vm]
-        if missing:
-            raise ValidationError(
-                f"vertex map misses source vertices {missing[:4]!r}"
-            )
-        for v in source.vertices:
-            if not target.has_simplex([vm[v]]):
-                raise ValidationError(
-                    f"image {vm[v]!r} of vertex {v!r} is not a target vertex"
-                )
-        for s in source.maximal_simplices:
-            image = frozenset(vm[v] for v in s)
-            if not target.has_simplex(image):
-                raise ValidationError(
-                    f"image of simplex {tuple(sorted(s))!r} is not a simplex",
-                    details={"simplex": tuple(sorted(s))},
-                )
+        tops = source._top_sets()
+        try:
+            images = [frozenset(map(vm.__getitem__, s)) for s in tops]
+        except (KeyError, TypeError):
+            images = None
+        if images is None or not target.simplices.issuperset(images):
+            _first_map_fault(source, target, vm)
         self.source = source
         self.target = target
         self.vertex_map = vm
+        self._rigid = sum(map(len, images)) == sum(map(len, tops))
+
+    @classmethod
+    def _trusted(cls, source, target, vertex_map, *, rigid=None) -> "SimplicialMap":
+        """A map whose maker knows it simplicial, and maybe whether it
+        keeps every maximal simplex's size: nothing is checked."""
+        f = cls.__new__(cls)
+        f.source, f.target, f.vertex_map = source, target, vertex_map
+        f._rigid = rigid
+        return f
+
+    def _keeps_dimensions(self) -> bool:
+        """Whether every maximal source simplex keeps its size."""
+        if self._rigid is None:
+            tops = self.source._top_sets()
+            images = map(self.image_simplex, tops)
+            self._rigid = sum(map(len, images)) == sum(map(len, tops))
+        return self._rigid
 
     def __call__(self, vertex):
         return self.vertex_map[vertex]
@@ -311,6 +329,26 @@ class SimplicialMap:
 
     def __repr__(self) -> str:
         return f"SimplicialMap({self.source!r} -> {self.target!r})"
+
+
+def _first_map_fault(source, target, vm) -> None:
+    """Raise the first fault of a vertex map that is not simplicial."""
+    missing = [v for v in source.vertices if v not in vm]
+    if missing:
+        raise ValidationError(
+            f"vertex map misses source vertices {missing[:4]!r}"
+        )
+    for v in source.vertices:
+        if not target.has_simplex([vm[v]]):
+            raise ValidationError(
+                f"image {vm[v]!r} of vertex {v!r} is not a target vertex"
+            )
+    for s in source.maximal_simplices:
+        if not target.has_simplex(vm[v] for v in s):
+            raise ValidationError(
+                f"image of simplex {tuple(sorted(s))!r} is not a simplex",
+                details={"simplex": tuple(sorted(s))},
+            )
 
 
 def barycentric_subdivision(

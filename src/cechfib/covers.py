@@ -219,11 +219,13 @@ def is_good_cover(cover: Cover, nerve: Optional[NerveComplex] = None) -> GoodCov
 
 
 def carrier_check(cover: Cover) -> bool:
-    """Whether every base simplex lies inside at least one part."""
-    for s in cover.base.maximal_simplices:
-        if not any(part.has_simplex(s) for part in cover.parts.values()):
-            return False
-    return True
+    """Whether every base simplex lies inside at least one part.
+
+    Parts are subcomplexes of the base, so a maximal base simplex lies in
+    a part exactly when it is one of that part's maximal simplices.
+    """
+    held = set().union(*(part.maximal_simplices for part in cover.parts.values()))
+    return held.issuperset(cover.base.maximal_simplices)
 
 
 def section_map(cover: Cover, nerve: Optional[NerveComplex] = None) -> SimplicialMap:

@@ -269,22 +269,23 @@ def bundle_to_doc(bundle) -> dict:
     """Bundles serialize with flattened total vertex names.
 
     A total vertex is rendered as the ``|``-joined flattening of its
-    label tuple, so documents round-trip as opaque string labels.
+    label tuple, so documents round-trip as opaque string labels.  When
+    no two total vertices flatten alike, the flattening is an
+    isomorphism and the total's maximal simplices are written as they
+    flatten; otherwise the flattened ones are closed again, so that
+    labels that collide merge as in any other document.
     """
     def flatten(v):
         if isinstance(v, tuple):
             return "|".join(flatten(x) for x in v)
         return str(v)
 
-    # the closure of the flattened maximal simplices is the flattening of
-    # the closure, label collisions included
     flat = {v: flatten(v) for v in bundle.total.vertices}
-    total = build_complex(
-        frozenset(map(flat.__getitem__, s))
-        for s in bundle.total.maximal_simplices
-    )
+    tops = [sorted(map(flat.__getitem__, s)) for s in bundle.total._top_sets()]
+    if len(set(flat.values())) < len(flat):
+        tops = complex_to_doc(build_complex(map(frozenset, tops)))["maximal"]
     doc = {
-        "total": complex_to_doc(total),
+        "total": {"maximal": sorted(tops)},
         "base": complex_to_doc(bundle.base),
         "projection": {
             flat[v]: str(bundle.projection(v)) for v in bundle.total.vertices
@@ -347,9 +348,3 @@ def _index(name: str) -> int:
         return int(name)
     except ValueError:
         raise ValidationError(f"index {name!r} is not an integer")
-
-
-def milnor_from_doc(doc: Mapping):
-    from .classifying import validate_milnor_point
-
-    return validate_milnor_point(*parse_milnor_doc(doc))

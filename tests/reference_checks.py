@@ -1,0 +1,107 @@
+"""Reference validators, kept to test the library's current versions
+against.
+
+Each scans every case in order, as the library did before it checked
+maps in one pass, group and action laws on generators, and the carrier
+condition on maximal simplices.  Each returns what the library's
+version builds or raises the same ``ValidationError``.
+"""
+
+from __future__ import annotations
+
+from cechfib import ValidationError
+
+
+def validate_group(table):
+    """(table, inverse) of a group table, checking associativity on
+    every triple."""
+    n = len(table)
+    if n == 0:
+        raise ValidationError("group table is empty")
+    for i, row in enumerate(table):
+        if len(row) != n:
+            raise ValidationError(f"table row {i} has length {len(row)}, want {n}")
+        for v in row:
+            if not (0 <= v < n):
+                raise ValidationError(f"table entry {v} out of range 0..{n - 1}")
+    for a in range(n):
+        if table[0][a] != a or table[a][0] != a:
+            raise ValidationError(
+                f"element 0 is not a two-sided identity at {a}",
+                details={"element": a},
+            )
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if table[table[a][b]][c] != table[a][table[b][c]]:
+                    raise ValidationError(
+                        f"associativity fails at ({a}, {b}, {c})",
+                        details={"triple": (a, b, c)},
+                    )
+    inverse = [-1] * n
+    for a in range(n):
+        for b in range(n):
+            if table[a][b] == 0 and table[b][a] == 0:
+                inverse[a] = b
+                break
+        if inverse[a] < 0:
+            raise ValidationError(f"element {a} has no two-sided inverse",
+                                  details={"element": a})
+    return tuple(tuple(row) for row in table), tuple(inverse)
+
+
+def check_action(group, fiber, table):
+    """The action table, checking the action law on every triple."""
+    fiber = tuple(fiber)
+    size = len(fiber)
+    if len(table) != group.order or any(len(r) != size for r in table):
+        raise ValidationError("action table has wrong shape")
+    for f in range(size):
+        if table[0][f] != f:
+            raise ValidationError("identity does not act trivially")
+    for g in group.elements():
+        if sorted(table[g]) != list(range(size)):
+            raise ValidationError(f"element {g} does not act bijectively")
+    for g in group.elements():
+        for h in group.elements():
+            gh = group.mul(g, h)
+            for f in range(size):
+                if table[g][table[h][f]] != table[gh][f]:
+                    raise ValidationError(
+                        f"action incompatible with multiplication at "
+                        f"({g}, {h}, {fiber[f]!r})"
+                    )
+    return tuple(tuple(r) for r in table)
+
+
+def check_map(source, target, vertex_map):
+    """The vertex map as a dict, checking missing vertices, then vertex
+    images, then every maximal simplex's image."""
+    vm = dict(vertex_map)
+    missing = [v for v in source.vertices if v not in vm]
+    if missing:
+        raise ValidationError(
+            f"vertex map misses source vertices {missing[:4]!r}"
+        )
+    for v in source.vertices:
+        if not target.has_simplex([vm[v]]):
+            raise ValidationError(
+                f"image {vm[v]!r} of vertex {v!r} is not a target vertex"
+            )
+    for s in source.maximal_simplices:
+        image = frozenset(vm[v] for v in s)
+        if not target.has_simplex(image):
+            raise ValidationError(
+                f"image of simplex {tuple(sorted(s))!r} is not a simplex",
+                details={"simplex": tuple(sorted(s))},
+            )
+    return vm
+
+
+def carrier_check(cover) -> bool:
+    """Whether every maximal base simplex lies in some part, asking each
+    part in turn."""
+    for s in cover.base.maximal_simplices:
+        if not any(part.has_simplex(s) for part in cover.parts.values()):
+            return False
+    return True

@@ -489,6 +489,34 @@ def test_cli_cocycle_equiv_reads_a_shared_cover_once(tmp_path, capsys, monkeypat
     assert (len(parsed), len(checked)) == (2, 1)
 
 
+def test_cli_cocycle_equiv_reads_a_shared_group_once(tmp_path, capsys, monkeypatch):
+    """Equal "group" entries are parsed and validated once; a group
+    document written another way is parsed again, over either cover."""
+    parsed = []
+    real_parse = docio.group_from_doc
+    monkeypatch.setattr(docio, "group_from_doc",
+                        lambda doc: parsed.append(doc) or real_parse(doc))
+    p1 = write(tmp_path, "c1.json", circle_cocycle_doc(1))
+    p2 = write(tmp_path, "c2.json", circle_cocycle_doc(0))
+    code, report = run(capsys, "cocycle-equiv", "--input", p1, p2)
+    assert (code, report["verdict"]) == (cli.EXIT_FALSE, False)
+    assert len(parsed) == 1
+
+    unordered = circle_cocycle_doc(0)
+    unordered["group"] = {"table": Z2_DOC["table"]}
+    p3 = write(tmp_path, "c3.json", unordered)
+    parsed.clear()
+    assert run(capsys, "cocycle-equiv", "--input", p1, p3) == (code, report)
+    assert len(parsed) == 2
+
+    moved = circle_cocycle_doc(0)
+    moved["cover"]["base"]["maximal"].reverse()
+    p4 = write(tmp_path, "c4.json", moved)
+    parsed.clear()
+    assert run(capsys, "cocycle-equiv", "--input", p1, p4) == (code, report)
+    assert len(parsed) == 1
+
+
 @pytest.mark.parametrize("label", [1.0, True], ids=["float", "bool"])
 def test_cli_cocycle_equiv_compares_covers_as_json(tmp_path, capsys, label):
     """A label that equals 1 in Python but is no JSON integer is still an
