@@ -64,13 +64,7 @@ from .homology import (
     map_induces_homology_isomorphism,
     simplicial_chain_map,
 )
-from .snf import (
-    SmithNormalForm,
-    SparseSmithForm,
-    invariant_factors,
-    smith_normal_form,
-    sparse_smith_form,
-)
+from .snf import SparseSmithForm, sparse_smith_form
 from .cocycles import (
     Cochain0,
     Cocycle1,

@@ -328,19 +328,14 @@ def universal_bundle(group: FiniteGroup, truncation: int) -> UniversalBundle:
 
 
 def _universal_faces(group: FiniteGroup, tup: tuple, f: int) -> list:
-    """Faces of the chain (tup; f), None where an entry is the identity."""
-    k = len(tup)
-    out = []
-    for i in range(k + 1):
-        if i == 0:
-            face = (tup[1:], f)
-        elif i == k:
-            face = (tup[:-1], group.mul(tup[-1], f))
-        else:
-            merged = group.mul(tup[i - 1], tup[i])
-            face = (tup[: i - 1] + (merged,) + tup[i + 1:], f)
-        out.append(None if any(g == 0 for g in face[0]) else face)
-    return out
+    """Faces of the chain (tup; f): each bar face of tup with the point f,
+    moved by tup[-1] on the last face; None where the bar face is None."""
+    last = len(tup)
+    moved = group.mul(tup[-1], f)
+    return [
+        None if face is None else (face, moved if i == last else f)
+        for i, face in enumerate(_bar_faces(group, tup))
+    ]
 
 
 def pullback_universal(

@@ -354,14 +354,7 @@ class GroupAction:
         return self.fiber[self.table[g][self._index[label]]]
 
     def orbits(self) -> tuple:
-        remaining = set(self.fiber)
-        out = []
-        while remaining:
-            seed = min(remaining)
-            orbit = {self.act(g, seed) for g in self.group.elements()}
-            out.append(tuple(sorted(orbit)))
-            remaining -= orbit
-        return tuple(sorted(out))
+        return self.orbits_under(self.group.elements())
 
     def orbits_under(self, elements: Iterable[int]) -> tuple:
         """Orbits of the subgroup generated by the given elements."""

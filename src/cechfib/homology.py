@@ -19,14 +19,13 @@ from __future__ import annotations
 
 import math
 from collections import Counter, deque
-from itertools import chain, combinations
+from itertools import chain
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from .complexes import SimplicialComplex, SimplicialMap
 from .errors import ValidationError
 from .snf import (
-    Matrix,
     SparseRows,
     sparse_multiply,
     sparse_rows,
@@ -57,7 +56,9 @@ class ChainComplex:
         return 0
 
 
-def chain_complex(ranks: Sequence[int], boundaries: Sequence[Matrix]) -> ChainComplex:
+def chain_complex(
+    ranks: Sequence[int], boundaries: Sequence[Sequence[Sequence[int]]]
+) -> ChainComplex:
     """Validate dense boundary matrices' shapes and the boundary-squared
     condition, and store them sparse."""
     ranks = tuple(int(r) for r in ranks)
@@ -256,59 +257,23 @@ def _simplicial_homology(cc: ChainComplex, max_degree: int) -> HomologyResult:
 def is_point_like(x: SimplicialComplex) -> bool:
     """Connected with the homology of a point (no higher homology).
 
-    Decided by elementary collapses when they take ``x`` down to one
-    vertex; homology answers only when they stall, as they do on a
-    contractible complex with no free face such as the dunce hat.
+    A cone is answered by counting: dropping v sends the simplices
+    through v other than {v} one-to-one into those without v, so v lies
+    in at most (n + 1) / 2 of the n simplices, with equality exactly when
+    every simplex without v spans one with v, that is, when x is a cone
+    over v.  Any other complex goes to :func:`homology`, whose peel
+    collapses free faces with their only cofaces before any Smith form.
     """
     if x.is_empty():
         return False
-    if _collapses_to_point(x):
+    simplices = x.simplices
+    counts = Counter(chain.from_iterable(simplices))
+    if 2 * max(counts.values()) - 1 == len(simplices):
         return True
     groups = homology(x).groups
     return groups[0] == HomologyGroup(1, ()) and all(
         g == HomologyGroup(0, ()) for g in groups[1:]
     )
-
-
-def _collapses_to_point(x: SimplicialComplex) -> bool:
-    """Whether elementary collapses leave a single vertex.
-
-    A simplex with exactly one live codimension-1 coface is a free face
-    of that coface, which is then maximal; removing the pair is a
-    homotopy equivalence and leaves a complex.  The order of removals
-    does not change a True answer.  A cone, with one vertex in every
-    maximal simplex, collapses onto that vertex, so it is answered by
-    counting: dropping v sends the simplices through v other than {v}
-    one-to-one into those without v, so v lies in at most (n + 1) / 2
-    of the n simplices, with equality exactly when every simplex without
-    v spans one with v, that is, when x is a cone over v.
-    """
-    simplices = x.simplices
-    counts = Counter(chain.from_iterable(simplices))
-    if 2 * max(counts.values(), default=0) - 1 == len(simplices):
-        return True
-    cofaces = {t: set() for k in range(x.dim + 1) for t in x.simplices_of_dim(k)}
-    for k in range(1, x.dim + 1):
-        for t in x.simplices_of_dim(k):
-            for face in combinations(t, k):
-                cofaces[face].add(t)
-    free = [s for s, up in cofaces.items() if len(up) == 1]
-    while free:
-        s = free.pop()
-        up = cofaces.get(s)
-        if up is None or len(up) != 1:
-            continue
-        (t,) = up
-        del cofaces[s], cofaces[t]
-        # the other faces of t lose t, the faces of s lose s
-        for cell in (t, s):
-            for face in combinations(cell, len(cell) - 1):
-                rest = cofaces.get(face)
-                if rest is not None:
-                    rest.discard(cell)
-                    if len(rest) == 1:
-                        free.append(face)
-    return len(cofaces) == 1
 
 
 class LatticeQuotient:
@@ -329,6 +294,7 @@ class LatticeQuotient:
     def __init__(self, constraints: SparseRows, dim: int,
                  generators: SparseRows, gen_count: int, modulus: int):
         self.modulus = modulus
+        self.dim = dim
         form = sparse_smith_form(
             constraints, (len(constraints), dim),
             want_left=False, want_right=False, want_right_inverse=True,
@@ -361,6 +327,10 @@ class LatticeQuotient:
 
     def coordinates(self, vec: Sequence[int]) -> List[int]:
         """Coordinates of a lattice vector in the kernel basis."""
+        if len(vec) != self.dim:
+            raise ValidationError(
+                f"vector has length {len(vec)}, want {self.dim}"
+            )
         column = [{0: v} for v in vec]
         rows = self._scaled(sparse_multiply(self._solver, column))
         return [row.get(0, 0) for row in rows]

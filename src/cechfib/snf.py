@@ -10,9 +10,8 @@ this way) and falls back to the classical minimum-pivot algorithm for
 whatever remains.  Its transforms are sparse vectors as well.
 Homology calls it only on the residue of a chain complex after
 collapses and coreductions (see :mod:`cechfib.homology`); transforms for
-class labels still come from full matrices.
-:func:`smith_normal_form` is the dense front end: it takes a plain list
-of rows and returns dense transforms.
+class labels still come from full matrices.  :func:`sparse_rows` turns
+hand-written dense rows into this form.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-Matrix = list  # list of rows, each a list of ints
 SparseRows = list  # list of rows, each a dict {column: nonzero int}
 
 
@@ -61,26 +59,6 @@ def sparse_multiply(a: SparseRows, b: SparseRows) -> SparseRows:
 
 
 @dataclass(frozen=True)
-class SmithNormalForm:
-    """Diagonalization U * M * V = D with U, V unimodular, as dense matrices.
-
-    ``diagonal`` lists the diagonal of D (length min(m, n)); each nonzero
-    entry is positive and divides the next.  ``right_inverse`` is V^-1,
-    kept when requested because solving for kernel coordinates needs it.
-    """
-
-    shape: tuple
-    diagonal: tuple
-    left: Optional[Matrix] = None
-    right: Optional[Matrix] = None
-    right_inverse: Optional[Matrix] = None
-
-    @property
-    def rank(self) -> int:
-        return sum(1 for d in self.diagonal if d != 0)
-
-
-@dataclass(frozen=True)
 class SparseSmithForm:
     """U * M * V = D with the transforms kept as sparse vectors.
 
@@ -98,60 +76,6 @@ class SparseSmithForm:
     @property
     def rank(self) -> int:
         return sum(1 for d in self.diagonal if d != 0)
-
-    def dense(self) -> SmithNormalForm:
-        m, n = self.shape
-        left = right = right_inverse = None
-        if self.left is not None:
-            left = [[row.get(k, 0) for k in range(m)] for row in self.left]
-        if self.right is not None:
-            right = [[col.get(i, 0) for col in self.right] for i in range(n)]
-        if self.right_inverse is not None:
-            right_inverse = [
-                [row.get(k, 0) for k in range(n)] for row in self.right_inverse
-            ]
-        return SmithNormalForm(
-            shape=self.shape, diagonal=self.diagonal,
-            left=left, right=right, right_inverse=right_inverse,
-        )
-
-
-def _matrix_shape(mat: Sequence[Sequence[int]], shape):
-    if shape is not None:
-        return int(shape[0]), int(shape[1])
-    m = len(mat)
-    n = len(mat[0]) if m else 0
-    return m, n
-
-
-def smith_normal_form(
-    mat: Sequence[Sequence[int]],
-    shape=None,
-    *,
-    want_left: bool = True,
-    want_right: bool = True,
-    want_right_inverse: bool = False,
-) -> SmithNormalForm:
-    """Reduce a dense integer matrix to Smith normal form.
-
-    Returns transforms with U*M*V diagonal, each diagonal entry dividing
-    the next.  Transform tracking can be switched off per side when only
-    invariant factors or one-sided data are needed.
-    """
-    m, n = _matrix_shape(mat, shape)
-    return sparse_smith_form(
-        sparse_rows(mat, (m, n)), (m, n),
-        want_left=want_left, want_right=want_right,
-        want_right_inverse=want_right_inverse,
-    ).dense()
-
-
-def invariant_factors(mat: Sequence[Sequence[int]], shape=None) -> tuple:
-    """Nonzero diagonal of the Smith form, cheapest path (no transforms)."""
-    form = smith_normal_form(
-        mat, shape, want_left=False, want_right=False, want_right_inverse=False
-    )
-    return tuple(d for d in form.diagonal if d != 0)
 
 
 def _subtract(target: dict, source: dict, q: int) -> None:

@@ -1,6 +1,8 @@
 """Dense views of the library's sparse matrices (lists of dict rows), for
 tests that multiply or index matrices entry by entry."""
 
+from types import SimpleNamespace
+
 
 def dense(rows, cols):
     """Sparse rows as plain lists of length ``cols``."""
@@ -17,3 +19,15 @@ def matrix_multiply(a, b):
         [sum(row[k] * b[k][j] for k in range(len(b))) for j in range(cols)]
         for row in a
     ]
+
+
+def dense_form(form):
+    """A sparse Smith form with all three transforms as plain lists: the
+    rows of U, of V and of V^-1."""
+    m, n = form.shape
+    return SimpleNamespace(
+        shape=form.shape, diagonal=form.diagonal,
+        left=dense(form.left, m),
+        right=[[col.get(i, 0) for col in form.right] for i in range(n)],
+        right_inverse=dense(form.right_inverse, n),
+    )

@@ -2,10 +2,10 @@
 
 ``build_complex`` closes each declared simplex once as sorted tuples and
 hands the closure and its maximal simplices to the complex, which orders
-its views only when they are first read; ``is_point_like`` decides by
-elementary collapses and uses homology only when they stall.  The
-references in ``reference_complexes`` are the implementations these
-replaced.
+its views only when they are first read; ``is_point_like`` decides a
+cone by counting and any other complex by homology, whose peel collapses
+free faces.  The references in ``reference_complexes`` are the
+implementations these replaced.
 """
 
 from __future__ import annotations
@@ -258,7 +258,6 @@ def test_dunce_hat_is_point_like_through_the_homology_fallback(monkeypatch):
     assert (len(x.vertices), x.simplex_count(1), x.simplex_count(2)) == (8, 24, 17)
     for edge in x.simplices_of_dim(1):
         assert sum(set(edge) <= set(t) for t in x.simplices_of_dim(2)) >= 2
-    assert not homology_module._collapses_to_point(x)
     calls = []
     real = homology_module.homology
 
@@ -309,11 +308,21 @@ def test_goodness_report_of_a_non_good_cover_is_unchanged():
     assert cech_nerve(closed_star_cover(corpus.HEXAGON)).goodness.good
 
 
-def test_every_star_cover_witness_collapses():
+def test_every_star_cover_witness_collapses(monkeypatch):
+    # every witness of a star cover is a cone, so the count decides
+    # goodness and homology is never called
+    calls = []
+    real = homology_module.homology
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(homology_module, "homology", counting)
     for name in corpus.SURFACES:
-        _, nerve, _ = corpus.cached_star_cover(name)
-        for witness in nerve.witnesses.values():
-            assert homology_module._collapses_to_point(witness)
+        nerve = cech_nerve(star_cover(corpus.SURFACES[name]))
+        assert nerve.witnesses and nerve.goodness.good
+    assert calls == []
 
 
 @given(VALID)
@@ -321,8 +330,6 @@ def test_every_star_cover_witness_collapses():
 def test_is_point_like_matches_reference_on_generated_complexes(declared):
     x = build_complex(declared)
     assert is_point_like(x) == reference_is_point_like(x)
-    if homology_module._collapses_to_point(x):
-        assert reference_is_point_like(x)
     if not x.is_empty():
         # a cone over x, with apex 7, is always point-like
         cone = build_complex([sorted(s) + [7] for s in x.maximal_simplices])
@@ -331,11 +338,10 @@ def test_is_point_like_matches_reference_on_generated_complexes(declared):
 
 def test_collapses_do_not_need_a_cone():
     # a path and a strip of triangles: collapsible, but no vertex lies in
-    # every maximal simplex, so the collapses themselves decide
+    # every maximal simplex, so the collapses of homology's peel decide
     path = build_complex([[0, 1], [1, 2], [2, 3], [3, 4]])
     strip = build_complex([[0, 1, 2], [1, 2, 3], [2, 3, 4], [3, 4, 5]])
     for x in (path, strip):
         assert not frozenset.intersection(*x.maximal_simplices)
-        assert homology_module._collapses_to_point(x)
         assert is_point_like(x)
     assert homology(strip).betti_numbers() == (1, 0, 0)

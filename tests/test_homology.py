@@ -95,6 +95,15 @@ def test_workspace_rejects_non_cycle():
         ws.cycle_coordinates(1, [1, 0, 0])
 
 
+@pytest.mark.parametrize("chain", [[1, -1, 1, 5], [1, -1]])
+def test_workspace_rejects_a_chain_of_the_wrong_length(chain):
+    ws = HomologyWorkspace(chain_complex_of(corpus.HOLLOW_TRIANGLE), 1)
+    want = f"vector has length {len(chain)}, want 3"
+    for read in (ws.class_label, ws.cycle_coordinates):
+        with pytest.raises(ValidationError, match=want):
+            read(1, chain)
+
+
 def test_chain_map_commutes_with_boundary():
     inclusion = SimplicialMap(
         corpus.HOLLOW_TRIANGLE, corpus.FULL_TRIANGLE,
