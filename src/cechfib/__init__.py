@@ -22,8 +22,6 @@ from .complexes import (
 from .covers import (
     Cover,
     NerveComplex,
-    build_cover,
-    carrier_check,
     cech_nerve,
     closed_star_cover,
     disjoint_union_cover,

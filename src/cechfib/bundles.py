@@ -20,7 +20,7 @@ from .complexes import (
     mapping_cylinder,
 )
 from .cocycles import Cocycle1
-from .errors import BudgetExceededError, ValidationError
+from .errors import DEFAULT_BUDGET, BudgetExceededError, ValidationError
 from .groups import GroupAction
 
 
@@ -235,7 +235,7 @@ def bundle_isomorphism(
     b1: Bundle,
     b2: Bundle,
     *,
-    budget: int = 1_000_000,
+    budget: int = DEFAULT_BUDGET,
 ) -> Optional[Dict]:
     """Fiber-preserving simplicial isomorphism over a common base.
 

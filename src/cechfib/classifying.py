@@ -17,7 +17,7 @@ from typing import Dict, List, Mapping, Optional, Sequence
 from .bundles import Bundle, _lifted, bundle_isomorphism, total_space
 from .cocycles import Cocycle1, merge_equivalent, monodromy_representatives
 from .covers import Cover
-from .errors import ValidationError
+from .errors import DEFAULT_BUDGET, ValidationError
 from .groups import FiniteGroup, regular_action
 from .homology import ChainComplex, HomologyResult, homology_of_chain_complex
 from .snf import SparseRows
@@ -395,7 +395,7 @@ def classification_check(
     cover: Cover,
     group: FiniteGroup,
     *,
-    budget: int = 1_000_000,
+    budget: int = DEFAULT_BUDGET,
 ) -> ClassificationReport:
     """Count cocycle classes two ways and cross-check the universal pullback.
 
@@ -405,11 +405,9 @@ def classification_check(
     of the universal chains along its classifying map must be isomorphic
     to its quotient total space.
     """
-    nerve, classes, representatives = monodromy_representatives(
-        cover, group, budget=budget
-    )
+    classes, representatives = monodromy_representatives(cover, group, budget=budget)
     cocycle_classes = len(merge_equivalent(representatives, budget=budget))
-    universal = universal_bundle(group, max(nerve.complex.dim, 1))
+    universal = universal_bundle(group, max(cover.nerve.complex.dim, 1))
     action = regular_action(group)
     matches = []
     for rep in representatives:

@@ -2,7 +2,8 @@
 
 Values live on ordered index pairs with nonempty intersection; the
 diagonal and reversed values are derived, never stored.  Every cocycle
-sits on a nerve proven good, whose keys and presentation it shares.
+sits on a cover proven good, whose nerve, keys and presentation it
+shares.
 Two cocycles over one shared cover are equivalent when a 0-cochain mu
 gives g'_ab = mu_a^-1 * g_ab * mu_b; that gauge is found by a search on
 the cover's nerve.
@@ -14,11 +15,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from .complexes import connected_components
-from .covers import Cover, NerveComplex, cech_nerve
-from .errors import BudgetExceededError, ValidationError
+from .covers import Cover, NerveComplex
+from .errors import DEFAULT_BUDGET, BudgetExceededError, ValidationError
 from .groups import FiniteGroup, enumerate_homs, hom_conjugacy_classes
-
-DEFAULT_BUDGET = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -26,9 +25,12 @@ class Cocycle1:
     """Strict transition cocycle: one group element per ordered pair."""
 
     cover: Cover
-    nerve: NerveComplex
     group: FiniteGroup
     values: Mapping  # (alpha, beta) with alpha < beta -> element
+
+    @property
+    def nerve(self) -> NerveComplex:
+        return self.cover.nerve
 
     def value(self, alpha, beta) -> int:
         """Value on any ordered pair, extending by inverses and identity."""
@@ -51,21 +53,14 @@ class Cochain0:
     values: Mapping  # index -> element
 
 
-def validate_cocycle(
-    cover: Cover,
-    group: FiniteGroup,
-    values: Mapping,
-    *,
-    nerve: Optional[NerveComplex] = None,
-) -> Cocycle1:
+def validate_cocycle(cover: Cover, group: FiniteGroup, values: Mapping) -> Cocycle1:
     """Check the cocycle law on every nonempty ordered triple.
 
     The cover must be good, so that a single element per intersection is
     a faithful model of a locally constant transition function.
     """
-    if nerve is None:
-        nerve = cech_nerve(cover)
-    nerve.require_good()
+    nerve = cover.nerve
+    cover.require_good()
     cleaned: Dict[tuple, int] = {}
     for pair in nerve.keys(2):
         if pair not in values:
@@ -82,7 +77,7 @@ def validate_cocycle(
         raise ValidationError(
             f"values given for non-overlapping pairs {sorted(extra)[:4]!r}"
         )
-    cocycle = Cocycle1(cover=cover, nerve=nerve, group=group, values=cleaned)
+    cocycle = Cocycle1(cover=cover, group=group, values=cleaned)
     for a, b, c in nerve.keys(3):
         lhs = group.mul(cocycle.value(a, b), cocycle.value(b, c))
         if lhs != cocycle.value(a, c):
@@ -93,11 +88,9 @@ def validate_cocycle(
     return cocycle
 
 
-def trivial_cocycle(cover: Cover, group: FiniteGroup, *, nerve=None) -> Cocycle1:
-    if nerve is None:
-        nerve = cech_nerve(cover)
-    values = {pair: 0 for pair in nerve.keys(2)}
-    return validate_cocycle(cover, group, values, nerve=nerve)
+def trivial_cocycle(cover: Cover, group: FiniteGroup) -> Cocycle1:
+    values = {pair: 0 for pair in cover.nerve.keys(2)}
+    return validate_cocycle(cover, group, values)
 
 
 def coboundary_transform(cocycle: Cocycle1, cochain: Cochain0) -> Cocycle1:
@@ -113,7 +106,7 @@ def coboundary_transform(cocycle: Cocycle1, cochain: Cochain0) -> Cocycle1:
         (a, b): group.mul(group.mul(lam[a], v), group.inv(lam[b]))
         for (a, b), v in cocycle.values.items()
     }
-    return validate_cocycle(cocycle.cover, group, values, nerve=cocycle.nerve)
+    return validate_cocycle(cocycle.cover, group, values)
 
 
 def holonomy(cocycle: Cocycle1) -> tuple:
@@ -150,19 +143,14 @@ def holonomy(cocycle: Cocycle1) -> tuple:
 
 
 def from_homomorphism(
-    images: Tuple[int, ...],
-    cover: Cover,
-    group: FiniteGroup,
-    *,
-    nerve: Optional[NerveComplex] = None,
+    images: Tuple[int, ...], cover: Cover, group: FiniteGroup
 ) -> Cocycle1:
     """Cocycle with identity on tree edges and the given generator images.
 
     Inverts :func:`holonomy` on the nose: tree transport is trivial, so
     the monodromy of the result is exactly ``images``.
     """
-    if nerve is None:
-        nerve = cech_nerve(cover)
+    nerve = cover.nerve
     presentation = nerve.presentation
     if len(images) != presentation.generator_count:
         raise ValidationError(
@@ -183,7 +171,7 @@ def from_homomorphism(
     gen_index = {edge: i for i, edge in enumerate(presentation.generator_edges)}
     for pair in nerve.keys(2):
         values[pair] = images[gen_index[pair]] if pair in gen_index else 0
-    return validate_cocycle(cover, group, values, nerve=nerve)
+    return validate_cocycle(cover, group, values)
 
 
 @dataclass(frozen=True)
@@ -273,18 +261,15 @@ def monodromy_representatives(
     group: FiniteGroup,
     *,
     budget: int = DEFAULT_BUDGET,
-) -> Tuple[NerveComplex, list, List[Cocycle1]]:
-    """The nerve, the conjugacy classes of homomorphisms from its
-    fundamental group, and one cocycle per class (the first member, made
-    into a cocycle by :func:`from_homomorphism`)."""
-    nerve = cech_nerve(cover)
-    nerve.require_good()
-    homs = enumerate_homs(nerve.presentation, group, budget=budget)
+) -> Tuple[list, List[Cocycle1]]:
+    """The conjugacy classes of homomorphisms from the fundamental group
+    of the cover's nerve, and one cocycle per class (the first member,
+    made into a cocycle by :func:`from_homomorphism`)."""
+    cover.require_good()
+    homs = enumerate_homs(cover.nerve.presentation, group, budget=budget)
     classes = hom_conjugacy_classes(homs, group)
-    representatives = [
-        from_homomorphism(cls[0], cover, group, nerve=nerve) for cls in classes
-    ]
-    return nerve, classes, representatives
+    representatives = [from_homomorphism(cls[0], cover, group) for cls in classes]
+    return classes, representatives
 
 
 def merge_equivalent(
@@ -313,5 +298,5 @@ def count_equivalence_classes(
     Enumerates monodromy representatives (one cocycle per conjugacy class
     of homomorphisms) and merges them by the gauge search.
     """
-    _, _, representatives = monodromy_representatives(cover, group, budget=budget)
+    _, representatives = monodromy_representatives(cover, group, budget=budget)
     return len(merge_equivalent(representatives, budget=budget))

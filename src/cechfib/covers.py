@@ -1,9 +1,10 @@
 """Covers of a base complex, their nerves, and the section into the nerve.
 
 A cover is a family of subcomplexes indexed by a totally ordered set
-(always the sorted order of the index labels); the nerve records one
-simplex per family of parts with nonempty intersection, together with
-the intersection itself as a witness.
+(always the sorted order of the index labels) whose union is the base;
+its nerve records one simplex per family of parts with nonempty
+intersection, together with the intersection itself as a witness.  Each
+cover builds its nerve once and keeps it.
 """
 
 from __future__ import annotations
@@ -26,17 +27,16 @@ from .homology import is_point_like
 
 
 class Cover:
-    """Indexed family of subcomplexes whose union is the base."""
+    """Indexed family of subcomplexes whose union is the base.
 
-    __slots__ = ("base", "indices", "parts")
+    The nerve and the goodness report are facts about the cover, so each
+    is computed on first read (by :func:`cech_nerve` and
+    :func:`is_good_cover`) and kept with it.
+    """
 
-    def __init__(
-        self,
-        base: SimplicialComplex,
-        parts: Mapping,
-        *,
-        check_union: bool = True,
-    ):
+    __slots__ = ("base", "indices", "parts", "_nerve", "_goodness")
+
+    def __init__(self, base: SimplicialComplex, parts: Mapping):
         try:
             indices = tuple(sorted(parts))
         except TypeError as exc:
@@ -50,26 +50,37 @@ class Cover:
                     f"part {idx!r} is not a subcomplex of the base",
                     details={"index": idx},
                 )
-        if check_union:
-            union = frozenset().union(*(parts[idx].simplices for idx in indices))
-            if union != base.simplices:
-                missing = sorted(
-                    tuple(sorted(s)) for s in base.simplices - union
-                )[:4]
-                raise ValidationError(
-                    f"parts do not cover the base; e.g. {missing!r} uncovered",
-                    details={"missing": missing},
-                )
+        union = frozenset().union(*(parts[idx].simplices for idx in indices))
+        if union != base.simplices:
+            missing = sorted(
+                tuple(sorted(s)) for s in base.simplices - union
+            )[:4]
+            raise ValidationError(
+                f"parts do not cover the base; e.g. {missing!r} uncovered",
+                details={"missing": missing},
+            )
         self.base = base
         self.indices = indices
         self.parts = {idx: parts[idx] for idx in indices}
+        self._nerve = None
+        self._goodness = None
 
     def part(self, idx) -> SimplicialComplex:
         return self.parts[idx]
 
-    def union_is_base(self) -> bool:
-        union = frozenset().union(*(p.simplices for p in self.parts.values()))
-        return union == self.base.simplices
+    @property
+    def nerve(self) -> NerveComplex:
+        """The cover's nerve, built on first read and then kept."""
+        return cech_nerve(self) if self._nerve is None else self._nerve
+
+    def require_good(self) -> None:
+        """Raise unless every nonempty intersection is point-like."""
+        report = is_good_cover(self) if self._goodness is None else self._goodness
+        if not report.good:
+            raise ValidationError(
+                f"cover is not good at {report.failures[0][0]!r}",
+                details={"failures": report.failures},
+            )
 
     def __eq__(self, other):
         if not isinstance(other, Cover):
@@ -78,10 +89,6 @@ class Cover:
 
     def __repr__(self):
         return f"Cover({len(self.indices)} parts over {self.base!r})"
-
-
-def build_cover(base, parts, *, check_union: bool = True) -> Cover:
-    return Cover(base, parts, check_union=check_union)
 
 
 def one_part_cover(base: SimplicialComplex, index="U0") -> Cover:
@@ -123,16 +130,14 @@ def closed_star_cover(x: SimplicialComplex) -> Cover:
 
 @dataclass(frozen=True)
 class NerveComplex:
-    """The context of one cover: its nerve with an intersection witness
-    per simplex, and the data every construction over the cover reads.
+    """The nerve of one cover, with an intersection witness per simplex.
 
-    The sorted index families of each size, the goodness report and the
-    fundamental-group presentation at the least nerve vertex are each
-    computed on first use and then kept, so validating many cocycles or
-    gerbe data over one nerve checks its goodness once.
+    Each cover builds its nerve once (:attr:`Cover.nerve`); the nerve
+    keeps no reference back to the cover.  The sorted index families of
+    each size and the fundamental-group presentation at the least nerve
+    vertex are each computed on first use and then kept.
     """
 
-    cover: Cover
     complex: SimplicialComplex
     witnesses: Mapping
 
@@ -151,51 +156,51 @@ class NerveComplex:
         return self._keys_by_size.get(size, ())
 
     @cached_property
-    def goodness(self) -> GoodCoverReport:
-        return is_good_cover(self.cover, self)
-
-    def require_good(self) -> None:
-        """Raise unless every nonempty intersection is point-like."""
-        report = self.goodness
-        if not report.good:
-            raise ValidationError(
-                f"cover is not good at {report.failures[0][0]!r}",
-                details={"failures": report.failures},
-            )
-
-    @cached_property
     def presentation(self) -> Pi1Presentation:
         return pi1_presentation(self.complex, self.complex.vertices[0])
 
 
 def cech_nerve(cover: Cover) -> NerveComplex:
-    """One nerve simplex per index family with nonempty intersection."""
-    order = cover.indices
+    """One nerve simplex per index family with nonempty intersection.
+
+    The nerve is built on the cover's first read and kept there, so every
+    call on one cover returns one object.
+    """
+    if cover._nerve is not None:
+        return cover._nerve
     witnesses: Dict[tuple, SimplicialComplex] = {}
-
-    def extend(prefix: tuple, met: SimplicialComplex, start: int):
-        for pos in range(start, len(order)):
-            idx = order[pos]
-            part = cover.parts[idx]
-            if met.simplices.isdisjoint(part.simplices):
-                continue
-            inter = intersect_complexes(met, part)
-            key = prefix + (idx,)
-            witnesses[key] = inter
-            extend(key, inter, pos + 1)
-
-    for pos, idx in enumerate(order):
+    for pos, idx in enumerate(cover.indices):
         part = cover.parts[idx]
         if part.is_empty():
             continue
         witnesses[(idx,)] = part
-        extend((idx,), part, pos + 1)
-
+        _extend(cover, witnesses, (idx,), part, pos + 1)
     if not witnesses:
         raise ValidationError("every part of the cover is empty")
     maximal = [set(key) for key in witnesses]
-    nerve = build_complex(maximal)
-    return NerveComplex(cover=cover, complex=nerve, witnesses=witnesses)
+    cover._nerve = NerveComplex(complex=build_complex(maximal), witnesses=witnesses)
+    return cover._nerve
+
+
+def _extend(cover: Cover, witnesses: Dict, prefix: tuple,
+            met: SimplicialComplex, start: int) -> None:
+    """Record, depth first, every nonempty intersection of ``met`` with
+    parts after position ``start``.
+
+    A module function rather than a recursive closure: a closure that
+    calls itself is a reference cycle, which would keep the cover and its
+    nerve alive until the garbage collector runs.
+    """
+    order = cover.indices
+    for pos in range(start, len(order)):
+        idx = order[pos]
+        part = cover.parts[idx]
+        if met.simplices.isdisjoint(part.simplices):
+            continue
+        inter = intersect_complexes(met, part)
+        key = prefix + (idx,)
+        witnesses[key] = inter
+        _extend(cover, witnesses, key, inter, pos + 1)
 
 
 @dataclass(frozen=True)
@@ -206,49 +211,40 @@ class GoodCoverReport:
     failures: tuple  # (index tuple, reason)
 
 
-def is_good_cover(cover: Cover, nerve: Optional[NerveComplex] = None) -> GoodCoverReport:
-    """Every nonempty intersection must be connected and acyclic."""
-    if nerve is None:
-        nerve = cech_nerve(cover)
-    failures = []
-    for key in sorted(nerve.witnesses):
-        witness = nerve.witnesses[key]
-        if not is_point_like(witness):
-            failures.append((key, "intersection is not connected and acyclic"))
-    return GoodCoverReport(good=not failures, failures=tuple(failures))
+def is_good_cover(cover: Cover) -> GoodCoverReport:
+    """Every nonempty intersection must be connected and acyclic.
 
-
-def carrier_check(cover: Cover) -> bool:
-    """Whether every base simplex lies inside at least one part.
-
-    Parts are subcomplexes of the base, so a maximal base simplex lies in
-    a part exactly when it is one of that part's maximal simplices.
+    Decided on the cover's first ask and kept there.
     """
-    held = set().union(*(part.maximal_simplices for part in cover.parts.values()))
-    return held.issuperset(cover.base.maximal_simplices)
+    if cover._goodness is None:
+        witnesses = cover.nerve.witnesses
+        failures = tuple(
+            (key, "intersection is not connected and acyclic")
+            for key in sorted(witnesses)
+            if not is_point_like(witnesses[key])
+        )
+        cover._goodness = GoodCoverReport(good=not failures, failures=failures)
+    return cover._goodness
 
 
-def section_map(cover: Cover, nerve: Optional[NerveComplex] = None) -> SimplicialMap:
+def section_map(cover: Cover, nerve: Optional[NerveComplex] = None, /) -> SimplicialMap:
     """Map the subdivided base into the nerve by least covering index.
 
     Each subdivision vertex is a base simplex; it goes to the least index
-    whose part contains that simplex.  Requires the carrier condition.
-    One walk over the parts in index order finds every simplex's least
-    index, and so also whether each base simplex lies in some part.
+    whose part contains that simplex, which exists because a cover covers
+    its base.  One walk over the parts in index order finds every
+    simplex's least index.  A ``nerve``, if given, must be the cover's
+    own.
     """
+    if nerve is not None and nerve is not cover.nerve:
+        raise ValidationError("section_map was given a nerve of another cover")
     least: Dict = {}
     for idx in cover.indices:
         for simplex in cover.parts[idx].simplices:
             least.setdefault(simplex, idx)
-    if not all(s in least for s in cover.base.maximal_simplices):
-        raise ValidationError(
-            "carrier condition fails: some base simplex lies in no part"
-        )
-    if nerve is None:
-        nerve = cech_nerve(cover)
     sd, carrier = barycentric_subdivision(cover.base)
     vertex_map = {v: least[carrier[v]] for v in sd.vertices}
-    return SimplicialMap(sd, nerve.complex, vertex_map)
+    return SimplicialMap(sd, cover.nerve.complex, vertex_map)
 
 
 def disjoint_union_cover(u: Cover, v: Cover) -> Cover:

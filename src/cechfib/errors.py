@@ -18,6 +18,10 @@ class ValidationError(ValueError):
         self.details = details
 
 
+DEFAULT_BUDGET = 1_000_000
+"""Default cap on the guesses of every exhaustive search."""
+
+
 class BudgetExceededError(RuntimeError):
     """An exhaustive search would exceed its configured budget.
 

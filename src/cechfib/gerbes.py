@@ -17,13 +17,11 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional
 
-from .covers import Cover, NerveComplex, cech_nerve
-from .errors import BudgetExceededError, ValidationError
+from .covers import Cover, NerveComplex
+from .errors import DEFAULT_BUDGET, BudgetExceededError, ValidationError
 from .groups import CrossedModule, abelian_decomposition
 from .homology import LatticeQuotient, simplex_boundary_matrix
 from .snf import sparse_columns
-
-DEFAULT_BUDGET = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -31,10 +29,13 @@ class GerbeCocycle:
     """Edge values on ordered pairs plus witnesses on ordered triples."""
 
     cover: Cover
-    nerve: NerveComplex
     module: CrossedModule
     edge_values: Mapping   # (a, b) -> element of the base group
     witnesses: Mapping     # (a, b, c) -> element of the fiber group
+
+    @property
+    def nerve(self) -> NerveComplex:
+        return self.cover.nerve
 
     def edge(self, a, b) -> int:
         if a == b:
@@ -52,13 +53,10 @@ def validate_gerbe_cocycle(
     module: CrossedModule,
     edge_values: Mapping,
     witnesses: Mapping,
-    *,
-    nerve: Optional[NerveComplex] = None,
 ) -> GerbeCocycle:
     """Check both laws on every nonempty triple and quadruple."""
-    if nerve is None:
-        nerve = cech_nerve(cover)
-    nerve.require_good()
+    nerve = cover.nerve
+    cover.require_good()
     base, fiber = module.base, module.fiber
     edges: Dict[tuple, int] = {}
     for pair in nerve.keys(2):
@@ -77,8 +75,7 @@ def validate_gerbe_cocycle(
             raise ValidationError(f"witness {h} out of range at {triple!r}")
         tris[triple] = h
     data = GerbeCocycle(
-        cover=cover, nerve=nerve, module=module,
-        edge_values=edges, witnesses=tris,
+        cover=cover, module=module, edge_values=edges, witnesses=tris,
     )
     for a, b, c in nerve.keys(3):
         lhs = base.mul(data.edge(a, b), data.edge(b, c))
@@ -110,7 +107,6 @@ def gerbe_from_cocycle(cocycle) -> GerbeCocycle:
     witnesses = {key: 0 for key in cocycle.nerve.keys(3)}
     return validate_gerbe_cocycle(
         cocycle.cover, module, dict(cocycle.values), witnesses,
-        nerve=cocycle.nerve,
     )
 
 
@@ -141,28 +137,20 @@ def gerbe_coboundary(
     def conjugated_edge(a, b) -> int:
         return base.mul(base.mul(lam[a], data.edge(a, b)), base.inv(lam[b]))
 
-    def shift_of(a, b) -> int:
-        if (a, b) in shift:
-            return shift[(a, b)]
-        # reversed pair: force consistency with the ascending value
-        raise ValidationError(f"shift pair {(a, b)!r} is not ascending")
-
     new_edges = {
-        (a, b): base.mul(module.boundary[shift_of(a, b)], conjugated_edge(a, b))
+        (a, b): base.mul(module.boundary[shift[(a, b)]], conjugated_edge(a, b))
         for a, b in pairs
     }
     new_witnesses = {}
     for a, b, c in data.nerve.keys(3):
         term = fiber.mul(
-            shift_of(a, b),
-            module.act(conjugated_edge(a, b), shift_of(b, c)),
+            shift[(a, b)],
+            module.act(conjugated_edge(a, b), shift[(b, c)]),
         )
         term = fiber.mul(term, module.act(lam[a], data.witness(a, b, c)))
-        term = fiber.mul(term, fiber.inv(shift_of(a, c)))
+        term = fiber.mul(term, fiber.inv(shift[(a, c)]))
         new_witnesses[(a, b, c)] = term
-    return validate_gerbe_cocycle(
-        data.cover, module, new_edges, new_witnesses, nerve=data.nerve,
-    )
+    return validate_gerbe_cocycle(data.cover, module, new_edges, new_witnesses)
 
 
 @dataclass(frozen=True)

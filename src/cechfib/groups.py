@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .errors import BudgetExceededError, ValidationError
+from .errors import DEFAULT_BUDGET, BudgetExceededError, ValidationError
 from .snf import sparse_smith_form
 
 
@@ -200,7 +200,7 @@ def conjugacy_classes(group: FiniteGroup) -> tuple:
 def enumerate_homs(
     presentation,
     group: FiniteGroup,
-    budget: Optional[int] = None,
+    budget: int = DEFAULT_BUDGET,
 ) -> List[tuple]:
     """All homomorphisms from a presented group, as generator images, in
     lexicographic order.
@@ -281,7 +281,7 @@ def enumerate_homs(
         mark = len(trail)
         for g in range(group.order):
             guesses += 1
-            if budget is not None and guesses > budget:
+            if guesses > budget:
                 raise BudgetExceededError(
                     f"hom enumeration exceeded budget {budget} after "
                     f"{guesses - 1} branch guesses, reaching generator "

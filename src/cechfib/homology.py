@@ -367,11 +367,16 @@ class HomologyWorkspace:
             for k in range(max_degree + 1)
         ]
 
+    def _quotient(self, k: int) -> LatticeQuotient:
+        if not 0 <= k <= self.max_degree:
+            raise ValidationError(f"degree {k} is outside 0..{self.max_degree}")
+        return self._quotients[k]
+
     def cycle_coordinates(self, k: int, chain: Sequence[int]) -> List[int]:
-        return self._quotients[k].coordinates(chain)
+        return self._quotient(k).coordinates(chain)
 
     def group(self, k: int) -> HomologyGroup:
-        return self._quotients[k].group
+        return self._quotient(k).group
 
     def class_label(self, k: int, chain: Sequence[int]) -> tuple:
         """Canonical label of a cycle's homology class.
@@ -379,7 +384,7 @@ class HomologyWorkspace:
         Labels of two cycles in the same degree agree iff the cycles are
         homologous.
         """
-        return self._quotients[k].label(chain)
+        return self._quotient(k).label(chain)
 
 
 def _invariant_factors(rows: SparseRows, shape) -> tuple:

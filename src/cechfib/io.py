@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Dict, Mapping
 
 from .complexes import SimplicialComplex, SimplicialMap, build_complex
-from .covers import Cover, build_cover
+from .covers import Cover
 from .errors import ValidationError
 from .groups import (
     CrossedModule,
@@ -114,7 +114,7 @@ def cover_from_doc(doc: Mapping) -> Cover:
         str(name): complex_from_doc(part)
         for name, part in doc["parts"].items()
     }
-    return build_cover(base, parts)
+    return Cover(base, parts)
 
 
 def group_to_doc(group: FiniteGroup) -> dict:

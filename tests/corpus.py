@@ -89,7 +89,7 @@ def random_cocycle(name, group, rng: random.Random):
     cover, nerve, _ = cached_star_cover(name)
     homs = cached_homs(name, group)
     images = homs[rng.randrange(len(homs))]
-    cocycle = from_homomorphism(images, cover, group, nerve=nerve)
+    cocycle = from_homomorphism(images, cover, group)
     gauge = Cochain0(
         cover, group,
         {idx: rng.randrange(group.order) for idx in cover.indices},

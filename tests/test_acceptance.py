@@ -150,7 +150,7 @@ def test_criterion_5_universal_pullback():
             cover, nerve, presentation = corpus.cached_star_cover(name)
             homs = enumerate_homs(presentation, group)
             for cls in hom_conjugacy_classes(homs, group):
-                rep = from_homomorphism(cls[0], cover, group, nerve=nerve)
+                rep = from_homomorphism(cls[0], cover, group)
                 direct = total_space(rep, regular_action(group))
                 pulled = pullback_universal(rep)
                 assert bundle_isomorphism(pulled, direct) is not None, (
@@ -200,7 +200,6 @@ def test_criterion_7_gerbe_abelian_consistency():
             all_valid.append(
                 validate_gerbe_cocycle(
                     cover, coeff, edges, dict(zip(triples, bits)),
-                    nerve=nerve,
                 )
             )
         assert len(all_valid) == 16
@@ -237,13 +236,12 @@ def test_criterion_7_gerbe_abelian_consistency():
         for _ in range(100):
             witnesses = {t: rng.randint(0, 1) for t in ttriples}
             raw = GerbeCocycle(
-                cover=tetra_cover, nerve=tetra_nerve, module=coeff,
+                cover=tetra_cover, module=coeff,
                 edge_values=tedges, witnesses=witnesses,
             )
             try:
                 validate_gerbe_cocycle(
                     tetra_cover, coeff, tedges, witnesses,
-                    nerve=tetra_nerve,
                 )
                 valid = True
             except ValidationError:
@@ -262,7 +260,6 @@ def test_criterion_8_axiom_suite():
         twisted = validate_cocycle(
             circle_cover, corpus.Z2,
             {("a", "b"): 0, ("b", "c"): 0, ("a", "c"): 1},
-            nerve=circle_nerve,
         )
         double = total_space(twisted, regular_action(corpus.Z2))
         rng = random.Random(5)

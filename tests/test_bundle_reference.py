@@ -97,17 +97,17 @@ def test_corpus_bundles_against_reference():
         for group in (corpus.Z2, corpus.Z3, corpus.S3):
             action = regular_action(group)
             for images in corpus.cached_homs(name, group)[:3]:
-                cocycle = from_homomorphism(images, cover, group, nerve=nerve)
+                cocycle = from_homomorphism(images, cover, group)
                 built = total_space(cocycle, action)
                 skeletal = skeletal_construction(cocycle, action)
                 assert check_pair(built, skeletal), (name, images)
                 assert check_pair(skeletal, built), (name, images)
     cover, nerve, _ = corpus.cached_star_cover("hollow_triangle")
     action = regular_action(corpus.Z2)
-    trivial = total_space(trivial_cocycle(cover, corpus.Z2, nerve=nerve), action)
+    trivial = total_space(trivial_cocycle(cover, corpus.Z2), action)
     double = total_space(
         from_homomorphism(corpus.cached_homs("hollow_triangle", corpus.Z2)[1],
-                          cover, corpus.Z2, nerve=nerve),
+                          cover, corpus.Z2),
         action,
     )
     assert check_pair(trivial, double)
@@ -157,7 +157,7 @@ def corpus_bundles():
         for group in (corpus.Z2, corpus.S3):
             action = regular_action(group)
             images = corpus.cached_homs(name, group)[-1]
-            cocycle = from_homomorphism(images, cover, group, nerve=nerve)
+            cocycle = from_homomorphism(images, cover, group)
             built = total_space(cocycle, action)
             yield built
             yield skeletal_construction(cocycle, action)

@@ -42,7 +42,6 @@ def circle_double_cover():
     c = validate_cocycle(
         cover, corpus.Z2,
         {("a", "b"): 0, ("b", "c"): 0, ("a", "c"): 1},
-        nerve=nerve,
     )
     return c, total_space(c, regular_action(corpus.Z2))
 
@@ -310,8 +309,8 @@ def torus_s3_pair():
         if {group.element_order(g) for g in images} == {1, 3}
     )
     action = regular_action(group)
-    trivial = total_space(trivial_cocycle(cover, group, nerve=nerve), action)
-    order3 = total_space(from_homomorphism(twisted, cover, group, nerve=nerve), action)
+    trivial = total_space(trivial_cocycle(cover, group), action)
+    order3 = total_space(from_homomorphism(twisted, cover, group), action)
     return trivial, order3
 
 
@@ -332,8 +331,8 @@ def test_bundle_isomorphism_separates_rp2_s4_monodromy_within_budget():
         if {group.element_order(g) for g in images} == {1, 2}
     )
     action = regular_action(group)
-    trivial = total_space(trivial_cocycle(cover, group, nerve=nerve), action)
-    order2 = total_space(from_homomorphism(twisted, cover, group, nerve=nerve), action)
+    trivial = total_space(trivial_cocycle(cover, group), action)
+    order2 = total_space(from_homomorphism(twisted, cover, group), action)
     assert bundle_isomorphism(trivial, order2, budget=100) is None
 
 

@@ -37,7 +37,6 @@ def circle_cocycle():
     return validate_cocycle(
         cover, corpus.Z2,
         {("a", "b"): 0, ("b", "c"): 0, ("a", "c"): 1},
-        nerve=nerve,
     )
 
 
@@ -203,7 +202,7 @@ def test_classifying_map_simpliciality_tracks_cocycle_law():
     broken = dataclasses.replace(
         validate_cocycle(
             cover, corpus.Z2,
-            {k: 0 for k in broken_values}, nerve=nerve,
+            {k: 0 for k in broken_values},
         ),
         values=broken_values,
     )
@@ -313,7 +312,7 @@ def test_tautological_pullback_reproduces_cocycle_up_to_coboundary():
             continue
         pulled_values[pair] = image[0] if image else 0
     rebuilt = validate_cocycle(
-        cover, corpus.Z2, pulled_values, nerve=nerve
+        cover, corpus.Z2, pulled_values
     )
     assert are_equivalent(rebuilt, c).equivalent
 

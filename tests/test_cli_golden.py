@@ -51,7 +51,6 @@ def tetrahedron_gerbe(broken=False):
     doc = docio.gerbe_to_doc(validate_gerbe_cocycle(
         cover, abelian_coefficients(corpus.Z2),
         {p: 0 for p in nerve.keys(2)}, {t: 0 for t in nerve.keys(3)},
-        nerve=nerve,
     ))
     if broken:
         doc["witnesses"]["0|1|2"] = 1

@@ -6,10 +6,10 @@ import pytest
 from cechfib import (
     BudgetExceededError,
     Cochain0,
+    Cover,
     ValidationError,
     are_equivalent,
     build_complex,
-    build_cover,
     cech_nerve,
     closed_star_cover,
     coboundary_transform,
@@ -67,7 +67,7 @@ def test_missing_pair_reported():
 
 def test_non_good_cover_rejected():
     square = build_complex([["a", "b"], ["b", "c"], ["c", "d"], ["a", "d"]])
-    arcs = build_cover(
+    arcs = Cover(
         square,
         {
             "A": build_complex([["a", "b"], ["b", "c"]]),
@@ -149,7 +149,7 @@ def test_from_homomorphism_round_trip():
     cover, nerve, presentation = corpus.cached_star_cover("hollow_triangle")
     for group in (corpus.Z2, corpus.S3):
         for images in corpus.cached_homs("hollow_triangle", group):
-            c = from_homomorphism(images, cover, group, nerve=nerve)
+            c = from_homomorphism(images, cover, group)
             assert holonomy(c) == images
 
 
@@ -161,18 +161,18 @@ def test_from_homomorphism_rejects_bad_images():
         bad = tuple(
             1 if i == 0 else 0 for i in range(presentation.generator_count)
         )
-        from_homomorphism(bad, cover, corpus.Z4, nerve=nerve)
+        from_homomorphism(bad, cover, corpus.Z4)
 
 
 def test_from_homomorphism_trivial_group():
     cover, nerve, presentation = corpus.cached_star_cover("hollow_triangle")
-    c = from_homomorphism((0,), cover, corpus.Z1, nerve=nerve)
+    c = from_homomorphism((0,), cover, corpus.Z1)
     assert set(c.values.values()) == {0}
 
 
 def test_from_homomorphism_twists_exactly_one_edge():
     cover, nerve, presentation = corpus.cached_star_cover("hollow_triangle")
-    c = from_homomorphism((1,), cover, corpus.Z2, nerve=nerve)
+    c = from_homomorphism((1,), cover, corpus.Z2)
     assert sorted(c.values.values()) == [0, 0, 1]
 
 
@@ -247,7 +247,6 @@ def test_equivalence_agrees_with_holonomy_conjugacy():
                     validate_cocycle(
                         joined, group,
                         joined_values(c1, other, result.bridge),
-                        nerve=joined_nerve,
                     )
 
 
@@ -313,7 +312,7 @@ def test_equivalence_budget_error_counts_settled_components():
     trivial = trivial_cocycle(two_circles, corpus.S3)
     values = {pair: 0 for pair in trivial.nerve.keys(2)}
     values[("d", "f")] = 3
-    twisted = validate_cocycle(two_circles, corpus.S3, values, nerve=trivial.nerve)
+    twisted = validate_cocycle(two_circles, corpus.S3, values)
     with pytest.raises(BudgetExceededError) as err:
         are_equivalent(trivial, twisted, budget=4)
     assert err.value.budget == 4

@@ -23,6 +23,7 @@ from cechfib import (
     cech_nerve,
     closed_star_cover,
     homology,
+    is_good_cover,
     is_point_like,
     star_cover,
 )
@@ -226,11 +227,12 @@ def test_star_cover_nerve_orders_no_layer(monkeypatch):
         raise AssertionError("a complex ordered its layers")
 
     monkeypatch.setattr(SimplicialComplex, "_ordered_layers", refuse)
-    nerve = cech_nerve(star_cover(corpus.TORUS_SEVEN))
+    cover = star_cover(corpus.TORUS_SEVEN)
+    nerve = cech_nerve(cover)
     sizes = [len(w.simplices) for w in nerve.witnesses.values()]
     assert len(sizes) == 7 + 21 + 14 and min(sizes) > 0
     assert len(nerve.complex.maximal_simplices) == 14
-    assert nerve.goodness.good
+    assert is_good_cover(cover).good
 
 
 # -- goodness ---------------------------------------------------------------
@@ -286,7 +288,7 @@ def test_goodness_matches_reference_on_corpus_covers(name):
         nerve = cech_nerve(cover)
         for witness in nerve.witnesses.values():
             assert is_point_like(witness) == reference_is_point_like(witness)
-        report = nerve.goodness
+        report = is_good_cover(cover)
         assert report.failures == reference_goodness_failures(nerve)
         assert report.good == (not report.failures)
 
@@ -296,8 +298,9 @@ def test_goodness_report_of_a_non_good_cover_is_unchanged():
     # the opposite vertex, and all three in the three vertices; on the
     # hexagon neighbouring stars meet in an edge and stars two apart in a
     # vertex, so that cover is good
-    nerve = cech_nerve(closed_star_cover(corpus.HOLLOW_TRIANGLE))
-    report = nerve.goodness
+    cover = closed_star_cover(corpus.HOLLOW_TRIANGLE)
+    nerve = cech_nerve(cover)
+    report = is_good_cover(cover)
     assert not report.good
     reason = "intersection is not connected and acyclic"
     assert report.failures == (
@@ -305,7 +308,7 @@ def test_goodness_report_of_a_non_good_cover_is_unchanged():
         (("a", "c"), reason), (("b", "c"), reason),
     )
     assert report.failures == reference_goodness_failures(nerve)
-    assert cech_nerve(closed_star_cover(corpus.HEXAGON)).goodness.good
+    assert is_good_cover(closed_star_cover(corpus.HEXAGON)).good
 
 
 def test_every_star_cover_witness_collapses(monkeypatch):
@@ -320,8 +323,8 @@ def test_every_star_cover_witness_collapses(monkeypatch):
 
     monkeypatch.setattr(homology_module, "homology", counting)
     for name in corpus.SURFACES:
-        nerve = cech_nerve(star_cover(corpus.SURFACES[name]))
-        assert nerve.witnesses and nerve.goodness.good
+        cover = star_cover(corpus.SURFACES[name])
+        assert cech_nerve(cover).witnesses and is_good_cover(cover).good
     assert calls == []
 
 

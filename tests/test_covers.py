@@ -1,34 +1,46 @@
+import gc
+import json
+import weakref
+from types import SimpleNamespace
+
 import pytest
 
 from cechfib import (
+    Cover,
     ValidationError,
+    abelian_coefficients,
     barycentric_subdivision,
     build_complex,
-    build_cover,
-    carrier_check,
     cech_nerve,
+    cli,
     closed_star_cover,
     disjoint_union_cover,
+    from_homomorphism,
     homology,
     is_good_cover,
     map_induces_homology_isomorphism,
     one_part_cover,
     section_map,
     star_cover,
+    trivial_cocycle,
+    validate_cocycle,
+    validate_gerbe_cocycle,
 )
+from cechfib import io as docio
 
 import corpus
+import reference_checks
 
 
 def test_cover_requires_subcomplex_parts():
     other = build_complex([["x", "y"]])
     with pytest.raises(ValidationError):
-        build_cover(corpus.HOLLOW_TRIANGLE, {"A": other})
+        Cover(corpus.HOLLOW_TRIANGLE, {"A": other})
 
 
 def test_cover_union_must_be_base():
     with pytest.raises(ValidationError) as err:
-        build_cover(
+        Cover(
             corpus.EDGE,
             {"A": build_complex([["a"]]), "B": build_complex([["b"]])},
         )
@@ -87,7 +99,7 @@ def test_star_cover_is_good(name):
 
 def test_two_arc_cover_is_not_good():
     square = build_complex([["a", "b"], ["b", "c"], ["c", "d"], ["a", "d"]])
-    arcs = build_cover(
+    arcs = Cover(
         square,
         {
             "A": build_complex([["a", "b"], ["b", "c"]]),
@@ -101,17 +113,15 @@ def test_two_arc_cover_is_not_good():
 
 def test_carrier_check_star_cover_true():
     for name in corpus.SURFACES:
-        assert carrier_check(star_cover(corpus.SURFACES[name]))
+        assert reference_checks.carrier_check(star_cover(corpus.SURFACES[name]))
 
 
 def test_carrier_check_fails_without_edge_coverage():
-    bad = build_cover(
-        corpus.EDGE,
-        {"A": build_complex([["a"]]), "B": build_complex([["b"]])},
-        check_union=False,
-    )
-    assert not carrier_check(bad)
-    assert not bad.union_is_base()
+    parts = {"A": build_complex([["a"]]), "B": build_complex([["b"]])}
+    family = SimpleNamespace(base=corpus.EDGE, parts=parts)
+    assert not reference_checks.carrier_check(family)
+    with pytest.raises(ValidationError, match="^parts do not cover the base"):
+        Cover(corpus.EDGE, parts)
 
 
 def test_section_map_one_part_cover_is_constant():
@@ -136,15 +146,70 @@ def test_section_map_induces_homology_isomorphism(name):
     assert map_induces_homology_isomorphism(section, max(x.dim, 0))
 
 
-def test_section_map_requires_carrier():
-    bad = build_cover(
-        corpus.EDGE,
-        {"A": build_complex([["a"]]), "B": build_complex([["b"]])},
-        check_union=False,
-    )
-    with pytest.raises(ValidationError, match=(
-            "^carrier condition fails: some base simplex lies in no part$")):
-        section_map(bad)
+def test_a_foreign_nerve_cannot_be_paired_with_a_cover():
+    abc = star_cover(corpus.HOLLOW_TRIANGLE)
+    xyz = star_cover(build_complex([["x", "y"], ["x", "z"], ["y", "z"]]))
+    values = {pair: 0 for pair in cech_nerve(xyz).keys(2)}
+    with pytest.raises(TypeError):
+        validate_cocycle(abc, corpus.Z2, values, nerve=cech_nerve(xyz))
+    with pytest.raises(ValidationError, match="^missing value for overlapping pair"):
+        validate_cocycle(abc, corpus.Z2, values)
+    with pytest.raises(ValidationError, match="nerve of another cover"):
+        section_map(abc, cech_nerve(xyz))
+    # an equal cover is another cover, with a nerve of its own
+    with pytest.raises(ValidationError, match="nerve of another cover"):
+        section_map(abc, cech_nerve(star_cover(corpus.HOLLOW_TRIANGLE)))
+
+
+def test_one_star_cover_has_one_nerve(tmp_path, monkeypatch):
+    cover = star_cover(corpus.HOLLOW_TRIANGLE)
+    nerve = cech_nerve(cover)
+    assert cech_nerve(cover) is nerve and cover.nerve is nerve
+    zeros = {pair: 0 for pair in nerve.keys(2)}
+    cocycles = [
+        validate_cocycle(cover, corpus.Z2, zeros),
+        trivial_cocycle(cover, corpus.Z2),
+        from_homomorphism((1,), cover, corpus.Z2),
+        validate_gerbe_cocycle(cover, abelian_coefficients(corpus.Z2), zeros,
+                               {t: 0 for t in nerve.keys(3)}),
+    ]
+    assert all(c.nerve is nerve for c in cocycles)
+    assert section_map(cover).target is nerve.complex
+    assert section_map(cover, nerve).target is nerve.complex
+
+    # cocycle-equiv over documents that load as this cover; the second
+    # cover document differs as JSON, so it is parsed and found equal
+    pairs = []
+    monkeypatch.setattr(docio, "cover_from_doc", lambda doc: cover)
+    real = cli.are_equivalent
+    monkeypatch.setattr(cli, "are_equivalent",
+                        lambda c1, c2, **kw: pairs.append((c1, c2)) or real(c1, c2, **kw))
+    docs = []
+    for name, cover_doc in (("c1.json", {"first": True}), ("c2.json", {"second": True})):
+        path = tmp_path / name
+        path.write_text(json.dumps({
+            "cover": cover_doc, "group": docio.group_to_doc(corpus.Z2),
+            "values": {"a|b": 0, "a|c": 1, "b|c": 0}}), encoding="utf-8")
+        docs.append(str(path))
+    assert cli.main(["cocycle-equiv", "--input", *docs,
+                     "--output", str(tmp_path / "report.json")]) == cli.EXIT_TRUE
+    (c1, c2), = pairs
+    assert c1.nerve is nerve and c2.nerve is nerve
+
+
+def test_a_dropped_cover_frees_its_nerve():
+    # the nerve keeps no reference back to its cover, so reference
+    # counting alone frees both once the cover is dropped
+    gc.disable()
+    try:
+        cover = star_cover(corpus.HOLLOW_TRIANGLE)
+        trivial_cocycle(cover, corpus.Z2)
+        assert is_good_cover(cover).good
+        nerve = weakref.ref(cover.nerve)
+        del cover
+        assert nerve() is None
+    finally:
+        gc.enable()
 
 
 def scanned_vertex_map(cover):

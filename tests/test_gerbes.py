@@ -46,7 +46,7 @@ def test_identity_data_is_valid():
     cover, nerve, pairs, triples = sphere_setup()
     validate_gerbe_cocycle(
         cover, abelian_coefficients(corpus.Z2),
-        {p: 0 for p in pairs}, {t: 0 for t in triples}, nerve=nerve,
+        {p: 0 for p in pairs}, {t: 0 for t in triples},
     )
 
 
@@ -57,7 +57,6 @@ def test_single_witness_valid_when_no_quadruples():
         cover, abelian_coefficients(corpus.Z2),
         {p: 0 for p in pairs},
         {t: (1 if t == triples[0] else 0) for t in triples},
-        nerve=nerve,
     )
 
 
@@ -68,7 +67,7 @@ def test_triangle_violation_reported_with_tuple():
     edges[(0, 2)] = 1
     with pytest.raises(ValidationError) as err:
         validate_gerbe_cocycle(
-            cover, adj, edges, {t: 0 for t in triples}, nerve=nerve
+            cover, adj, edges, {t: 0 for t in triples}
         )
     assert err.value.details == {"law": "triangle", "tuple": (0, 1, 2)}
 
@@ -81,7 +80,6 @@ def test_tetrahedron_violation_over_full_3simplex():
         validate_gerbe_cocycle(
             cover, coeff, {p: 0 for p in pairs},
             {t: (1 if t == triples[0] else 0) for t in triples},
-            nerve=nerve,
         )
     assert err.value.details["law"] == "tetrahedron"
 
@@ -102,7 +100,7 @@ def test_gerbe_identity_coboundary_is_noop():
     coeff = abelian_coefficients(corpus.Z2)
     data = validate_gerbe_cocycle(
         cover, coeff, {p: 0 for p in pairs},
-        {t: (1 if t == triples[0] else 0) for t in triples}, nerve=nerve,
+        {t: (1 if t == triples[0] else 0) for t in triples},
     )
     moved = gerbe_coboundary(
         data, {i: 0 for i in cover.indices}, {p: 0 for p in pairs}
@@ -116,7 +114,6 @@ def test_abelian_coboundary_shifts_by_cech_coboundary():
     coeff = abelian_coefficients(corpus.Z2)
     data = validate_gerbe_cocycle(
         cover, coeff, {p: 0 for p in pairs}, {t: 0 for t in triples},
-        nerve=nerve,
     )
     shift = {p: (1 if p == (0, 1) else 0) for p in pairs}
     moved = gerbe_coboundary(data, {i: 0 for i in cover.indices}, shift)
@@ -141,7 +138,7 @@ def test_central_gauge_fixes_adjoint_data():
                 return 0
             return edges[(x, y)] if (x, y) in edges else edges[(y, x)]
         witnesses[(a, b, c)] = (val(a, b) + val(b, c) + val(a, c)) % 2
-    data = validate_gerbe_cocycle(cover, adj, edges, witnesses, nerve=nerve)
+    data = validate_gerbe_cocycle(cover, adj, edges, witnesses)
     moved = gerbe_coboundary(
         data, {i: 1 for i in cover.indices}, {p: 0 for p in pairs}
     )
@@ -167,7 +164,6 @@ def test_coboundary_preserves_validity_randomized():
         base, fiber = module.base, module.fiber
         data = validate_gerbe_cocycle(
             cover, module, {p: 0 for p in pairs}, {t: 0 for t in triples},
-            nerve=nerve,
         )
         for _ in range(8):
             lam = {i: rng.randrange(base.order) for i in cover.indices}
@@ -182,7 +178,7 @@ def test_all_sphere_witness_assignments_split_into_two_classes():
     by_label = {}
     for bits in itertools.product([0, 1], repeat=4):
         data = validate_gerbe_cocycle(
-            cover, coeff, edges, dict(zip(triples, bits)), nerve=nerve,
+            cover, coeff, edges, dict(zip(triples, bits)),
         )
         by_label.setdefault(abelian_class(data), []).append(bits)
     assert len(by_label) == 2
@@ -195,7 +191,6 @@ def test_zero_witnesses_have_zero_class():
     coeff = abelian_coefficients(corpus.Z2)
     data = validate_gerbe_cocycle(
         cover, coeff, {p: 0 for p in pairs}, {t: 0 for t in triples},
-        nerve=nerve,
     )
     assert all(x == 0 for x in abelian_class(data))
 
@@ -220,7 +215,7 @@ def test_equivalence_matches_abelian_classes():
     edges = {p: 0 for p in pairs}
     data = [
         validate_gerbe_cocycle(
-            cover, coeff, edges, dict(zip(triples, bits)), nerve=nerve,
+            cover, coeff, edges, dict(zip(triples, bits)),
         )
         for bits in itertools.product([0, 1], repeat=4)
     ]
@@ -236,7 +231,6 @@ def test_gerbe_equivalence_self_with_identity_witness():
     coeff = abelian_coefficients(corpus.Z2)
     data = validate_gerbe_cocycle(
         cover, coeff, {p: 0 for p in pairs}, {t: 0 for t in triples},
-        nerve=nerve,
     )
     result = gerbes_equivalent(data, data)
     assert result.equivalent
@@ -249,11 +243,11 @@ def test_gerbe_equivalence_budget():
     coeff = abelian_coefficients(corpus.Z2)
     edges = {p: 0 for p in pairs}
     d0 = validate_gerbe_cocycle(
-        cover, coeff, edges, {t: 0 for t in triples}, nerve=nerve
+        cover, coeff, edges, {t: 0 for t in triples}
     )
     d1 = validate_gerbe_cocycle(
         cover, coeff, edges,
-        {t: (1 if t == triples[0] else 0) for t in triples}, nerve=nerve,
+        {t: (1 if t == triples[0] else 0) for t in triples},
     )
     with pytest.raises(
         BudgetExceededError,
@@ -273,11 +267,11 @@ def test_gerbe_budget_error_says_which_gauge_it_reached():
     )
     edges = {p: 0 for p in pairs}
     d0 = validate_gerbe_cocycle(
-        cover, module, edges, {t: 0 for t in triples}, nerve=nerve
+        cover, module, edges, {t: 0 for t in triples}
     )
     d1 = validate_gerbe_cocycle(
         cover, module, edges,
-        {t: (2 if t == triples[0] else 0) for t in triples}, nerve=nerve,
+        {t: (2 if t == triples[0] else 0) for t in triples},
     )
     with pytest.raises(BudgetExceededError) as err:
         gerbes_equivalent(d0, d1, budget=100)
@@ -298,13 +292,13 @@ def test_coherence_faces_matches_validator_exhaustively():
         witnesses = dict(zip(triples, bits))
         try:
             validate_gerbe_cocycle(
-                cover, coeff, edges, witnesses, nerve=nerve
+                cover, coeff, edges, witnesses
             )
             valid = True
         except ValidationError:
             valid = False
         raw = GerbeCocycle(
-            cover=cover, nerve=nerve, module=coeff,
+            cover=cover, module=coeff,
             edge_values=edges, witnesses=witnesses,
         )
         assert check_coherence_faces(raw) == valid
@@ -323,12 +317,12 @@ def test_coherence_faces_randomized_with_nonabelian_witnesses():
         edges = {p: 0 for p in pairs}
         witnesses = {t: rng.choice([0, 2]) for t in triples}
         raw = GerbeCocycle(
-            cover=cover, nerve=nerve, module=module,
+            cover=cover, module=module,
             edge_values=edges, witnesses=witnesses,
         )
         try:
             validate_gerbe_cocycle(
-                cover, module, edges, witnesses, nerve=nerve
+                cover, module, edges, witnesses
             )
             valid = True
         except ValidationError:
@@ -342,6 +336,6 @@ def test_coherence_faces_identity_data():
     cover, nerve, pairs, triples, quads = tetra_setup()
     data = validate_gerbe_cocycle(
         cover, adjoint_crossed_module(corpus.S3),
-        {p: 0 for p in pairs}, {t: 0 for t in triples}, nerve=nerve,
+        {p: 0 for p in pairs}, {t: 0 for t in triples},
     )
     assert check_coherence_faces(data)

@@ -104,6 +104,20 @@ def test_workspace_rejects_a_chain_of_the_wrong_length(chain):
             read(1, chain)
 
 
+@pytest.mark.parametrize("degree,chain", [(-1, [1, -1, 1]), (2, [1])])
+def test_workspace_rejects_a_degree_outside_its_range(degree, chain):
+    # a negative degree used to answer for the top degree, and one above
+    # max_degree to raise a bare IndexError
+    ws = HomologyWorkspace(chain_complex_of(corpus.HOLLOW_TRIANGLE), 1)
+    want = f"^degree {degree} is outside 0..1$"
+    with pytest.raises(ValidationError, match=want):
+        ws.class_label(degree, chain)
+    with pytest.raises(ValidationError, match=want):
+        ws.cycle_coordinates(degree, chain)
+    with pytest.raises(ValidationError, match=want):
+        ws.group(degree)
+
+
 def test_chain_map_commutes_with_boundary():
     inclusion = SimplicialMap(
         corpus.HOLLOW_TRIANGLE, corpus.FULL_TRIANGLE,

@@ -341,7 +341,6 @@ def test_gerbe_class_labels_and_counts_match_reference(coeff_name):
             try:
                 data = validate_gerbe_cocycle(
                     cover, module, {p: 0 for p in nerve.keys(2)}, witnesses,
-                    nerve=nerve,
                 )
             except ValidationError:
                 continue

@@ -52,7 +52,6 @@ def test_cover_round_trip():
     doc = docio.cover_to_doc(cover)
     back = docio.cover_from_doc(doc)
     assert sorted(back.parts) == ["a", "b", "c"]
-    assert back.union_is_base()
 
 
 def test_group_round_trip():
@@ -90,7 +89,6 @@ def test_gerbe_round_trip():
         cover, abelian_coefficients(corpus.Z2),
         {p: 0 for p in pairs},
         {t: (1 if t == triples[0] else 0) for t in triples},
-        nerve=nerve,
     )
     doc = docio.gerbe_to_doc(data)
     back = docio.gerbe_from_doc(doc)
@@ -230,7 +228,6 @@ def test_cli_gerbe_verbs(tmp_path, capsys):
         cover, abelian_coefficients(corpus.Z2),
         {p: 0 for p in pairs},
         {t: (1 if t == triples[0] else 0) for t in triples},
-        nerve=nerve,
     )
     path = write(tmp_path, "gerbe.json", docio.gerbe_to_doc(data))
     code, report = run(capsys, "gerbe-check", "--input", path)
@@ -262,7 +259,7 @@ def test_cli_gerbe_class_builds_one_classifier(tmp_path, capsys, monkeypatch):
     pairs, triples = nerve.keys(2), nerve.keys(3)
     data = validate_gerbe_cocycle(
         cover, abelian_coefficients(corpus.Z2), {p: 0 for p in pairs},
-        {t: (1 if t == triples[0] else 0) for t in triples}, nerve=nerve,
+        {t: (1 if t == triples[0] else 0) for t in triples},
     )
     path = write(tmp_path, "gerbe.json", docio.gerbe_to_doc(data))
     code, report = run(capsys, "gerbe-class", "--input", path)
@@ -272,7 +269,7 @@ def test_cli_gerbe_class_builds_one_classifier(tmp_path, capsys, monkeypatch):
 
     data = validate_gerbe_cocycle(
         cover, adjoint_crossed_module(corpus.Z2), {p: 0 for p in pairs},
-        {t: 0 for t in triples}, nerve=nerve,
+        {t: 0 for t in triples},
     )
     path = write(tmp_path, "bad.json", docio.gerbe_to_doc(data))
     assert cli.main(["gerbe-class", "--input", path]) == cli.EXIT_INPUT
@@ -356,7 +353,7 @@ def test_cli_check_verbs_split_input_errors_from_broken_laws(tmp_path, capsys):
     witnesses = {t: 0 for t in nerve.keys(3)}
     gerbe = docio.gerbe_to_doc(validate_gerbe_cocycle(
         cover, abelian_coefficients(corpus.Z2),
-        {p: 0 for p in nerve.keys(2)}, witnesses, nerve=nerve,
+        {p: 0 for p in nerve.keys(2)}, witnesses,
     ))
     cocycle = circle_cocycle_doc()
     stray_part = {"maximal": [["zz"]]}
@@ -440,9 +437,9 @@ def test_cli_cocycle_equiv_checks_one_nerve_per_pair(tmp_path, capsys, monkeypat
     calls = []
     real = covers.is_good_cover
 
-    def counting(cover, nerve=None):
+    def counting(cover):
         calls.append(cover)
-        return real(cover, nerve)
+        return real(cover)
 
     monkeypatch.setattr(covers, "is_good_cover", counting)
     p1 = write(tmp_path, "c1.json", circle_cocycle_doc(1))
@@ -464,8 +461,8 @@ def test_cli_cocycle_equiv_reads_a_shared_cover_once(tmp_path, capsys, monkeypat
     monkeypatch.setattr(docio, "cover_from_doc",
                         lambda doc: parsed.append(doc) or real_parse(doc))
     monkeypatch.setattr(covers, "is_good_cover",
-                        lambda cover, nerve=None: checked.append(cover)
-                        or real_good(cover, nerve))
+                        lambda cover: checked.append(cover)
+                        or real_good(cover))
     p1 = write(tmp_path, "c1.json", circle_cocycle_doc(1))
     p2 = write(tmp_path, "c2.json", circle_cocycle_doc(1))
     code, report = run(capsys, "cocycle-equiv", "--input", p1, p2)
@@ -545,7 +542,6 @@ def gerbe_doc():
     return docio.gerbe_to_doc(validate_gerbe_cocycle(
         cover, abelian_coefficients(corpus.Z2),
         {p: 0 for p in nerve.keys(2)}, {t: 0 for t in nerve.keys(3)},
-        nerve=nerve,
     ))
 
 
