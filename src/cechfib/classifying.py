@@ -150,22 +150,13 @@ def validate_milnor_point(
         if cleaned.get((i, i), 0) != 0:
             violations.append((3, f"diagonal value at ({i}, {i}) is not the identity"))
             break
-    done = False
-    for i in support:
-        for j in support:
-            for k in support:
-                if (i, j) in elements and (j, k) in elements and (i, k) in elements:
-                    lhs = group.mul(elements[(i, j)], elements[(j, k)])
-                    if lhs != elements[(i, k)]:
-                        violations.append(
-                            (4, f"composition fails on triple ({i}, {j}, {k})")
-                        )
-                        done = True
-                        break
-            if done:
-                break
-        if done:
-            break
+    failing = next((
+        (i, j, k) for i, j, k in itertools.product(support, repeat=3)
+        if (i, j) in elements and (j, k) in elements and (i, k) in elements
+        and group.mul(elements[(i, j)], elements[(j, k)]) != elements[(i, k)]
+    ), None)
+    if failing is not None:
+        violations.append((4, f"composition fails on triple {failing}"))
     if violations:
         raise ValidationError(
             "coordinate-model conditions violated: "

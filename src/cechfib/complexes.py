@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Mapping, Tuple
 
 from .errors import ValidationError
 
@@ -47,11 +47,10 @@ class _Known(tuple):
 class SimplicialComplex:
     """Downward-closed family of nonempty finite vertex sets.
 
-    ``SimplicialComplex(simplices)`` takes the family as frozensets;
-    ``by_dim`` gives it instead as, for each dimension k, its k-simplices
-    as tuples of k + 1 distinct vertices in sorted order.  The family is
-    checked here, and every error raised here: an empty simplex, a gap
-    in the closure under faces, labels that cannot be ordered.
+    ``SimplicialComplex(simplices)`` takes the family as frozensets.  The
+    family is checked here, and every error raised here: an empty
+    simplex, a gap in the closure under faces, labels that cannot be
+    ordered.
 
     A complex keeps what its maker knows (the family, or the simplices
     as sorted tuples by dimension and the maximal ones) and derives each
@@ -62,18 +61,11 @@ class SimplicialComplex:
 
     __slots__ = ("_simplices", "_layers", "_tops", "_vertices", "_by_dim", "_maximal")
 
-    def __init__(
-        self,
-        simplices: Iterable[frozenset] = (),
-        *,
-        by_dim: Optional[Mapping[int, Iterable[tuple]]] = None,
-    ):
+    def __init__(self, simplices: Iterable[frozenset] = ()):
         self._vertices = self._by_dim = self._maximal = None
         if type(simplices) is _Known:  # from _trusted: nothing to check
             self._simplices, self._layers, self._tops = simplices
             return
-        if by_dim is not None:
-            simplices = map(frozenset, itertools.chain.from_iterable(by_dim.values()))
         try:
             closed = frozenset(simplices)
         except TypeError as exc:
@@ -359,21 +351,12 @@ def barycentric_subdivision(
     New vertices are the simplices of ``x`` (as sorted tuples); the
     carrier sends each new vertex back to the old simplex it refines.
     """
-    maximal_chains = []
-
-    def grow(chain, top):
-        # extend downward: proper faces of the chain's minimum
-        bottom = chain[0]
-        if len(bottom) == 1:
-            maximal_chains.append(tuple(chain))
-            return
-        for v in sorted(bottom):
-            face = tuple(u for u in bottom if u != v)
-            grow([face] + chain, top)
-
-    for s in x.maximal_simplices:
-        grow([tuple(sorted(s))], s)
-
+    # a maximal chain adds the vertices of a maximal simplex one at a time
+    maximal_chains = [
+        [tuple(sorted(order[:k])) for k in range(1, len(order) + 1)]
+        for s in x._top_sets()
+        for order in itertools.permutations(s)
+    ]
     sd = build_complex(maximal_chains) if maximal_chains else SimplicialComplex([])
     carrier = {t: frozenset(t) for t in sd.vertices}
     return sd, carrier
@@ -434,12 +417,6 @@ def pi1_presentation(x: SimplicialComplex, basepoint) -> Pi1Presentation:
     """Edge-path group presentation of a connected complex."""
     if not x.has_simplex([basepoint]):
         raise ValidationError(f"basepoint {basepoint!r} is not a vertex")
-    components = connected_components(x)
-    if len(components) != 1:
-        raise ValidationError(
-            f"complex is disconnected ({len(components)} components)"
-        )
-
     adjacency: Dict = {v: [] for v in x.vertices}
     for u, v in x.simplices_of_dim(1):
         adjacency[u].append(v)
@@ -459,6 +436,10 @@ def pi1_presentation(x: SimplicialComplex, basepoint) -> Pi1Presentation:
                     tree.add(frozenset((v, w)))
                     nxt.append(w)
         frontier = sorted(nxt)
+    if len(visited) != len(x.vertices):
+        raise ValidationError(
+            f"complex is disconnected ({len(connected_components(x))} components)"
+        )
 
     generator_edges = tuple(
         (u, v)

@@ -163,44 +163,33 @@ class NerveComplex:
 def cech_nerve(cover: Cover) -> NerveComplex:
     """One nerve simplex per index family with nonempty intersection.
 
+    Parts are subcomplexes, so a family meets exactly when some vertex
+    lies in all of them: the nerve is the closure of the families P(v)
+    of parts containing each vertex v (the Dowker complex of the
+    vertex-part incidence).  Its simplices, read as sorted tuples in
+    lexicographic order, each get their witness from the one before
+    their last index, so each intersection is taken once.
+
     The nerve is built on the cover's first read and kept there, so every
     call on one cover returns one object.
     """
     if cover._nerve is not None:
         return cover._nerve
-    witnesses: Dict[tuple, SimplicialComplex] = {}
-    for pos, idx in enumerate(cover.indices):
-        part = cover.parts[idx]
-        if part.is_empty():
-            continue
-        witnesses[(idx,)] = part
-        _extend(cover, witnesses, (idx,), part, pos + 1)
-    if not witnesses:
+    parts_at: Dict = {}
+    for idx in cover.indices:
+        for v in cover.parts[idx].vertices:
+            parts_at.setdefault(v, []).append(idx)
+    if not parts_at:
         raise ValidationError("every part of the cover is empty")
-    maximal = [set(key) for key in witnesses]
-    cover._nerve = NerveComplex(complex=build_complex(maximal), witnesses=witnesses)
+    nerve = build_complex(parts_at.values())
+    witnesses: Dict[tuple, SimplicialComplex] = {}
+    for key in sorted(tuple(sorted(s)) for s in nerve.simplices):
+        witnesses[key] = (
+            cover.parts[key[0]] if len(key) == 1
+            else intersect_complexes(witnesses[key[:-1]], cover.parts[key[-1]])
+        )
+    cover._nerve = NerveComplex(complex=nerve, witnesses=witnesses)
     return cover._nerve
-
-
-def _extend(cover: Cover, witnesses: Dict, prefix: tuple,
-            met: SimplicialComplex, start: int) -> None:
-    """Record, depth first, every nonempty intersection of ``met`` with
-    parts after position ``start``.
-
-    A module function rather than a recursive closure: a closure that
-    calls itself is a reference cycle, which would keep the cover and its
-    nerve alive until the garbage collector runs.
-    """
-    order = cover.indices
-    for pos in range(start, len(order)):
-        idx = order[pos]
-        part = cover.parts[idx]
-        if met.simplices.isdisjoint(part.simplices):
-            continue
-        inter = intersect_complexes(met, part)
-        key = prefix + (idx,)
-        witnesses[key] = inter
-        _extend(cover, witnesses, key, inter, pos + 1)
 
 
 @dataclass(frozen=True)

@@ -270,34 +270,48 @@ def enumerate_homs(
     guesses = 0
     deepest = 0
 
-    def branch(i: int) -> None:
-        nonlocal guesses, deepest
+    def guess(i: int, g: int, mark: int) -> bool:
+        """Try generator i at g and propagate; undone on a contradiction."""
+        nonlocal guesses
+        guesses += 1
+        if guesses > budget:
+            raise BudgetExceededError(
+                f"hom enumeration exceeded budget {budget} after "
+                f"{guesses - 1} branch guesses, reaching generator "
+                f"{deepest} of {k} ({len(homs)} homomorphisms found)",
+                budget,
+            )
+        images[i] = g
+        trail.append(i)
+        if propagate(mark):
+            return True
+        undo(mark)
+        return False
+
+    # relations of one generator (or none) settle before any guess
+    if not (all(settle(word) for word in words) and propagate(0)):
+        return homs
+    # one frame per open branch: its generator, the trail length before
+    # its guess, and the group elements left to try
+    frames: List[tuple] = []
+    i = 0
+    while True:
         while i < k and images[i] is not None:
             i += 1
         if i == k:
             homs.append(tuple(images))
-            return
-        deepest = max(deepest, i + 1)
-        mark = len(trail)
-        for g in range(group.order):
-            guesses += 1
-            if guesses > budget:
-                raise BudgetExceededError(
-                    f"hom enumeration exceeded budget {budget} after "
-                    f"{guesses - 1} branch guesses, reaching generator "
-                    f"{deepest} of {k} ({len(homs)} homomorphisms found)",
-                    budget,
-                )
-            images[i] = g
-            trail.append(i)
-            if propagate(mark):
-                branch(i + 1)
+        else:
+            deepest = max(deepest, i + 1)
+            frames.append((i, len(trail), iter(range(group.order))))
+        while frames:
+            i, mark, elements = frames[-1]
             undo(mark)
-
-    # relations of one generator (or none) settle before any guess
-    if all(settle(word) for word in words) and propagate(0):
-        branch(0)
-    return homs
+            if any(guess(i, g, mark) for g in elements):
+                break
+            frames.pop()
+        else:
+            return homs
+        i += 1
 
 
 def hom_conjugacy_classes(homs: Sequence[tuple], group: FiniteGroup) -> tuple:

@@ -156,7 +156,15 @@ def _split_key(key: str, size: int) -> tuple:
     return parts
 
 
-def cocycle_values_to_doc(values: Mapping) -> dict:
+def _pair_values_to_doc(pairs, value) -> dict:
+    """Each pair keyed in the string order of its labels, which is the
+    order a reloaded cover (with string indices) uses, with
+    ``value(a, b)`` for that order."""
+    values = {}
+    for a, b in pairs:
+        if str(b) < str(a):
+            a, b = b, a
+        values[(str(a), str(b))] = value(a, b)
     return {_pair_key(pair): v for pair, v in sorted(values.items())}
 
 
@@ -186,17 +194,10 @@ def require_keys(doc: Mapping, kind: str, keys) -> None:
 
 
 def cocycle_to_doc(cocycle) -> dict:
-    """Each pair is keyed in the string order of its labels, which is the
-    order a reloaded cover (with string indices) uses."""
-    values = {}
-    for a, b in cocycle.values:
-        if str(b) < str(a):
-            a, b = b, a
-        values[(str(a), str(b))] = cocycle.value(a, b)
     return {
         "cover": cover_to_doc(cocycle.cover),
         "group": group_to_doc(cocycle.group),
-        "values": cocycle_values_to_doc(values),
+        "values": _pair_values_to_doc(cocycle.values, cocycle.value),
     }
 
 
@@ -237,10 +238,20 @@ def crossed_module_from_doc(doc: Mapping) -> CrossedModule:
 
 
 def gerbe_to_doc(data) -> dict:
+    """Edges are keyed like a cocycle's.  A triple whose labels sort
+    differently as strings would need its witness transformed, so it is
+    refused rather than written into a document that cannot reload."""
+    for t in data.witnesses:
+        if sorted(map(str, t)) != list(map(str, t)):
+            raise ValidationError(
+                f"cannot write the witness at {t!r}: its labels sort "
+                f"differently as strings",
+                details={"triple": t},
+            )
     return {
         "cover": cover_to_doc(data.cover),
         "crossedModule": crossed_module_to_doc(data.module),
-        "values": cocycle_values_to_doc(data.edge_values),
+        "values": _pair_values_to_doc(data.edge_values, data.edge),
         "witnesses": {
             _pair_key(t): v for t, v in sorted(data.witnesses.items())
         },
@@ -275,12 +286,7 @@ def bundle_to_doc(bundle) -> dict:
     flatten; otherwise the flattened ones are closed again, so that
     labels that collide merge as in any other document.
     """
-    def flatten(v):
-        if isinstance(v, tuple):
-            return "|".join(flatten(x) for x in v)
-        return str(v)
-
-    flat = {v: flatten(v) for v in bundle.total.vertices}
+    flat = {v: _flatten(v) for v in bundle.total.vertices}
     tops = [sorted(map(flat.__getitem__, s)) for s in bundle.total._top_sets()]
     if len(set(flat.values())) < len(flat):
         tops = complex_to_doc(build_complex(map(frozenset, tops)))["maximal"]
@@ -296,6 +302,12 @@ def bundle_to_doc(bundle) -> dict:
     if bundle.action is not None:
         doc["group"] = group_to_doc(bundle.action.group)
     return doc
+
+
+def _flatten(v) -> str:
+    if isinstance(v, tuple):
+        return "|".join(_flatten(x) for x in v)
+    return str(v)
 
 
 def bundle_from_doc(doc: Mapping):

@@ -2,14 +2,16 @@
 against.
 
 Each scans every case in order, as the library did before it checked
-maps in one pass, group and action laws on generators, and the carrier
-condition on maximal simplices.  Each returns what the library's
-version builds or raises the same ``ValidationError``.
+maps in one pass, group and action laws on generators, the carrier
+condition on maximal simplices, and nerves by vertex incidence.  Each
+returns what the library's version builds or raises the same
+``ValidationError``.
 """
 
 from __future__ import annotations
 
-from cechfib import ValidationError
+from cechfib import NerveComplex, ValidationError, build_complex
+from cechfib.complexes import intersect_complexes
 
 
 def validate_group(table):
@@ -105,3 +107,32 @@ def carrier_check(cover) -> bool:
         if not any(part.has_simplex(s) for part in cover.parts.values()):
             return False
     return True
+
+
+def cech_nerve(cover):
+    """A fresh nerve of the cover, testing each running intersection
+    against every later part, depth first in index order."""
+    witnesses = {}
+    for pos, idx in enumerate(cover.indices):
+        part = cover.parts[idx]
+        if part.is_empty():
+            continue
+        witnesses[(idx,)] = part
+        _extend(cover, witnesses, (idx,), part, pos + 1)
+    if not witnesses:
+        raise ValidationError("every part of the cover is empty")
+    maximal = [set(key) for key in witnesses]
+    return NerveComplex(complex=build_complex(maximal), witnesses=witnesses)
+
+
+def _extend(cover, witnesses, prefix, met, start):
+    order = cover.indices
+    for pos in range(start, len(order)):
+        idx = order[pos]
+        part = cover.parts[idx]
+        if met.simplices.isdisjoint(part.simplices):
+            continue
+        inter = intersect_complexes(met, part)
+        key = prefix + (idx,)
+        witnesses[key] = inter
+        _extend(cover, witnesses, key, inter, pos + 1)

@@ -1,7 +1,8 @@
 """Reference implementations of complex construction and goodness, kept
 to test the library's faster ones against: the closure of declared
 simplices through one frozenset per face occurrence, sorted afterwards,
-and point-likeness read off integral homology alone."""
+the barycentric subdivision grown one face at a time, and
+point-likeness read off integral homology alone."""
 
 from __future__ import annotations
 
@@ -77,6 +78,24 @@ def reference_build_complex(maximal_simplices) -> ReferenceComplex:
             for face in itertools.combinations(listed, k):
                 closed.add(frozenset(face))
     return ReferenceComplex(closed)
+
+
+def reference_subdivision(x) -> ReferenceComplex:
+    """Order complex of the face poset: each maximal chain found by
+    removing one vertex at a time from a maximal simplex."""
+    chains = []
+
+    def grow(chain):
+        bottom = chain[0]
+        if len(bottom) == 1:
+            chains.append(chain)
+            return
+        for v in bottom:
+            grow([tuple(u for u in bottom if u != v)] + chain)
+
+    for s in x.maximal_simplices:
+        grow([tuple(sorted(s))])
+    return reference_build_complex(chains)
 
 
 def reference_is_point_like(x) -> bool:

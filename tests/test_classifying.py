@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cechfib import (
     HomologyWorkspace,
@@ -168,6 +170,37 @@ def test_milnor_out_of_range_values_are_violations_not_crashes():
         (2, "values out of range for the group"),
         (3, "diagonal value at (0, 0) is not the identity"),
     ]
+
+
+def first_failing_triple(support, elements, group):
+    """The composition check as three nested loops over the support."""
+    for i in support:
+        for j in support:
+            for k in support:
+                if (i, j) in elements and (j, k) in elements and (i, k) in elements:
+                    if group.mul(elements[(i, j)], elements[(j, k)]) != elements[(i, k)]:
+                        return (i, j, k)
+    return None
+
+
+@given(st.lists(st.sampled_from([0, Fraction(1, 4), Fraction(1, 2)]), min_size=1, max_size=4),
+       st.data())
+@settings(max_examples=200, deadline=None)
+def test_milnor_names_the_first_failing_triple_of_the_nested_scan(coords, data):
+    group = corpus.S3
+    support = [i for i, t in enumerate(coords) if t != 0]
+    values = {(i, j): data.draw(st.integers(-1, group.order))
+              for i in support for j in support}
+    try:
+        validate_milnor_point(coords, values, group)
+        violations = []
+    except ValidationError as exc:
+        violations = exc.details["violations"]
+    in_range = {k: v for k, v in values.items() if 0 <= v < group.order}
+    failing = first_failing_triple(support, in_range, group)
+    assert [v for v in violations if v[0] == 4] == (
+        [] if failing is None
+        else [(4, f"composition fails on triple ({failing[0]}, {failing[1]}, {failing[2]})")])
 
 
 def test_milnor_valid_two_point_support():

@@ -22,6 +22,7 @@ from cechfib import (
 from cechfib.complexes import intersect_complexes
 
 import corpus
+from reference_complexes import reference_subdivision
 
 
 def test_hollow_triangle_closure():
@@ -77,6 +78,27 @@ def test_subdivision_point_and_edge():
     assert len(sd.vertices) == 3
     assert sd.simplex_count(1) == 2
     assert carrier[("a", "b")] == frozenset(("a", "b"))
+
+
+@pytest.mark.parametrize("name", [
+    "POINT", "EDGE", "HOLLOW_TRIANGLE", "FULL_TRIANGLE", "BOUNDARY_3SIMPLEX",
+    "FULL_3SIMPLEX", "RP2_SIX", "TORUS_SEVEN", "TWO_COMPONENTS",
+])
+def test_subdivision_matches_the_face_chain_reference(name):
+    x = getattr(corpus, name)
+    for _ in range(2):
+        sd, carrier = barycentric_subdivision(x)
+        ref = reference_subdivision(x)
+        assert sd.simplices == ref.simplices
+        assert sd.vertices == ref.vertices
+        assert sd.maximal_simplices == ref.maximal_simplices
+        assert carrier == {t: frozenset(t) for t in ref.vertices}
+        x = sd
+
+
+def test_subdivision_of_the_empty_complex_is_empty():
+    sd, carrier = barycentric_subdivision(SimplicialComplex())
+    assert sd.is_empty() and carrier == {}
 
 
 def test_subdivision_hollow_triangle_is_hexagon():
@@ -159,6 +181,29 @@ def test_pi1_point():
 def test_pi1_requires_connected():
     with pytest.raises(ValidationError):
         pi1_presentation(corpus.TWO_COMPONENTS, "a")
+
+
+@pytest.mark.parametrize("x,basepoint,count", [
+    (corpus.TWO_COMPONENTS, "a", 2),
+    (corpus.TWO_COMPONENTS, "d", 2),
+    (build_complex([["a", "b"], ["c"], ["d", "e", "f"]]), "c", 3),
+])
+def test_pi1_names_the_component_count(x, basepoint, count):
+    with pytest.raises(ValidationError,
+                       match=rf"^complex is disconnected \({count} components\)$"):
+        pi1_presentation(x, basepoint)
+
+
+def test_pi1_of_a_connected_complex_reads_no_components(monkeypatch):
+    # connectivity comes from the presentation's own spanning tree; the
+    # components are counted only to name a failure
+    def refuse(x):
+        raise AssertionError("components were computed")
+
+    monkeypatch.setattr("cechfib.complexes.connected_components", refuse)
+    for x in corpus.SURFACES.values():
+        p = pi1_presentation(x, x.vertices[0])
+        assert len(p.tree_edges) == len(x.vertices) - 1
 
 
 def test_pi1_abelianization_matches_betti():

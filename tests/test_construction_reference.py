@@ -123,8 +123,6 @@ def test_construction_errors_keep_their_messages():
         (lambda: SimplicialComplex([frozenset()]), "empty simplex is not allowed"),
         (lambda: SimplicialComplex([frozenset({"a"}), frozenset({1})]),
          "vertex identifiers must be mutually orderable"),
-        (lambda: SimplicialComplex(by_dim={0: [(1,), ("a",)]}),
-         "vertex identifiers must be mutually orderable"),
         (lambda: SimplicialComplex([frozenset({0, 1}), frozenset({0})]),
          "family is not closed under faces at (0, 1)"),
     ]
@@ -202,13 +200,11 @@ def constructions(declared, other):
     """Each construction of one complex, with its reference."""
     ref = reference_build_complex(declared)
     ref_other = reference_build_complex(other)
-    by_dim = {k: list(reversed(ref.simplices_of_dim(k))) for k in range(ref.dim + 1)}
     return [
         (lambda: build_complex(declared), ref),
         (lambda: intersect_complexes(build_complex(declared), build_complex(other)),
          ReferenceComplex(ref.simplices & ref_other.simplices)),
         (lambda: SimplicialComplex(ref.simplices), ref),
-        (lambda: SimplicialComplex(by_dim=by_dim), ref),
     ]
 
 

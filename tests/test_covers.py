@@ -4,9 +4,12 @@ import weakref
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cechfib import (
     Cover,
+    SimplicialComplex,
     ValidationError,
     abelian_coefficients,
     barycentric_subdivision,
@@ -15,13 +18,17 @@ from cechfib import (
     cli,
     closed_star_cover,
     disjoint_union_cover,
+    enumerate_homs,
     from_homomorphism,
     homology,
     is_good_cover,
     map_induces_homology_isomorphism,
     one_part_cover,
+    regular_action,
     section_map,
     star_cover,
+    symmetric_group,
+    total_space,
     trivial_cocycle,
     validate_cocycle,
     validate_gerbe_cocycle,
@@ -212,6 +219,38 @@ def test_a_dropped_cover_frees_its_nerve():
         gc.enable()
 
 
+def _subdivide_the_torus_three_times():
+    x = corpus.TORUS_SEVEN
+    for _ in range(3):
+        x, _ = barycentric_subdivision(x)
+
+
+def _enumerate_torus_homs():
+    presentation = star_cover(corpus.TORUS_SEVEN).nerve.presentation
+    enumerate_homs(presentation, symmetric_group(3))
+
+
+def _write_a_bundle():
+    cover = star_cover(corpus.HOLLOW_TRIANGLE)
+    docio.bundle_to_doc(total_space(trivial_cocycle(cover, corpus.Z2),
+                                    regular_action(corpus.Z2)))
+
+
+@pytest.mark.parametrize("run", [
+    _subdivide_the_torus_three_times, _enumerate_torus_homs, _write_a_bundle,
+], ids=["barycentric_subdivision", "enumerate_homs", "bundle_to_doc"])
+def test_leaves_no_reference_cycles(run):
+    # garbage that only the cyclic collector frees makes its full
+    # collections expensive once large complexes are alive
+    gc.collect()
+    gc.disable()
+    try:
+        run()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def scanned_vertex_map(cover):
     """Least covering index of each subdivision vertex by scanning the
     parts in index order: the reference for ``section_map``."""
@@ -291,3 +330,105 @@ def test_closed_star_cover_of_circle_parts_are_arcs():
     assert len(cover.indices) == 6
     for part in cover.parts.values():
         assert part.simplex_count(1) == 2
+
+
+# -- nerves by vertex incidence ----------------------------------------------
+
+def assert_nerve_matches_the_scan(cover):
+    """The nerve, its witness keys in insertion order and every witness
+    agree with the part-by-part scan; singletons are the parts."""
+    scanned = reference_checks.cech_nerve(cover)
+    nerve = cech_nerve(cover)
+    assert list(nerve.witnesses) == list(scanned.witnesses)
+    assert nerve.complex == scanned.complex
+    for key, witness in scanned.witnesses.items():
+        assert nerve.witnesses[key] == witness, key
+    for (idx,) in nerve.keys(1):
+        assert nerve.witnesses[(idx,)] is cover.parts[idx]
+
+
+def _nerve_covers():
+    empty = SimplicialComplex()
+    for name, x in sorted(corpus.SURFACES.items()) + [
+            ("point", corpus.POINT), ("edge", corpus.EDGE),
+            ("full_triangle", corpus.FULL_TRIANGLE), ("hexagon", corpus.HEXAGON),
+            ("full_3simplex", corpus.FULL_3SIMPLEX),
+            ("two_components", corpus.TWO_COMPONENTS)]:
+        yield pytest.param(lambda x=x: star_cover(x), id=f"star-{name}")
+        yield pytest.param(lambda x=x: closed_star_cover(x), id=f"closed-star-{name}")
+        yield pytest.param(
+            lambda x=x: disjoint_union_cover(closed_star_cover(x), one_part_cover(x)),
+            id=f"union-{name}")
+        # string indices: "10" sorts before "9"
+        yield pytest.param(
+            lambda x=x: docio.cover_from_doc(docio.cover_to_doc(star_cover(x))),
+            id=f"loaded-star-{name}")
+    dodecagon = build_complex([[i, (i + 1) % 12] for i in range(12)])
+    yield pytest.param(lambda: star_cover(dodecagon), id="star-dodecagon")
+    yield pytest.param(
+        lambda: docio.cover_from_doc(docio.cover_to_doc(star_cover(dodecagon))),
+        id="loaded-star-dodecagon")
+    once = barycentric_subdivision(corpus.TORUS_SEVEN)[0]
+    yield pytest.param(lambda: star_cover(once), id="star-torus-rung1")
+    yield pytest.param(lambda: Cover(corpus.HOLLOW_TRIANGLE, {
+        0: empty, 1: closed_star_cover(corpus.HOLLOW_TRIANGLE).parts["a"],
+        2: empty, 3: build_complex([["b", "c"]]), 4: empty,
+    }), id="empty-parts")
+
+
+@pytest.mark.parametrize("make_cover", list(_nerve_covers()))
+def test_nerve_matches_the_scan(make_cover):
+    assert_nerve_matches_the_scan(make_cover())
+
+
+def test_a_cover_of_empty_parts_has_no_nerve():
+    cover = Cover(SimplicialComplex(), {"A": SimplicialComplex(), "B": SimplicialComplex()})
+    for nerve_of in (cech_nerve, reference_checks.cech_nerve):
+        with pytest.raises(ValidationError, match="^every part of the cover is empty$"):
+            nerve_of(cover)
+
+
+@st.composite
+def subcomplex_covers(draw):
+    """A base and up to five subcomplexes of it, some maybe empty, with
+    one more part holding the maximal simplices they miss."""
+    tops = draw(st.lists(st.sets(st.sampled_from("abcdef"), min_size=1, max_size=4),
+                         min_size=1, max_size=6))
+    base = build_complex(tops)
+    maximal = [sorted(s) for s in base.maximal_simplices]
+    parts = {}
+    for i in range(draw(st.integers(1, 5))):
+        picks = draw(st.lists(st.tuples(st.sampled_from(maximal), st.integers(1, 4)),
+                              max_size=3))
+        parts[i] = build_complex(s[:n] for s, n in picks) if picks else SimplicialComplex()
+    covered = frozenset().union(*(part.simplices for part in parts.values()))
+    missed = [s for s in maximal if frozenset(s) not in covered]
+    parts[len(parts)] = build_complex(missed) if missed else SimplicialComplex()
+    return Cover(base, parts)
+
+
+@given(subcomplex_covers())
+@settings(max_examples=200, deadline=None)
+def test_random_subcomplex_cover_nerves_match_the_scan(cover):
+    assert_nerve_matches_the_scan(cover)
+
+
+def test_nerve_takes_each_intersection_once(monkeypatch):
+    # each nerve simplex past the parts reads two families, its prefix's
+    # witness and its last part, and listing the nerve reads one; the
+    # part-by-part scan read two per part tested (8,012 here)
+    cover = star_cover(barycentric_subdivision(corpus.TORUS_SEVEN)[0])
+    family = SimplicialComplex.simplices
+    reads = 0
+
+    def counted(self):
+        nonlocal reads
+        reads += 1
+        return family.fget(self)
+
+    monkeypatch.setattr(SimplicialComplex, "simplices", property(counted))
+    nerve = cech_nerve(cover)
+    monkeypatch.undo()
+    parts = sum(not part.is_empty() for part in cover.parts.values())
+    assert (len(nerve.witnesses), parts) == (252, 42)
+    assert reads <= 1 + 2 * (len(nerve.witnesses) - parts)

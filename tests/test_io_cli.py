@@ -96,6 +96,39 @@ def test_gerbe_round_trip():
     assert sum(back.witnesses.values()) == 1
 
 
+def test_gerbe_round_trip_over_integer_labels():
+    from cechfib import adjoint_crossed_module, validate_gerbe_cocycle
+
+    # "10" sorts before "9" once the cover is reloaded; the hollow
+    # triangle's nerve has no triple, so its edges alone must be re-keyed
+    cover = star_cover(build_complex([[9, 10], [10, 11], [9, 11]]))
+    values = {(9, 10): 1, (10, 11): 2, (9, 11): 1}
+    for module in (adjoint_crossed_module(corpus.Z3),
+                   adjoint_crossed_module(corpus.Z2)):
+        data = validate_gerbe_cocycle(
+            cover, module, {p: v % module.base.order for p, v in values.items()}, {})
+        back = docio.gerbe_from_doc(docio.gerbe_to_doc(data))
+        assert {(a, b): back.edge(str(a), str(b))
+                for a in (9, 10, 11) for b in (9, 10, 11)} == \
+            {(a, b): data.edge(a, b) for a in (9, 10, 11) for b in (9, 10, 11)}
+
+
+def test_gerbe_to_doc_refuses_a_triple_that_strings_reorder():
+    from cechfib import ValidationError, abelian_coefficients, validate_gerbe_cocycle
+
+    cover = star_cover(build_complex(
+        [[9, 10, 11], [9, 10, 12], [9, 11, 12], [10, 11, 12]]))
+    data = validate_gerbe_cocycle(
+        cover, abelian_coefficients(corpus.Z2),
+        {p: 0 for p in cover.nerve.keys(2)}, {t: 0 for t in cover.nerve.keys(3)})
+    with pytest.raises(ValidationError) as info:
+        docio.gerbe_to_doc(data)
+    assert str(info.value) == (
+        "cannot write the witness at (9, 10, 11): its labels sort "
+        "differently as strings")
+    assert info.value.details == {"triple": (9, 10, 11)}
+
+
 def test_bundle_round_trip():
     from cechfib import regular_action, total_space, validate_cocycle
 
