@@ -8,7 +8,6 @@ bijection, so the covering-type rigidity is exact, not approximate).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Tuple
@@ -381,6 +380,8 @@ def patch_bundles(cover, locals_: Mapping) -> Bundle:
     Agreement means literally identical labeled total simplices over each
     pairwise intersection; the union is then the unique common extension
     and restricting it to any part returns that part's input unchanged.
+    That restriction is local_a plus every other local's lifts over a's
+    simplices, so it is checked instead, once per part.
     """
     indices = list(cover.indices)
     for idx in indices:
@@ -394,27 +395,6 @@ def patch_bundles(cover, locals_: Mapping) -> Bundle:
     fibers = {tuple(locals_[idx].fiber) for idx in indices}
     if len(fibers) != 1:
         raise ValidationError("local bundles have different fibers")
-    for a, b in itertools.combinations(indices, 2):
-        overlap = cover.parts[a].simplices & cover.parts[b].simplices
-        if not overlap:
-            continue
-        sub = SimplicialComplex._trusted(overlap)
-        ra = restrict_bundle(locals_[a], sub)
-        rb = restrict_bundle(locals_[b], sub)
-        if ra.total.simplices != rb.total.simplices:
-            offending = sorted(
-                tuple(sorted(s))
-                for s in ra.total.simplices ^ rb.total.simplices
-            )[0]
-            raise ValidationError(
-                f"locals over {a!r} and {b!r} disagree at {offending!r}",
-                details={"parts": (a, b), "simplex": offending},
-            )
-        for v in ra.total.vertices:
-            if ra.projection(v) != rb.projection(v):
-                raise ValidationError(
-                    f"locals over {a!r} and {b!r} project {v!r} differently"
-                )
     all_simplices = frozenset().union(
         *(locals_[idx].total.simplices for idx in indices)
     )
@@ -431,15 +411,22 @@ def patch_bundles(cover, locals_: Mapping) -> Bundle:
     projection = SimplicialMap(total, cover.base, vertex_map)
     actions = {id(locals_[idx].action) for idx in indices}
     action = locals_[indices[0]].action if len(actions) == 1 else None
-    return validate_bundle(
-        Bundle(
-            total=total,
-            base=cover.base,
-            projection=projection,
-            fiber=next(iter(fibers)),
-            action=action,
-        )
-    )
+    glued = Bundle(total=total, base=cover.base, projection=projection,
+                   fiber=next(iter(fibers)), action=action)
+    for a in indices:
+        local = locals_[a].total.simplices
+        extra = restrict_bundle(glued, cover.parts[a]).total.simplices - local
+        if extra:
+            # each extra simplex lies over a's part in some other local
+            offending = min(tuple(sorted(s)) for s in extra)
+            b = next(b for b in indices if frozenset(offending)
+                     in locals_[b].total.simplices)
+            a, b = sorted((a, b))
+            raise ValidationError(
+                f"locals over {a!r} and {b!r} disagree at {offending!r}",
+                details={"parts": (a, b), "simplex": offending},
+            )
+    return validate_bundle(glued)
 
 
 def _check_monotone_over_base(bundle: Bundle) -> None:

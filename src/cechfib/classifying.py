@@ -268,20 +268,8 @@ class UniversalBundle:
     complex: ChainComplex
 
     def vertex_of(self, chain: tuple, fiber: int, position: int) -> int:
-        """Fiber point at a vertex of the simplex (chain; fiber).
-
-        Repeatedly applies the last face until the wanted position is the
-        final vertex, then forgets the leading entries.  With the left
-        action convention the result is the suffix product acting on the
-        fiber point.
-        """
-        group = self.group
-        entries = list(chain)
-        point = fiber
-        while len(entries) > position:
-            last = entries.pop()
-            point = group.mul(last, point)
-        return point
+        """Fiber point at a vertex of the simplex (chain; fiber)."""
+        return _universal_vertex(self.group, chain, fiber, position)
 
     def edge_transition(self, chain: tuple) -> int:
         """Tautological transition value of a 1-chain."""
@@ -329,28 +317,35 @@ def _universal_faces(group: FiniteGroup, tup: tuple, f: int) -> list:
     ]
 
 
-def pullback_universal(
-    cocycle: Cocycle1, universal: Optional[UniversalBundle] = None
-) -> Bundle:
+def _universal_vertex(group: FiniteGroup, chain: tuple, fiber: int,
+                      position: int) -> int:
+    """Fiber point at a vertex of the universal simplex (chain; fiber).
+
+    Repeatedly applies the last face until the wanted position is the
+    final vertex, then forgets the leading entries.  With the left
+    action convention the result is the suffix product acting on the
+    fiber point.
+    """
+    entries = list(chain)
+    point = fiber
+    while len(entries) > position:
+        last = entries.pop()
+        point = group.mul(last, point)
+    return point
+
+
+def pullback_universal(cocycle: Cocycle1) -> Bundle:
     """Pull the universal chains back along the classifying map.
 
     Each nerve simplex maps to a bar tuple; its lifts are the fiber
     points, and the pulled-back simplex pairs every nerve vertex with the
-    fiber point extracted from the corresponding universal vertex.  This
+    fiber point at the corresponding universal vertex.  That vertex rule
+    depends on the group alone, so no universal chains are built.  This
     is an independent construction of the quotient total space, used to
     cross-check it.
     """
     nerve = cocycle.nerve.complex
     group = cocycle.group
-    if universal is None:
-        universal = universal_bundle(group, max(nerve.dim, 1))
-    if universal.group != group:
-        raise ValidationError("universal bundle is for a different group")
-    if universal.truncation < nerve.dim:
-        raise ValidationError(
-            f"universal bundle truncated below the nerve dimension "
-            f"({universal.truncation} < {nerve.dim})"
-        )
     pieces = []
     for s in nerve.maximal_simplices:
         ordered = tuple(sorted(s))
@@ -360,7 +355,7 @@ def pullback_universal(
         )
         for f in group.elements():
             lift = {
-                (ordered[pos], universal.vertex_of(raw, f, pos))
+                (ordered[pos], _universal_vertex(group, raw, f, pos))
                 for pos in range(len(ordered))
             }
             pieces.append(lift)
@@ -398,12 +393,11 @@ def classification_check(
     """
     classes, representatives = monodromy_representatives(cover, group, budget=budget)
     cocycle_classes = len(merge_equivalent(representatives, budget=budget))
-    universal = universal_bundle(group, max(cover.nerve.complex.dim, 1))
     action = regular_action(group)
     matches = []
     for rep in representatives:
         direct = total_space(rep, action)
-        pulled = pullback_universal(rep, universal)
+        pulled = pullback_universal(rep)
         matches.append(bundle_isomorphism(pulled, direct) is not None)
     return ClassificationReport(
         cocycle_classes=cocycle_classes,

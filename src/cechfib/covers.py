@@ -192,6 +192,14 @@ def cech_nerve(cover: Cover) -> NerveComplex:
     return cover._nerve
 
 
+def refuse_off_nerve(given: Mapping, kept: Mapping, what: str) -> None:
+    """Refuse data keyed off the nerve: keys of ``given`` that the
+    validator, reading nerve keys only, did not keep."""
+    extra = set(given) - set(kept)
+    if extra:
+        raise ValidationError(f"{what} {sorted(extra)[:4]!r}")
+
+
 @dataclass(frozen=True)
 class GoodCoverReport:
     """Outcome of the goodness check with the failing intersections."""

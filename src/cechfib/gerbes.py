@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional
 
-from .covers import Cover, NerveComplex
+from .covers import Cover, NerveComplex, refuse_off_nerve
 from .errors import DEFAULT_BUDGET, BudgetExceededError, ValidationError
 from .groups import CrossedModule, abelian_decomposition
 from .homology import LatticeQuotient, simplex_boundary_matrix
@@ -66,6 +66,7 @@ def validate_gerbe_cocycle(
         if not (0 <= g < base.order):
             raise ValidationError(f"edge value {g} out of range at {pair!r}")
         edges[pair] = g
+    refuse_off_nerve(edge_values, edges, "edge values given for non-overlapping pairs")
     tris: Dict[tuple, int] = {}
     for triple in nerve.keys(3):
         if triple not in witnesses:
@@ -74,6 +75,7 @@ def validate_gerbe_cocycle(
         if not (0 <= h < fiber.order):
             raise ValidationError(f"witness {h} out of range at {triple!r}")
         tris[triple] = h
+    refuse_off_nerve(witnesses, tris, "witnesses given for non-overlapping triples")
     data = GerbeCocycle(
         cover=cover, module=module, edge_values=edges, witnesses=tris,
     )
@@ -125,21 +127,25 @@ def gerbe_coboundary(
     where g'-without-m is lam_a g_ab lam_b^-1.  Validity of the output is
     re-checked, never assumed.
     """
-    base, fiber, module = data.module.base, data.module.fiber, data.module
     for idx in data.cover.indices:
         if idx not in lam:
             raise ValidationError(f"gauge misses index {idx!r}")
-    pairs = data.nerve.keys(2)
-    for pair in pairs:
+    for pair in data.nerve.keys(2):
         if pair not in shift:
             raise ValidationError(f"shift misses pair {pair!r}")
+    return validate_gerbe_cocycle(data.cover, data.module, *_moved(data, lam, shift))
+
+
+def _moved(data: GerbeCocycle, lam: Mapping, shift: Mapping) -> tuple:
+    """The edges and witnesses of the gauge transform, unchecked."""
+    base, fiber, module = data.module.base, data.module.fiber, data.module
 
     def conjugated_edge(a, b) -> int:
         return base.mul(base.mul(lam[a], data.edge(a, b)), base.inv(lam[b]))
 
     new_edges = {
         (a, b): base.mul(module.boundary[shift[(a, b)]], conjugated_edge(a, b))
-        for a, b in pairs
+        for a, b in data.nerve.keys(2)
     }
     new_witnesses = {}
     for a, b, c in data.nerve.keys(3):
@@ -150,7 +156,7 @@ def gerbe_coboundary(
         term = fiber.mul(term, module.act(lam[a], data.witness(a, b, c)))
         term = fiber.mul(term, fiber.inv(shift[(a, c)]))
         new_witnesses[(a, b, c)] = term
-    return validate_gerbe_cocycle(data.cover, module, new_edges, new_witnesses)
+    return new_edges, new_witnesses
 
 
 @dataclass(frozen=True)
@@ -353,9 +359,8 @@ def gerbes_equivalent(
             if combo is None:
                 break
             shift = dict(zip(pairs, combo))
-            transformed = gerbe_coboundary(d1, lam, shift)
-            if transformed.witnesses == d2.witnesses and \
-                    transformed.edge_values == d2.edge_values:
+            # the options force d2's edges, and data equal to d2 is valid
+            if _moved(d1, lam, shift)[1] == d2.witnesses:
                 return GerbeEquivalenceResult(
                     equivalent=True, gauge=lam, shift=shift
                 )

@@ -8,6 +8,7 @@ way a malformed in-memory value would.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import Dict, Mapping
 
@@ -36,16 +37,19 @@ def complex_from_doc(doc: Mapping) -> SimplicialComplex:
         raise ValidationError('complex document needs a "maximal" list')
     maximal = doc["maximal"]
     if not isinstance(maximal, list) or not all(
-        isinstance(s, list) and all(_is_label(v) for v in s) for s in maximal
-    ):
+        issubclass(t, list) for t in set(map(type, maximal))
+    ) or not _all_labels(itertools.chain.from_iterable(maximal)):
         raise ValidationError(
             '"maximal" must be a list of lists of string or integer labels'
         )
     return build_complex(maximal)
 
 
-def _is_label(v) -> bool:
-    return isinstance(v, str) or _is_integer(v)
+def _all_labels(values) -> bool:
+    """Whether every value is a string or an integer but not a bool,
+    tested once per distinct type."""
+    return all(issubclass(t, (str, int)) and t is not bool
+               for t in set(map(type, values)))
 
 
 def _is_integer(v) -> bool:
@@ -73,7 +77,7 @@ def _integer_rows(v, what: str) -> list:
 
 
 def _labels(v, what: str) -> list:
-    if not isinstance(v, list) or not all(_is_label(x) for x in v):
+    if not isinstance(v, list) or not _all_labels(v):
         raise ValidationError(
             f"{what} must be a list of string or integer labels"
         )
@@ -81,7 +85,7 @@ def _labels(v, what: str) -> list:
 
 
 def _label_map(v, what: str) -> dict:
-    if not isinstance(v, Mapping) or not all(_is_label(x) for x in v.values()):
+    if not isinstance(v, Mapping) or not _all_labels(v.values()):
         raise ValidationError(
             f"{what} must be an object of string or integer labels"
         )

@@ -1,0 +1,177 @@
+"""Reference transition code, kept to test the library's current
+versions against.
+
+``patch_bundles`` restricts both locals to every overlapping pair of
+parts and compares them, as the library did before it restricted the
+glued bundle once per part.  ``gerbes_equivalent`` validates every tried
+shift through ``gerbe_coboundary``, as the library did before it
+compared the moved witnesses alone.  ``pullback_universal`` reads the
+vertex rule off a built ``UniversalBundle``, as the library did before it
+built no universal chains.  ``is_label`` is the per-value label test the
+document loaders used before they tested each distinct type once.
+"""
+
+from __future__ import annotations
+
+import itertools
+from typing import Dict, List, Mapping, Optional
+
+from cechfib import (
+    BudgetExceededError,
+    SimplicialComplex,
+    SimplicialMap,
+    ValidationError,
+    gerbe_coboundary,
+    regular_action,
+    restrict_bundle,
+    universal_bundle,
+    validate_bundle,
+)
+from cechfib.bundles import Bundle, _lifted
+from cechfib.errors import DEFAULT_BUDGET
+from cechfib.gerbes import GerbeEquivalenceResult
+
+
+def patch_bundles(cover, locals_: Mapping) -> Bundle:
+    indices = list(cover.indices)
+    for idx in indices:
+        if idx not in locals_:
+            raise ValidationError(f"no local bundle for part {idx!r}")
+        local = locals_[idx]
+        if local.base != cover.parts[idx]:
+            raise ValidationError(
+                f"local bundle over {idx!r} has the wrong base"
+            )
+    fibers = {tuple(locals_[idx].fiber) for idx in indices}
+    if len(fibers) != 1:
+        raise ValidationError("local bundles have different fibers")
+    for a, b in itertools.combinations(indices, 2):
+        overlap = cover.parts[a].simplices & cover.parts[b].simplices
+        if not overlap:
+            continue
+        sub = SimplicialComplex._trusted(overlap)
+        ra = restrict_bundle(locals_[a], sub)
+        rb = restrict_bundle(locals_[b], sub)
+        if ra.total.simplices != rb.total.simplices:
+            offending = sorted(
+                tuple(sorted(s))
+                for s in ra.total.simplices ^ rb.total.simplices
+            )[0]
+            raise ValidationError(
+                f"locals over {a!r} and {b!r} disagree at {offending!r}",
+                details={"parts": (a, b), "simplex": offending},
+            )
+        for v in ra.total.vertices:
+            if ra.projection(v) != rb.projection(v):
+                raise ValidationError(
+                    f"locals over {a!r} and {b!r} project {v!r} differently"
+                )
+    all_simplices = frozenset().union(
+        *(locals_[idx].total.simplices for idx in indices)
+    )
+    total = SimplicialComplex._trusted(all_simplices)
+    total.vertices
+    vertex_map: Dict = {}
+    for idx in indices:
+        for v in locals_[idx].total.vertices:
+            image = locals_[idx].projection(v)
+            if vertex_map.setdefault(v, image) != image:
+                raise ValidationError(
+                    f"total vertex {v!r} is shared but projects ambiguously"
+                )
+    projection = SimplicialMap(total, cover.base, vertex_map)
+    actions = {id(locals_[idx].action) for idx in indices}
+    action = locals_[indices[0]].action if len(actions) == 1 else None
+    return validate_bundle(
+        Bundle(
+            total=total,
+            base=cover.base,
+            projection=projection,
+            fiber=next(iter(fibers)),
+            action=action,
+        )
+    )
+
+
+def gerbes_equivalent(d1, d2, *, budget: int = DEFAULT_BUDGET):
+    if d1.cover != d2.cover:
+        raise ValidationError("gerbe data live over different covers")
+    if d1.module is not d2.module and (
+        d1.module.base != d2.module.base
+        or d1.module.fiber != d2.module.fiber
+        or d1.module.boundary != d2.module.boundary
+        or d1.module.action != d2.module.action
+    ):
+        raise ValidationError("gerbe data use different crossed modules")
+    module = d1.module
+    base, fiber = module.base, module.fiber
+    indices = d1.cover.indices
+    pairs = d1.nerve.keys(2)
+    boundary_fibers: Dict[int, List[int]] = {}
+    for h in fiber.elements():
+        boundary_fibers.setdefault(module.boundary[h], []).append(h)
+
+    gauges = base.order ** len(indices)
+    tried = 0
+    for number, gauge_tuple in enumerate(
+        itertools.product(base.elements(), repeat=len(indices)), 1
+    ):
+        lam = dict(zip(indices, gauge_tuple))
+        options: List[List[int]] = []
+        for a, b in pairs:
+            conj = base.mul(base.mul(lam[a], d1.edge(a, b)), base.inv(lam[b]))
+            need = base.mul(d2.edge(a, b), base.inv(conj))
+            choices = boundary_fibers.get(need)
+            if not choices:
+                break
+            options.append(choices)
+        feasible = len(options) == len(pairs)
+        for combo in itertools.product(*options) if feasible else [None]:
+            tried += 1
+            if tried > budget:
+                raise BudgetExceededError(
+                    f"gerbe equivalence search exceeded budget {budget} after "
+                    f"{tried - 1} trials, reaching gauge {number} of {gauges}",
+                    budget,
+                )
+            if combo is None:
+                break
+            shift = dict(zip(pairs, combo))
+            transformed = gerbe_coboundary(d1, lam, shift)
+            if transformed.witnesses == d2.witnesses and \
+                    transformed.edge_values == d2.edge_values:
+                return GerbeEquivalenceResult(
+                    equivalent=True, gauge=lam, shift=shift
+                )
+    return GerbeEquivalenceResult(equivalent=False)
+
+
+def pullback_universal(cocycle, universal: Optional[object] = None) -> Bundle:
+    nerve = cocycle.nerve.complex
+    group = cocycle.group
+    if universal is None:
+        universal = universal_bundle(group, max(nerve.dim, 1))
+    if universal.group != group:
+        raise ValidationError("universal bundle is for a different group")
+    if universal.truncation < nerve.dim:
+        raise ValidationError(
+            f"universal bundle truncated below the nerve dimension "
+            f"({universal.truncation} < {nerve.dim})"
+        )
+    pieces = []
+    for s in nerve.maximal_simplices:
+        ordered = tuple(sorted(s))
+        raw = tuple(
+            cocycle.value(ordered[i], ordered[i + 1])
+            for i in range(len(ordered) - 1)
+        )
+        for f in group.elements():
+            pieces.append({
+                (ordered[pos], universal.vertex_of(raw, f, pos))
+                for pos in range(len(ordered))
+            })
+    return _lifted(pieces, nerve, group.elements(), regular_action(group))
+
+
+def is_label(v) -> bool:
+    return isinstance(v, str) or (isinstance(v, int) and not isinstance(v, bool))
