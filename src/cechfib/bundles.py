@@ -8,7 +8,6 @@ bijection, so the covering-type rigidity is exact, not approximate).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -23,19 +22,38 @@ from .errors import DEFAULT_BUDGET, BudgetExceededError, ValidationError
 from .groups import GroupAction
 
 
-@dataclass(frozen=True)
 class Bundle:
     """Total complex with a rigid projection and a finite fiber.
 
     Fibers and lifts are read from two indexes over the total, each
-    built on first use and then kept.
+    built on first use and then kept.  Two bundles are equal when their
+    five fields are.
     """
 
-    total: SimplicialComplex
-    base: SimplicialComplex
-    projection: SimplicialMap
-    fiber: tuple
-    action: Optional[GroupAction] = None
+    def __init__(self, total: SimplicialComplex, base: SimplicialComplex,
+                 projection: SimplicialMap, fiber: tuple,
+                 action: Optional[GroupAction] = None):
+        self.total = total
+        self.base = base
+        self.projection = projection
+        self.fiber = fiber
+        self.action = action
+
+    def _astuple(self) -> tuple:
+        return self.total, self.base, self.projection, self.fiber, self.action
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self):
+        return hash(self._astuple())
+
+    def __repr__(self):
+        return (f"Bundle(total={self.total!r}, base={self.base!r}, "
+                f"projection={self.projection!r}, fiber={self.fiber!r}, "
+                f"action={self.action!r})")
 
     @cached_property
     def _fibers(self) -> Dict[object, tuple]:

@@ -10,9 +10,8 @@ face-compatibility is literally the cocycle law.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence
 
 from .bundles import Bundle, _lifted, bundle_isomorphism, total_space
 from .cocycles import Cocycle1, merge_equivalent, monodromy_representatives
@@ -23,8 +22,7 @@ from .homology import ChainComplex, HomologyResult, homology_of_chain_complex
 from .snf import SparseRows
 
 
-@dataclass(frozen=True)
-class BarComplex:
+class BarComplex(NamedTuple):
     """Normalized bar chains of a group through a truncation dimension."""
 
     group: FiniteGroup
@@ -105,8 +103,7 @@ def bar_homology(group: FiniteGroup, max_degree: int) -> HomologyResult:
     return homology_of_chain_complex(bar.complex, max_degree)
 
 
-@dataclass(frozen=True)
-class MilnorPoint:
+class MilnorPoint(NamedTuple):
     """Coordinate-model point: simplex coordinates plus pairwise values."""
 
     coordinates: tuple     # Fractions, finitely many, summing to 1
@@ -166,8 +163,7 @@ def validate_milnor_point(
     return MilnorPoint(coordinates=coords, values=cleaned, group=group)
 
 
-@dataclass(frozen=True)
-class ClassifyingMap:
+class ClassifyingMap(NamedTuple):
     """Simplex-level map from a nerve into the bar chains of the group."""
 
     cocycle: Cocycle1
@@ -182,8 +178,10 @@ def classifying_map(cocycle: Cocycle1, truncation: Optional[int] = None) -> Clas
     """Send each nerve simplex to the tuple of its successive edge values.
 
     Identity entries collapse away (the image then lives in a lower
-    degree).  Face-compatibility of the assignment is re-checked simplex
-    by simplex; it can only fail if the cocycle law fails.
+    degree).  The assignment is face-compatible exactly when the cocycle
+    law holds, which a ``Cocycle1`` passed when it was validated, so it
+    is not checked again; :func:`classifying_map_is_simplicial` is that
+    check as a predicate.
     """
     nerve = cocycle.nerve.complex
     if truncation is None:
@@ -197,10 +195,7 @@ def classifying_map(cocycle: Cocycle1, truncation: Optional[int] = None) -> Clas
                 for i in range(len(simplex) - 1)
             )
             images[simplex] = tuple(g for g in raw if g != 0)
-    cmap = ClassifyingMap(cocycle=cocycle, bar=bar, images=images)
-    if not classifying_map_is_simplicial(cmap):
-        raise ValidationError("edge data is not face-compatible")
-    return cmap
+    return ClassifyingMap(cocycle=cocycle, bar=bar, images=images)
 
 
 def classifying_map_is_simplicial(cmap: ClassifyingMap) -> bool:
@@ -252,8 +247,7 @@ def classifying_chain_map(cmap: ClassifyingMap, max_degree: int) -> List[SparseR
     return mats
 
 
-@dataclass(frozen=True)
-class UniversalBundle:
+class UniversalBundle(NamedTuple):
     """Action-groupoid chains over the bar complex: (tuple, fiber point).
 
     The k-chains are pairs of a normalized bar tuple and a group element;
@@ -362,8 +356,7 @@ def pullback_universal(cocycle: Cocycle1) -> Bundle:
     return _lifted(pieces, nerve, group.elements(), regular_action(group))
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     """Outcome of the two independent class counts plus pullback checks."""
 
     cocycle_classes: int

@@ -11,17 +11,16 @@ the cover's nerve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from .complexes import connected_components
 from .covers import Cover, NerveComplex, refuse_off_nerve
 from .errors import DEFAULT_BUDGET, BudgetExceededError, ValidationError
 from .groups import FiniteGroup, enumerate_homs, hom_conjugacy_classes
+from .io import _is_integer
 
 
-@dataclass(frozen=True)
-class Cocycle1:
+class Cocycle1(NamedTuple):
     """Strict transition cocycle: one group element per ordered pair."""
 
     cover: Cover
@@ -44,8 +43,7 @@ class Cocycle1:
         return tuple(sorted(self.values))
 
 
-@dataclass(frozen=True)
-class Cochain0:
+class Cochain0(NamedTuple):
     """One group element per cover index."""
 
     cover: Cover
@@ -68,7 +66,12 @@ def validate_cocycle(cover: Cover, group: FiniteGroup, values: Mapping) -> Cocyc
                 f"missing value for overlapping pair {pair!r}",
                 details={"pair": pair},
             )
-        g = int(values[pair])
+        g = values[pair]
+        if not _is_integer(g):
+            raise ValidationError(
+                f"value {g!r} for pair {pair!r} is not an integer",
+                details={"pair": pair},
+            )
         if not (0 <= g < group.order):
             raise ValidationError(f"value {g} out of range for pair {pair!r}")
         cleaned[pair] = g
@@ -162,8 +165,7 @@ def from_homomorphism(
     return validate_cocycle(cover, group, values)
 
 
-@dataclass(frozen=True)
-class EquivalenceResult:
+class EquivalenceResult(NamedTuple):
     equivalent: bool
     bridge: Optional[Mapping] = None  # (c1 index, c2 index) -> element
 

@@ -9,8 +9,7 @@ enumerated in sorted order.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Tuple
+from typing import Dict, Iterable, Mapping, NamedTuple, Tuple
 
 from .errors import ValidationError
 
@@ -393,8 +392,7 @@ def mapping_cylinder(
     return cylinder, include_source, include_target
 
 
-@dataclass(frozen=True)
-class Pi1Presentation:
+class Pi1Presentation(NamedTuple):
     """Edge-path presentation of the fundamental group.
 
     Generators are the edges outside a breadth-first spanning tree,

@@ -9,9 +9,9 @@ cover builds its nerve once and keeps it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Mapping, Optional
+from itertools import chain
+from typing import Dict, Mapping, NamedTuple, Optional
 
 from .complexes import (
     Pi1Presentation,
@@ -128,18 +128,34 @@ def closed_star_cover(x: SimplicialComplex) -> Cover:
     return Cover(x, parts)
 
 
-@dataclass(frozen=True)
 class NerveComplex:
     """The nerve of one cover, with an intersection witness per simplex.
 
     Each cover builds its nerve once (:attr:`Cover.nerve`); the nerve
     keeps no reference back to the cover.  The sorted index families of
     each size and the fundamental-group presentation at the least nerve
-    vertex are each computed on first use and then kept.
+    vertex are each computed on first use and then kept.  Two nerves are
+    equal when their complexes and witnesses are.
     """
 
-    complex: SimplicialComplex
-    witnesses: Mapping
+    def __init__(self, complex: SimplicialComplex, witnesses: Mapping):
+        self.complex = complex
+        self.witnesses = witnesses
+
+    def _astuple(self) -> tuple:
+        return self.complex, self.witnesses
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self):
+        return hash(self._astuple())
+
+    def __repr__(self):
+        return (f"NerveComplex(complex={self.complex!r}, "
+                f"witnesses={self.witnesses!r})")
 
     def witness(self, simplex) -> SimplicialComplex:
         return self.witnesses[tuple(sorted(simplex))]
@@ -183,7 +199,8 @@ def cech_nerve(cover: Cover) -> NerveComplex:
         raise ValidationError("every part of the cover is empty")
     nerve = build_complex(parts_at.values())
     witnesses: Dict[tuple, SimplicialComplex] = {}
-    for key in sorted(tuple(sorted(s)) for s in nerve.simplices):
+    # build_complex holds every simplex as a sorted tuple in its layers
+    for key in sorted(chain.from_iterable(nerve._layers.values())):
         witnesses[key] = (
             cover.parts[key[0]] if len(key) == 1
             else intersect_complexes(witnesses[key[:-1]], cover.parts[key[-1]])
@@ -200,8 +217,7 @@ def refuse_off_nerve(given: Mapping, kept: Mapping, what: str) -> None:
         raise ValidationError(f"{what} {sorted(extra)[:4]!r}")
 
 
-@dataclass(frozen=True)
-class GoodCoverReport:
+class GoodCoverReport(NamedTuple):
     """Outcome of the goodness check with the failing intersections."""
 
     good: bool

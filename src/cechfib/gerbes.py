@@ -14,18 +14,17 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List, Mapping, NamedTuple, Optional
 
 from .covers import Cover, NerveComplex, refuse_off_nerve
 from .errors import DEFAULT_BUDGET, BudgetExceededError, ValidationError
 from .groups import CrossedModule, abelian_decomposition
 from .homology import LatticeQuotient, simplex_boundary_matrix
+from .io import _is_integer
 from .snf import sparse_columns
 
 
-@dataclass(frozen=True)
-class GerbeCocycle:
+class GerbeCocycle(NamedTuple):
     """Edge values on ordered pairs plus witnesses on ordered triples."""
 
     cover: Cover
@@ -62,7 +61,12 @@ def validate_gerbe_cocycle(
     for pair in nerve.keys(2):
         if pair not in edge_values:
             raise ValidationError(f"missing edge value for {pair!r}")
-        g = int(edge_values[pair])
+        g = edge_values[pair]
+        if not _is_integer(g):
+            raise ValidationError(
+                f"edge value {g!r} at {pair!r} is not an integer",
+                details={"pair": pair},
+            )
         if not (0 <= g < base.order):
             raise ValidationError(f"edge value {g} out of range at {pair!r}")
         edges[pair] = g
@@ -71,7 +75,12 @@ def validate_gerbe_cocycle(
     for triple in nerve.keys(3):
         if triple not in witnesses:
             raise ValidationError(f"missing witness for {triple!r}")
-        h = int(witnesses[triple])
+        h = witnesses[triple]
+        if not _is_integer(h):
+            raise ValidationError(
+                f"witness {h!r} at {triple!r} is not an integer",
+                details={"triple": triple},
+            )
         if not (0 <= h < fiber.order):
             raise ValidationError(f"witness {h} out of range at {triple!r}")
         tris[triple] = h
@@ -159,8 +168,7 @@ def _moved(data: GerbeCocycle, lam: Mapping, shift: Mapping) -> tuple:
     return new_edges, new_witnesses
 
 
-@dataclass(frozen=True)
-class TwoCell:
+class TwoCell(NamedTuple):
     """2-cell of the strict 2-group: morphism src -> boundary(h) * src."""
 
     h: int
@@ -295,8 +303,7 @@ def abelian_class_count(nerve: NerveComplex, coefficients) -> int:
     return CechClassifier(nerve, coefficients).class_count
 
 
-@dataclass(frozen=True)
-class GerbeEquivalenceResult:
+class GerbeEquivalenceResult(NamedTuple):
     equivalent: bool
     gauge: Optional[Mapping] = None
     shift: Optional[Mapping] = None

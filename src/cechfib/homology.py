@@ -20,8 +20,7 @@ from __future__ import annotations
 import math
 from collections import Counter, deque
 from itertools import chain
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence
 
 from .complexes import SimplicialComplex, SimplicialMap
 from .errors import ValidationError
@@ -33,8 +32,7 @@ from .snf import (
 )
 
 
-@dataclass(frozen=True)
-class ChainComplex:
+class ChainComplex(NamedTuple):
     """Free chain complex over the integers.
 
     ``boundaries[k]`` is the matrix of C_{k+1} -> C_k as sparse rows, with
@@ -102,8 +100,7 @@ def chain_complex_of(x: SimplicialComplex, max_degree: Optional[int] = None) -> 
     return ChainComplex(ranks=tuple(ranks), boundaries=tuple(boundaries))
 
 
-@dataclass(frozen=True)
-class HomologyGroup:
+class HomologyGroup(NamedTuple):
     """One homology group: free rank plus torsion in divisibility order."""
 
     betti: int
@@ -114,8 +111,7 @@ class HomologyGroup:
         return " + ".join(parts) if parts else "0"
 
 
-@dataclass(frozen=True)
-class HomologyResult:
+class HomologyResult(NamedTuple):
     """Homology groups by degree, starting at degree 0."""
 
     groups: tuple

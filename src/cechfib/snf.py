@@ -16,8 +16,7 @@ hand-written dense rows into this form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 SparseRows = list  # list of rows, each a dict {column: nonzero int}
 
@@ -58,8 +57,7 @@ def sparse_multiply(a: SparseRows, b: SparseRows) -> SparseRows:
     return out
 
 
-@dataclass(frozen=True)
-class SparseSmithForm:
+class SparseSmithForm(NamedTuple):
     """U * M * V = D with the transforms kept as sparse vectors.
 
     ``left`` holds the rows of U, ``right`` the columns of V and

@@ -346,3 +346,26 @@ def test_bundle_isomorphism_budget_says_how_far_it_got():
         "with 0 of 42 total vertices assigned"
     )
     assert info.value.budget == 3
+
+
+def test_bundle_and_nerve_compare_by_their_fields():
+    """Bundle and NerveComplex cache indexes, so they are plain classes,
+    equal and hashed by their fields; neither equals a plain tuple."""
+    from cechfib import Bundle, NerveComplex
+
+    cover = star_cover(corpus.HOLLOW_TRIANGLE)
+    action = regular_action(corpus.Z2)
+    a = total_space(trivial_cocycle(cover, corpus.Z2), action)
+    fields = (a.total, a.base, a.projection, a.fiber, a.action)
+    assert Bundle(*fields) == a and hash(Bundle(*fields)) == hash(a)
+    assert Bundle(*fields[:4]) != a
+    assert a != fields
+    assert repr(a).startswith("Bundle(total=SimplicialComplex(")
+
+    nerve = cover.nerve
+    twin = NerveComplex(complex=nerve.complex, witnesses=dict(nerve.witnesses))
+    assert twin == nerve and twin is not nerve
+    assert nerve != (nerve.complex, nerve.witnesses)
+    with pytest.raises(TypeError):
+        hash(nerve)  # its witnesses are a dict
+    assert repr(nerve).startswith("NerveComplex(complex=SimplicialComplex(")

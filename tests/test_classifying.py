@@ -230,15 +230,9 @@ def test_classifying_map_simpliciality_tracks_cocycle_law():
         (k for k in nerve.witnesses if len(k) == 2)
     }
     broken_values[(0, 2)] = 1
-    import dataclasses
+    from cechfib.cocycles import Cocycle1
 
-    broken = dataclasses.replace(
-        validate_cocycle(
-            cover, corpus.Z2,
-            {k: 0 for k in broken_values},
-        ),
-        values=broken_values,
-    )
+    broken = Cocycle1(cover=cover, group=corpus.Z2, values=broken_values)
     images = {}
     for k in range(nerve.complex.dim + 1):
         for simplex in nerve.complex.simplices_of_dim(k):

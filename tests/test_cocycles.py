@@ -1,3 +1,4 @@
+import enum
 import itertools
 import random
 
@@ -63,6 +64,20 @@ def test_missing_pair_reported():
     with pytest.raises(ValidationError) as err:
         validate_cocycle(circle_cover(), corpus.Z2, {("a", "b"): 0})
     assert "missing value" in str(err.value)
+
+
+@pytest.mark.parametrize("bad", [1.5, "1", None, True])
+def test_values_must_be_integers(bad):
+    with pytest.raises(ValidationError, match="is not an integer") as err:
+        circle_cocycle(value=bad)
+    assert err.value.details["pair"] == ("a", "c")
+
+
+def test_integer_subclass_values_are_integers():
+    class Element(enum.IntEnum):
+        FLIP = 1
+
+    assert circle_cocycle(value=Element.FLIP).value("a", "c") == 1
 
 
 def test_non_good_cover_rejected():

@@ -50,6 +50,20 @@ def test_identity_data_is_valid():
     )
 
 
+@pytest.mark.parametrize("bad", [1.5, "1", None, True])
+def test_edge_values_and_witnesses_must_be_integers(bad):
+    cover, nerve, pairs, triples = sphere_setup()
+    module = abelian_coefficients(corpus.Z2)
+    edges = {p: 0 for p in pairs}
+    witnesses = {t: 0 for t in triples}
+    with pytest.raises(ValidationError, match="is not an integer") as err:
+        validate_gerbe_cocycle(cover, module, {**edges, pairs[-1]: bad}, witnesses)
+    assert err.value.details["pair"] == pairs[-1]
+    with pytest.raises(ValidationError, match="is not an integer") as err:
+        validate_gerbe_cocycle(cover, module, edges, {**witnesses, triples[-1]: bad})
+    assert err.value.details["triple"] == triples[-1]
+
+
 def test_single_witness_valid_when_no_quadruples():
     cover, nerve, pairs, triples = sphere_setup()
     assert not any(len(k) == 4 for k in nerve.witnesses)
