@@ -9,13 +9,20 @@ bijection, so the covering-type rigidity is exact, not approximate).
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import chain
+from operator import itemgetter
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from .complexes import (
     SimplicialComplex,
     SimplicialMap,
+    _image_keys,
+    _in_order,
     build_complex,
     mapping_cylinder,
+    simplex_key,
+    uncovered_simplices,
+    union_complexes,
 )
 from .cocycles import Cocycle1
 from .errors import DEFAULT_BUDGET, BudgetExceededError, ValidationError
@@ -59,35 +66,39 @@ class Bundle:
     def _fibers(self) -> Dict[object, tuple]:
         """Total vertices by their base vertex, in total-vertex order."""
         fibers: Dict[object, list] = {}
+        base_of = self.projection.vertex_map
         for v in self.total.vertices:
-            fibers.setdefault(self.projection(v), []).append(v)
+            fibers.setdefault(base_of[v], []).append(v)
         return {b: tuple(vs) for b, vs in fibers.items()}
 
     @cached_property
-    def _over(self) -> Dict[frozenset, list]:
-        """Total simplices, as sorted vertex tuples, by their image; in
-        sorted order within each dimension."""
-        over: Dict[frozenset, list] = {}
-        image_simplex = self.projection.image_simplex
-        for k in range(self.total.dim + 1):
-            for t in self.total.simplices_of_dim(k):
-                over.setdefault(image_simplex(t), []).append(t)
+    def _over(self) -> Dict[tuple, list]:
+        """Total simplices by their image, both as sorted vertex tuples,
+        in no order."""
+        over: Dict[tuple, list] = {}
+        simplices = list(self.total.simplex_tuples())
+        images = _image_keys(self.projection.vertex_map, simplices)
+        for key, t in zip(images, simplices):
+            over.setdefault(key, []).append(t)
         return over
 
     def fiber_over(self, base_vertex) -> tuple:
         return self._fibers.get(base_vertex, ())
 
+    def _lifts(self, key: tuple) -> list:
+        """Total simplices, as sorted vertex tuples, projecting onto the
+        base simplex with sorted vertex tuple ``key``, in no order."""
+        return [t for t in self._over.get(key, ()) if len(t) == len(key)]
+
     def lifts_of(self, base_simplex) -> list:
-        """Total simplices projecting onto the given base simplex."""
-        target = frozenset(base_simplex)
-        return [
-            frozenset(t) for t in self._over.get(target, ())
-            if len(t) == len(target)
-        ]
+        """Total simplices projecting onto the given base simplex, in the
+        order of their sorted vertex tuples."""
+        return list(map(frozenset, _in_order(self._lifts(simplex_key(base_simplex)))))
 
 
 def validate_bundle(bundle: Bundle) -> Bundle:
-    """Check projection rigidity and the constant fiber count.
+    """Check projection rigidity, the constant fiber count and the lifts
+    of every maximal base simplex.
 
     Endpoints are compared by identity before equality.  Rigidity is
     read from the projection, which learned it while checking its images
@@ -114,17 +125,64 @@ def validate_bundle(bundle: Bundle) -> Bundle:
                 f"fiber over {v!r} has {count} vertices, want {size}",
                 details={"vertex": v},
             )
+    _check_lifts(bundle, size)
     return bundle
+
+
+def _check_lifts(bundle: Bundle, size: int) -> None:
+    """Over each maximal base simplex, require ``size`` lifts that
+    partition the fiber over each of its vertices, and every maximal
+    total simplex to be such a lift.
+
+    The projection keeps sizes, so a lift of a maximal base simplex lies
+    in no larger total simplex: the lifts are read off the maximal total
+    simplices alone, grouped by their image.
+    """
+    proj = bundle.projection
+    lifts: Dict[tuple, list] = {}
+    for key, t in zip(proj._top_images(), proj.source._top_sets()):
+        lifts.setdefault(key, []).append(t)
+    tops = bundle.base._top_sets()
+    wrong = [s for s in tops if len(lifts.get(s, ())) != size]
+    if wrong:
+        s = min(wrong)
+        raise ValidationError(
+            f"base simplex {s!r} has {len(lifts.get(s, ()))} lifts, want {size}",
+            details={"simplex": s},
+        )
+    # size lifts, each with one vertex over each vertex of s, partition
+    # the fibers over s exactly when no two share a vertex
+    wrong = [s for s in tops
+             if len(set(chain.from_iterable(lifts.get(s, ())))) != size * len(s)]
+    if wrong:
+        s = min(wrong)
+        raise ValidationError(
+            f"lifts of base simplex {s!r} share a vertex",
+            details={"simplex": s},
+        )
+    extra = lifts.keys() - set(tops)
+    if extra:
+        t = min(chain.from_iterable(map(lifts.__getitem__, extra)))
+        raise ValidationError(
+            f"total simplex {t!r} lies over no maximal base simplex",
+            details={"simplex": t},
+        )
+
+
+_FIRST = itemgetter(0)
 
 
 def _lifted(pieces, base, fiber, action) -> Bundle:
     """The bundle whose total is the closure of ``pieces``, each a set of
     (base vertex, ...) pairs with one pair over each vertex of a base
     simplex, projected by first entries: by construction a simplicial
-    map that keeps every simplex's size."""
+    map that keeps every simplex's size.  A maximal total simplex sorts
+    by its distinct base vertices, so its image is its first entries in
+    order."""
     total = build_complex(pieces)
     projection = SimplicialMap._trusted(
-        total, base, {v: v[0] for v in total.vertices}, rigid=True
+        total, base, {v: v[0] for v in total.vertices}, rigid=True,
+        images=[tuple(map(_FIRST, t)) for t in total._top_sets()],
     )
     return Bundle(total=total, base=base, projection=projection,
                   fiber=tuple(fiber), action=action)
@@ -141,16 +199,13 @@ def total_space(cocycle: Cocycle1, action: GroupAction) -> Bundle:
     if action.group != cocycle.group:
         raise ValidationError("action group differs from cocycle group")
     nerve = cocycle.nerve.complex
+    act = action.act
     simplices = []
-    for s in nerve.maximal_simplices:
-        ordered = tuple(sorted(s))
+    for ordered in nerve._top_sets():
         last = ordered[-1]
+        values = [cocycle.value(alpha, last) for alpha in ordered]
         for f in action.fiber:
-            lift = {
-                (alpha, action.act(cocycle.value(alpha, last), f))
-                for alpha in ordered
-            }
-            simplices.append(lift)
+            simplices.append([(alpha, act(g, f)) for alpha, g in zip(ordered, values)])
     return validate_bundle(_lifted(simplices, nerve, action.fiber, action))
 
 
@@ -217,13 +272,12 @@ def pullback(bundle: Bundle, f: SimplicialMap) -> Bundle:
     if f.target != bundle.base:
         raise ValidationError("map does not land in the bundle's base")
     pieces = []
-    for s in f.source.maximal_simplices:
-        image = f.image_simplex(s)
-        for lift in bundle.lifts_of(image):
-            over: Dict = {}
-            for e in lift:
-                over[bundle.projection(e)] = e
-            pieces.append({(x, over[f(x)]) for x in s})
+    base_of = bundle.projection.vertex_map.__getitem__
+    image_of = f.vertex_map
+    for s, image in zip(f.source._top_sets(), f._top_images()):
+        for lift in bundle._lifts(image):
+            over = dict(zip(map(base_of, lift), lift))
+            pieces.append([(x, over[image_of[x]]) for x in s])
     return validate_bundle(_lifted(pieces, f.source, bundle.fiber, bundle.action))
 
 
@@ -231,11 +285,10 @@ def restrict_bundle(bundle: Bundle, sub: SimplicialComplex) -> Bundle:
     """Restriction to a subcomplex of the base, keeping vertex labels."""
     if not sub.is_subcomplex_of(bundle.base):
         raise ValidationError("restriction target is not a subcomplex")
-    by_dim: Dict[int, list] = {}
-    for image in sub.simplices:
-        for t in bundle._over.get(image, ()):
-            by_dim.setdefault(len(t) - 1, []).append(t)
-    total = SimplicialComplex._trusted(layers=by_dim)
+    over = bundle._over
+    total = SimplicialComplex._of_sorted(chain.from_iterable(
+        over.get(image, ()) for image in sub.simplex_tuples()
+    ))
     projection = SimplicialMap._trusted(
         total, sub, {v: bundle.projection(v) for v in total.vertices}
     )
@@ -278,12 +331,11 @@ def bundle_isomorphism(
     position = {e: i for i, e in enumerate(order)}
     # simplices become checkable once the search passes their last vertex
     by_last: List[List[tuple]] = [[] for _ in order]
-    for k in range(1, b1.total.dim + 1):
-        for s in b1.total.simplices_of_dim(k):
+    for s in b1.total.simplex_tuples():
+        if len(s) > 1:
             by_last[max(map(position.__getitem__, s))].append(s)
     near1 = _lifted_neighbours(b1)
     near2 = _lifted_neighbours(b2)
-    simplices2 = b2.total.simplices
     mapping: Dict = {}
     used = set()
     tried = 0
@@ -319,10 +371,7 @@ def bundle_isomorphism(
         return True
 
     def fits(i: int) -> bool:
-        return all(
-            frozenset(map(mapping.__getitem__, s)) in simplices2
-            for s in by_last[i]
-        )
+        return b2.total._holds_all(_image_keys(mapping, by_last[i]))
 
     def undo(trail: list) -> None:
         for x in trail:
@@ -372,7 +421,7 @@ def _lifted_neighbours(bundle: Bundle) -> Dict[object, Dict[object, list]]:
     """Each total vertex's neighbours, grouped by their base vertex."""
     near: Dict[object, Dict[object, list]] = {}
     base_of = bundle.projection.vertex_map
-    for u, v in bundle.total.simplices_of_dim(1):
+    for u, v in bundle.total.simplex_tuples(1):
         near.setdefault(u, {}).setdefault(base_of[v], []).append(v)
         near.setdefault(v, {}).setdefault(base_of[u], []).append(u)
     return near
@@ -413,11 +462,8 @@ def patch_bundles(cover, locals_: Mapping) -> Bundle:
     fibers = {tuple(locals_[idx].fiber) for idx in indices}
     if len(fibers) != 1:
         raise ValidationError("local bundles have different fibers")
-    all_simplices = frozenset().union(
-        *(locals_[idx].total.simplices for idx in indices)
-    )
-    total = SimplicialComplex._trusted(all_simplices)
-    total.vertices  # the locals' labels must be orderable together
+    # raises unless the locals' labels can be ordered together
+    total = union_complexes(locals_[idx].total for idx in indices)
     vertex_map: Dict = {}
     for idx in indices:
         for v in locals_[idx].total.vertices:
@@ -432,13 +478,14 @@ def patch_bundles(cover, locals_: Mapping) -> Bundle:
     glued = Bundle(total=total, base=cover.base, projection=projection,
                    fiber=next(iter(fibers)), action=action)
     for a in indices:
-        local = locals_[a].total.simplices
-        extra = restrict_bundle(glued, cover.parts[a]).total.simplices - local
+        extra = uncovered_simplices(
+            restrict_bundle(glued, cover.parts[a]).total, [locals_[a].total]
+        )
         if extra:
             # each extra simplex lies over a's part in some other local
-            offending = min(tuple(sorted(s)) for s in extra)
-            b = next(b for b in indices if frozenset(offending)
-                     in locals_[b].total.simplices)
+            offending = extra[0]
+            b = next(b for b in indices
+                     if locals_[b].total.has_simplex(offending))
             a, b = sorted((a, b))
             raise ValidationError(
                 f"locals over {a!r} and {b!r} disagree at {offending!r}",

@@ -19,6 +19,7 @@ from .covers import Cover
 from .errors import DEFAULT_BUDGET, ValidationError
 from .groups import FiniteGroup, regular_action
 from .homology import ChainComplex, HomologyResult, homology_of_chain_complex
+from .io import _is_integer
 from .snf import SparseRows
 
 
@@ -138,7 +139,14 @@ def validate_milnor_point(
             (2, f"support pairs mismatch; missing {missing!r}, "
                 f"spurious {spurious!r}")
         )
-    cleaned = {tuple(k): int(v) for k, v in values.items()}
+    cleaned = {}
+    for k, v in values.items():
+        if not _is_integer(v):
+            raise ValidationError(
+                f"value {v!r} for pair {tuple(k)!r} is not an integer",
+                details={"pair": tuple(k)},
+            )
+        cleaned[tuple(k)] = v
     if any(not (0 <= v < group.order) for v in cleaned.values()):
         violations.append((2, "values out of range for the group"))
     # condition 4 multiplies, so it reads only the values in range

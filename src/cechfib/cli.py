@@ -94,7 +94,7 @@ def _homology_run(load, compute, default_degree):
 def _run_nerve(docs, args) -> tuple:
     nerve = docio.cover_from_doc(docs[0]).nerve
     witness_sizes = {
-        "|".join(str(i) for i in key): len(w.simplices)
+        "|".join(str(i) for i in key): w.simplex_count()
         for key, w in sorted(nerve.witnesses.items())
     }
     return True, {"nerve": docio.complex_to_doc(nerve.complex),

@@ -9,7 +9,7 @@ enumerated in sorted order.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterable, Mapping, NamedTuple, Tuple
+from typing import Dict, Iterable, Mapping, NamedTuple, Optional, Tuple
 
 from .errors import ValidationError
 
@@ -17,69 +17,97 @@ from .errors import ValidationError
 _UNORDERABLE = "vertex identifiers must be mutually orderable"
 
 
-def _in_order(items) -> tuple:
-    """``items`` sorted: the one place where vertex labels are compared.
+def _in_order(items, *, each: bool = False):
+    """``items`` sorted, or with ``each`` the list of its items each as
+    the sorted tuple of its distinct labels: the one place where vertex
+    labels are compared.
 
     A sort that succeeds has compared every adjacent pair of its output,
     so a family whose vertices sort here has mutually orderable labels.
     """
     try:
+        if each:
+            return [tuple(sorted(set(item))) for item in items]
         return tuple(sorted(items))
     except TypeError as exc:
         raise ValidationError(_UNORDERABLE) from exc
 
 
-def _tops_and_gaps(family: frozenset) -> Tuple[frozenset, set]:
-    """The maximal sets of a family of nonempty sets, and the
-    codimension-1 faces of its sets that are missing from it."""
-    faces = set(map(frozenset, itertools.chain.from_iterable(
-        itertools.combinations(s, len(s) - 1) for s in family
-    )))
-    faces.discard(frozenset())
-    return family - faces, faces - family
+def simplex_key(vertices) -> tuple:
+    """A vertex collection in the form complexes store it: the sorted
+    tuple of its distinct labels.  Labels that cannot be ordered give
+    the empty tuple, which no complex holds."""
+    try:
+        return _in_order(set(vertices))
+    except ValidationError:
+        return ()
 
 
-class _Known(tuple):
-    """(family, layers, maximal) from a maker that knows them valid."""
+def _layered(words: Iterable[tuple]) -> Dict[int, set]:
+    """Nonempty sorted vertex tuples as layers: each dimension's set."""
+    return {size - 1: set(group) for size, group
+            in itertools.groupby(sorted(words, key=len), len)}
+
+
+def _tops_and_gap(layers: Dict[int, set]) -> Tuple[list, int]:
+    """The maximal simplices of per-dimension sets of sorted tuples, and
+    the least dimension whose simplices miss a codimension-1 face (0
+    when every face is present)."""
+    tops: list = []
+    gap = 0
+    above: set = set()
+    for k in sorted(layers, reverse=True):
+        layer = layers[k]
+        tops.extend(layer - above if above else layer)
+        if k:
+            # the faces of sorted tuples, taken in position order, are sorted
+            above = set(itertools.chain.from_iterable(
+                map(itertools.combinations, layer, itertools.repeat(k))
+            ))
+            if not above <= layers.get(k - 1, set()):
+                gap = k
+    return tops, gap
 
 
 class SimplicialComplex:
     """Downward-closed family of nonempty finite vertex sets.
 
-    ``SimplicialComplex(simplices)`` takes the family as frozensets.  The
-    family is checked here, and every error raised here: an empty
-    simplex, a gap in the closure under faces, labels that cannot be
-    ordered.
+    A complex holds its simplices in one form, per dimension the set of
+    its k-simplices, each the sorted tuple of its vertex labels (the word
+    a simplex tree stores).  Membership, subcomplexes, equality,
+    intersection and union are set operations on these layers.
 
-    A complex keeps what its maker knows (the family, or the simplices
-    as sorted tuples by dimension and the maximal ones) and derives each
-    other view once, on first read: the ordered layers behind
-    ``simplices_of_dim``, ``simplex_count`` and ``dim``, the sorted
-    ``vertices`` and ``maximal_simplices``, and the family.
+    ``SimplicialComplex(simplices)`` takes the family as frozensets,
+    checks it and converts it once; every error is raised here: an empty
+    simplex, a gap in the closure under faces, labels that cannot be
+    ordered.  Library makers hand over layers they know closed.
+
+    Each other view is derived once, on first read: the ordered layers
+    behind ``simplices_of_dim``, the sorted ``vertices`` and
+    ``maximal_simplices``, and ``simplices``, the family as frozensets,
+    an on-demand view that the hash reads.
     """
 
     __slots__ = ("_simplices", "_layers", "_tops", "_vertices", "_by_dim", "_maximal")
 
     def __init__(self, simplices: Iterable[frozenset] = ()):
-        self._vertices = self._by_dim = self._maximal = None
-        if type(simplices) is _Known:  # from _trusted: nothing to check
-            self._simplices, self._layers, self._tops = simplices
-            return
         try:
-            closed = frozenset(simplices)
+            family = frozenset(simplices)
         except TypeError as exc:
             raise ValidationError(_UNORDERABLE) from exc
-        self._simplices, self._layers = closed, None
-        if frozenset() in closed:
+        if frozenset() in family:
             raise ValidationError("empty simplex is not allowed")
-        self._tops, missing = _tops_and_gaps(closed)
-        if missing:
+        layers = _layered(_in_order(family, each=True))
+        self._layers, self._simplices = layers, family
+        self._vertices = self._by_dim = self._maximal = None
+        self._tops, gap = _tops_and_gap(layers)
+        if gap:
             # ordering the layers first reports unorderable labels before
             # the gap; the gap is named at its least dimension
-            size = min(map(len, missing))
+            below = layers.get(gap - 1, set())
             simplex = next(
-                t for t in self._ordered_layers()[size]
-                if not missing.isdisjoint(map(frozenset, itertools.combinations(t, size)))
+                t for t in self._ordered_layers()[gap]
+                if not below.issuperset(itertools.combinations(t, gap))
             )
             raise ValidationError(
                 f"family is not closed under faces at {simplex!r}",
@@ -88,80 +116,101 @@ class SimplicialComplex:
         self.vertices  # labels must be orderable: checked now, not on a read
 
     @classmethod
-    def _trusted(cls, simplices=None, *, layers=None, tops=None) -> "SimplicialComplex":
-        """A complex whose maker knows it closed, with orderable labels:
-        its frozenset family, or its simplices as sorted tuples by
-        dimension, and its maximal simplices where known."""
-        return cls(_Known((simplices, layers, tops)))
+    def _trusted(cls, layers: Dict[int, set], tops=None) -> "SimplicialComplex":
+        """A complex from its layers, nonempty sets of sorted vertex
+        tuples by dimension that its maker knows closed under faces,
+        with orderable labels, and its maximal simplices where known."""
+        x = cls.__new__(cls)
+        x._layers, x._tops = layers, tops
+        x._simplices = x._vertices = x._by_dim = x._maximal = None
+        return x
+
+    @classmethod
+    def _of_sorted(cls, simplices: Iterable[tuple]) -> "SimplicialComplex":
+        """``_trusted`` from the simplices as sorted vertex tuples."""
+        return cls._trusted(_layered(simplices))
 
     def _ordered_layers(self) -> Dict[int, tuple]:
         """Each dimension's simplices as sorted vertex tuples, in order."""
         if self._by_dim is None:
             layers = self._layers
-            if layers is None:
-                by_size = itertools.groupby(sorted(self._simplices, key=len), len)
-                layers = {size - 1: map(tuple, map(sorted, list(group)))
-                          for size, group in by_size}
-            self._layers = self._by_dim = {
-                k: _in_order(layers[k]) for k in sorted(layers)
-            }
+            self._by_dim = {k: _in_order(layers[k]) for k in sorted(layers)}
         return self._by_dim
 
     @property
     def vertices(self) -> tuple:
         if self._vertices is None:
             self._vertices = _in_order(
-                frozenset().union(*self._simplices) if self._layers is None
-                else itertools.chain.from_iterable(self._layers.get(0, ()))
+                itertools.chain.from_iterable(self._layers.get(0, ()))
             )
         return self._vertices
 
     @property
     def simplices(self) -> frozenset:
+        """The family as frozensets: a view built on first read."""
         if self._simplices is None:
-            self._simplices = frozenset(map(
-                frozenset, itertools.chain.from_iterable(self._layers.values())
-            ))
+            self._simplices = frozenset(map(frozenset, self.simplex_tuples()))
         return self._simplices
 
-    def _top_sets(self):
-        """The maximal simplices as vertex collections, in no order."""
+    def simplex_tuples(self, k: Optional[int] = None) -> Iterable[tuple]:
+        """The k-simplices, or all simplices when k is None, each as a
+        sorted vertex tuple, in no set order."""
+        if k is None:
+            return itertools.chain.from_iterable(self._layers.values())
+        return iter(self._layers.get(k, ()))
+
+    def _top_sets(self) -> list:
+        """The maximal simplices as sorted vertex tuples, in no order."""
         if self._tops is None:
-            self._tops = _tops_and_gaps(self.simplices)[0]
+            self._tops = _tops_and_gap(self._layers)[0]
         return self._tops
 
     @property
     def maximal_simplices(self) -> tuple:
         if self._maximal is None:
-            tops = map(tuple, map(sorted, self._top_sets()))
-            self._maximal = tuple(map(frozenset, _in_order(tops)))
+            self._maximal = tuple(map(frozenset, _in_order(self._top_sets())))
         return self._maximal
 
     @property
     def dim(self) -> int:
         """Dimension of the complex; -1 when empty."""
-        return max(self._ordered_layers(), default=-1)
+        return max(self._layers, default=-1)
 
     def simplices_of_dim(self, k: int) -> tuple:
         """Sorted tuple of k-simplices, each a sorted vertex tuple."""
         return self._ordered_layers().get(k, ())
 
-    def simplex_count(self, k: int) -> int:
-        return len(self._ordered_layers().get(k, ()))
+    def simplex_count(self, k: Optional[int] = None) -> int:
+        """The number of k-simplices, or of all simplices when k is None."""
+        if k is None:
+            return sum(map(len, self._layers.values()))
+        return len(self._layers.get(k, ()))
 
     def has_simplex(self, simplex) -> bool:
-        return frozenset(simplex) in self.simplices
+        key = simplex_key(simplex)
+        return key in self._layers.get(len(key) - 1, ())
+
+    def _holds_all(self, keys) -> bool:
+        """Whether sorted tuples of distinct labels are all simplices,
+        tested one dimension at a time."""
+        layers = self._layers
+        return all(
+            layers.get(size - 1, set()).issuperset(group)
+            for size, group in itertools.groupby(sorted(keys, key=len), len)
+        )
 
     def is_empty(self) -> bool:
-        return not (self._layers if self._simplices is None else self._simplices)
+        return not self._layers
 
     def is_subcomplex_of(self, other: "SimplicialComplex") -> bool:
-        return self.simplices <= other.simplices
+        theirs = other._layers
+        return all(k in theirs and layer <= theirs[k]
+                   for k, layer in self._layers.items())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SimplicialComplex):
             return NotImplemented
-        return self.simplices == other.simplices
+        return self._layers == other._layers
 
     def __hash__(self) -> int:
         return hash(self.simplices)  # a frozenset keeps its hash
@@ -208,14 +257,42 @@ def build_complex(maximal_simplices: Iterable[Iterable]) -> SimplicialComplex:
             by_dim.setdefault(k - 1, set()).update(itertools.chain.from_iterable(
                 map(itertools.combinations, new, itertools.repeat(k))
             ))
-    x = SimplicialComplex._trusted(layers=by_dim, tops=tops)
+    x = SimplicialComplex._trusted(by_dim, tops)
     x.vertices  # every pair of labels is compared now, not on a later read
     return x
 
 
 def intersect_complexes(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComplex:
     """The common subcomplex: two closed families meet in a closed one."""
-    return SimplicialComplex._trusted(a.simplices & b.simplices)
+    theirs = b._layers
+    layers = {}
+    for k, layer in a._layers.items():
+        common = layer.intersection(theirs.get(k, ()))
+        if common:
+            layers[k] = common
+    return SimplicialComplex._trusted(layers)
+
+
+def union_complexes(xs: Iterable[SimplicialComplex]) -> SimplicialComplex:
+    """The union of complexes: closed families join in a closed one.
+    Raises unless their labels can be ordered together."""
+    layers: Dict[int, set] = {}
+    for x in xs:
+        for k, layer in x._layers.items():
+            layers.setdefault(k, set()).update(layer)
+    union = SimplicialComplex._trusted(layers)
+    union.vertices  # the labels of different complexes are compared now
+    return union
+
+
+def uncovered_simplices(x: SimplicialComplex, others) -> tuple:
+    """The simplices of ``x`` that none of ``others`` holds, as sorted
+    vertex tuples, in order."""
+    held = [y._layers for y in others]
+    return _in_order(itertools.chain.from_iterable(
+        layer.difference(*(layers.get(k, ()) for layers in held))
+        for k, layer in x._layers.items()
+    ))
 
 
 def euler_characteristic(x: SimplicialComplex) -> int:
@@ -256,11 +333,12 @@ class SimplicialMap:
     Checked in one pass: each maximal source simplex's image must be a
     target simplex, which covers every vertex too.  Only on a failure are
     vertices, then simplices, checked in order to name the first fault.
-    The pass also learns whether a maximal simplex loses a vertex.
-    ``_trusted`` takes a map that its maker knows simplicial, unchecked.
+    The pass keeps the images of the maximal source simplices, and
+    learns whether one of them loses a vertex.  ``_trusted`` takes a map
+    that its maker knows simplicial, unchecked.
     """
 
-    __slots__ = ("source", "target", "vertex_map", "_rigid")
+    __slots__ = ("source", "target", "vertex_map", "_rigid", "_images")
 
     def __init__(
         self,
@@ -271,31 +349,41 @@ class SimplicialMap:
         vm = dict(vertex_map)
         tops = source._top_sets()
         try:
-            images = [frozenset(map(vm.__getitem__, s)) for s in tops]
-        except (KeyError, TypeError):
+            images = _image_keys(vm, tops)
+        except (KeyError, ValidationError):
             images = None
-        if images is None or not target.simplices.issuperset(images):
+        if images is None or not target._holds_all(images):
             _first_map_fault(source, target, vm)
         self.source = source
         self.target = target
         self.vertex_map = vm
+        self._images = images
         self._rigid = sum(map(len, images)) == sum(map(len, tops))
 
     @classmethod
-    def _trusted(cls, source, target, vertex_map, *, rigid=None) -> "SimplicialMap":
+    def _trusted(cls, source, target, vertex_map, *, rigid=None,
+                 images=None) -> "SimplicialMap":
         """A map whose maker knows it simplicial, and maybe whether it
-        keeps every maximal simplex's size: nothing is checked."""
+        keeps every maximal simplex's size and the images of the maximal
+        source simplices: nothing is checked."""
         f = cls.__new__(cls)
         f.source, f.target, f.vertex_map = source, target, vertex_map
-        f._rigid = rigid
+        f._rigid, f._images = rigid, images
         return f
+
+    def _top_images(self) -> list:
+        """The image of each maximal source simplex, in the order of
+        ``source._top_sets()``, as the sorted tuple of its distinct
+        vertices."""
+        if self._images is None:
+            self._images = _image_keys(self.vertex_map, self.source._top_sets())
+        return self._images
 
     def _keeps_dimensions(self) -> bool:
         """Whether every maximal source simplex keeps its size."""
         if self._rigid is None:
             tops = self.source._top_sets()
-            images = map(self.image_simplex, tops)
-            self._rigid = sum(map(len, images)) == sum(map(len, tops))
+            self._rigid = sum(map(len, self._top_images())) == sum(map(len, tops))
         return self._rigid
 
     def __call__(self, vertex):
@@ -320,6 +408,12 @@ class SimplicialMap:
 
     def __repr__(self) -> str:
         return f"SimplicialMap({self.source!r} -> {self.target!r})"
+
+
+def _image_keys(vm: Mapping, simplices) -> list:
+    """The image of each simplex under a vertex map, as the sorted tuple
+    of its distinct vertices."""
+    return _in_order(map(map, itertools.repeat(vm.__getitem__), simplices), each=True)
 
 
 def _first_map_fault(source, target, vm) -> None:

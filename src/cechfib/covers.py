@@ -10,7 +10,6 @@ cover builds its nerve once and keeps it.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import chain
 from typing import Dict, Mapping, NamedTuple, Optional
 
 from .complexes import (
@@ -21,6 +20,7 @@ from .complexes import (
     build_complex,
     intersect_complexes,
     pi1_presentation,
+    uncovered_simplices,
 )
 from .errors import ValidationError
 from .homology import is_point_like
@@ -50,11 +50,8 @@ class Cover:
                     f"part {idx!r} is not a subcomplex of the base",
                     details={"index": idx},
                 )
-        union = frozenset().union(*(parts[idx].simplices for idx in indices))
-        if union != base.simplices:
-            missing = sorted(
-                tuple(sorted(s)) for s in base.simplices - union
-            )[:4]
+        missing = list(uncovered_simplices(base, map(parts.get, indices))[:4])
+        if missing:
             raise ValidationError(
                 f"parts do not cover the base; e.g. {missing!r} uncovered",
                 details={"missing": missing},
@@ -106,10 +103,10 @@ def star_cover(x: SimplicialComplex) -> Cover:
     """
     sd, _ = barycentric_subdivision(x)
     stars: Dict = {v: [] for v in x.vertices}
-    for chain in sd.simplices:
+    for chain in sd.simplex_tuples():
         for v in min(chain, key=len):
             stars[v].append(chain)
-    parts = {v: SimplicialComplex._trusted(frozenset(stars[v])) for v in x.vertices}
+    parts = {v: SimplicialComplex._of_sorted(stars[v]) for v in x.vertices}
     return Cover(sd, parts)
 
 
@@ -199,8 +196,7 @@ def cech_nerve(cover: Cover) -> NerveComplex:
         raise ValidationError("every part of the cover is empty")
     nerve = build_complex(parts_at.values())
     witnesses: Dict[tuple, SimplicialComplex] = {}
-    # build_complex holds every simplex as a sorted tuple in its layers
-    for key in sorted(chain.from_iterable(nerve._layers.values())):
+    for key in sorted(nerve.simplex_tuples()):
         witnesses[key] = (
             cover.parts[key[0]] if len(key) == 1
             else intersect_complexes(witnesses[key[:-1]], cover.parts[key[-1]])
@@ -253,10 +249,11 @@ def section_map(cover: Cover, nerve: Optional[NerveComplex] = None, /) -> Simpli
         raise ValidationError("section_map was given a nerve of another cover")
     least: Dict = {}
     for idx in cover.indices:
-        for simplex in cover.parts[idx].simplices:
+        for simplex in cover.parts[idx].simplex_tuples():
             least.setdefault(simplex, idx)
-    sd, carrier = barycentric_subdivision(cover.base)
-    vertex_map = {v: least[carrier[v]] for v in sd.vertices}
+    # each subdivision vertex is its base simplex as a sorted tuple
+    sd, _ = barycentric_subdivision(cover.base)
+    vertex_map = {v: least[v] for v in sd.vertices}
     return SimplicialMap(sd, cover.nerve.complex, vertex_map)
 
 

@@ -262,9 +262,8 @@ def is_point_like(x: SimplicialComplex) -> bool:
     """
     if x.is_empty():
         return False
-    simplices = x.simplices
-    counts = Counter(chain.from_iterable(simplices))
-    if 2 * max(counts.values()) - 1 == len(simplices):
+    counts = Counter(chain.from_iterable(x.simplex_tuples()))
+    if 2 * max(counts.values()) - 1 == x.simplex_count():
         return True
     groups = homology(x).groups
     return groups[0] == HomologyGroup(1, ()) and all(

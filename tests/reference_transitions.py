@@ -49,7 +49,7 @@ def patch_bundles(cover, locals_: Mapping) -> Bundle:
         overlap = cover.parts[a].simplices & cover.parts[b].simplices
         if not overlap:
             continue
-        sub = SimplicialComplex._trusted(overlap)
+        sub = SimplicialComplex(overlap)
         ra = restrict_bundle(locals_[a], sub)
         rb = restrict_bundle(locals_[b], sub)
         if ra.total.simplices != rb.total.simplices:
@@ -69,7 +69,7 @@ def patch_bundles(cover, locals_: Mapping) -> Bundle:
     all_simplices = frozenset().union(
         *(locals_[idx].total.simplices for idx in indices)
     )
-    total = SimplicialComplex._trusted(all_simplices)
+    total = SimplicialComplex(all_simplices)
     total.vertices
     vertex_map: Dict = {}
     for idx in indices:
