@@ -111,11 +111,10 @@ def validate_bundle(bundle: Bundle) -> Bundle:
     ):
         raise ValidationError("projection endpoints do not match the bundle")
     if not proj._keeps_dimensions():
-        s = next(s for s in bundle.total.maximal_simplices
-                 if len(proj.image_simplex(s)) != len(s))
+        t = min(t for t, image in zip(proj.source._top_sets(), proj._top_images())
+                if len(image) != len(t))
         raise ValidationError(
-            f"projection collapses simplex {tuple(sorted(s))!r}",
-            details={"simplex": tuple(sorted(s))},
+            f"projection collapses simplex {t!r}", details={"simplex": t},
         )
     size = len(bundle.fiber)
     for v in bundle.base.vertices:
@@ -173,8 +172,8 @@ _FIRST = itemgetter(0)
 
 
 def _lifted(pieces, base, fiber, action) -> Bundle:
-    """The bundle whose total is the closure of ``pieces``, each a set of
-    (base vertex, ...) pairs with one pair over each vertex of a base
+    """The bundle whose total is the closure of ``pieces``, each a collection
+    of (base vertex, ...) pairs with one pair over each vertex of a base
     simplex, projected by first entries: by construction a simplicial
     map that keeps every simplex's size.  A maximal total simplex sorts
     by its distinct base vertices, so its image is its first entries in
@@ -245,21 +244,14 @@ def skeletal_construction(cocycle: Cocycle1, action: GroupAction) -> Bundle:
                 if ok:
                     recorded.add(extended)
             lifts[simplex] = recorded
-    pieces = []
-    for s in nerve.maximal_simplices:
-        ordered = tuple(sorted(s))
-        for lift in lifts[ordered]:
-            pieces.append(set(lift))
+    pieces = [lift for t in nerve._top_sets() for lift in lifts[t]]
     return validate_bundle(_lifted(pieces, nerve, action.fiber, action))
 
 
 def product_bundle(base: SimplicialComplex, fiber) -> Bundle:
     """Trivial bundle: one horizontal copy of the base per fiber point."""
     fiber = tuple(fiber)
-    pieces = []
-    for s in base.maximal_simplices:
-        for f in fiber:
-            pieces.append({(v, f) for v in s})
+    pieces = [[(v, f) for v in t] for t in base._top_sets() for f in fiber]
     return _lifted(pieces, base, fiber, None)
 
 
@@ -497,8 +489,7 @@ def patch_bundles(cover, locals_: Mapping) -> Bundle:
 def _check_monotone_over_base(bundle: Bundle) -> None:
     # prism triangulations only project simplicially when the total vertex
     # order refines the base vertex order within every simplex
-    for s in bundle.total.maximal_simplices:
-        ordered = tuple(sorted(s))
+    for ordered in _in_order(bundle.total._top_sets()):
         images = [bundle.projection(v) for v in ordered]
         if images != sorted(images):
             raise ValidationError(

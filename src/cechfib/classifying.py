@@ -16,10 +16,9 @@ from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence
 from .bundles import Bundle, _lifted, bundle_isomorphism, total_space
 from .cocycles import Cocycle1, merge_equivalent, monodromy_representatives
 from .covers import Cover
-from .errors import DEFAULT_BUDGET, ValidationError
+from .errors import DEFAULT_BUDGET, ValidationError, _is_integer
 from .groups import FiniteGroup, regular_action
 from .homology import ChainComplex, HomologyResult, homology_of_chain_complex
-from .io import _is_integer
 from .snf import SparseRows
 
 
@@ -125,7 +124,15 @@ def validate_milnor_point(
     4. values compose along every support triple (in particular forcing
        value(j, i) to invert value(i, j)).
     """
-    coords = tuple(Fraction(t) for t in coordinates)
+    coords = []
+    for i, t in enumerate(coordinates):
+        try:
+            coords.append(Fraction(t))
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+            raise ValidationError(
+                f"coordinate {t!r} at position {i} is not a rational number",
+                details={"coordinate": i},
+            ) from None
     violations = []
     if any(t < 0 or t > 1 for t in coords) or sum(coords) != 1:
         violations.append((1, "coordinates must lie in [0,1] and sum to 1"))
@@ -168,7 +175,7 @@ def validate_milnor_point(
             + "; ".join(f"[{n}] {msg}" for n, msg in violations),
             details={"violations": violations},
         )
-    return MilnorPoint(coordinates=coords, values=cleaned, group=group)
+    return MilnorPoint(coordinates=tuple(coords), values=cleaned, group=group)
 
 
 class ClassifyingMap(NamedTuple):
@@ -198,12 +205,13 @@ def classifying_map(cocycle: Cocycle1, truncation: Optional[int] = None) -> Clas
     images: Dict[tuple, tuple] = {}
     for k in range(nerve.dim + 1):
         for simplex in nerve.simplices_of_dim(k):
-            raw = tuple(
-                cocycle.value(simplex[i], simplex[i + 1])
-                for i in range(len(simplex) - 1)
-            )
-            images[simplex] = tuple(g for g in raw if g != 0)
+            images[simplex] = tuple(filter(None, _edge_values(cocycle, simplex)))
     return ClassifyingMap(cocycle=cocycle, bar=bar, images=images)
+
+
+def _edge_values(cocycle: Cocycle1, simplex: tuple) -> tuple:
+    """The values on the successive edges of a sorted nerve simplex."""
+    return tuple(map(cocycle.value, simplex, simplex[1:]))
 
 
 def classifying_map_is_simplicial(cmap: ClassifyingMap) -> bool:
@@ -216,10 +224,7 @@ def classifying_map_is_simplicial(cmap: ClassifyingMap) -> bool:
     nerve = cmap.cocycle.nerve.complex
     for k in range(1, nerve.dim + 1):
         for simplex in nerve.simplices_of_dim(k):
-            raw = tuple(
-                cmap.cocycle.value(simplex[i], simplex[i + 1])
-                for i in range(len(simplex) - 1)
-            )
+            raw = _edge_values(cmap.cocycle, simplex)
             for drop in range(len(simplex)):
                 face = simplex[:drop] + simplex[drop + 1:]
                 expected = cmap.images[face]
@@ -349,18 +354,13 @@ def pullback_universal(cocycle: Cocycle1) -> Bundle:
     nerve = cocycle.nerve.complex
     group = cocycle.group
     pieces = []
-    for s in nerve.maximal_simplices:
-        ordered = tuple(sorted(s))
-        raw = tuple(
-            cocycle.value(ordered[i], ordered[i + 1])
-            for i in range(len(ordered) - 1)
-        )
+    for ordered in nerve._top_sets():
+        raw = _edge_values(cocycle, ordered)
         for f in group.elements():
-            lift = {
-                (ordered[pos], _universal_vertex(group, raw, f, pos))
-                for pos in range(len(ordered))
-            }
-            pieces.append(lift)
+            pieces.append([
+                (alpha, _universal_vertex(group, raw, f, pos))
+                for pos, alpha in enumerate(ordered)
+            ])
     return _lifted(pieces, nerve, group.elements(), regular_action(group))
 
 
@@ -399,7 +399,9 @@ def classification_check(
     for rep in representatives:
         direct = total_space(rep, action)
         pulled = pullback_universal(rep)
-        matches.append(bundle_isomorphism(pulled, direct) is not None)
+        matches.append(
+            bundle_isomorphism(pulled, direct, budget=budget) is not None
+        )
     return ClassificationReport(
         cocycle_classes=cocycle_classes,
         hom_classes=len(classes),

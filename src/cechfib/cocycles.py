@@ -15,9 +15,8 @@ from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from .complexes import connected_components
 from .covers import Cover, NerveComplex, refuse_off_nerve
-from .errors import DEFAULT_BUDGET, BudgetExceededError, ValidationError
+from .errors import DEFAULT_BUDGET, BudgetExceededError, ValidationError, _is_integer
 from .groups import FiniteGroup, enumerate_homs, hom_conjugacy_classes
-from .io import _is_integer
 
 
 class Cocycle1(NamedTuple):

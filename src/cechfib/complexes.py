@@ -428,11 +428,11 @@ def _first_map_fault(source, target, vm) -> None:
             raise ValidationError(
                 f"image {vm[v]!r} of vertex {v!r} is not a target vertex"
             )
-    for s in source.maximal_simplices:
-        if not target.has_simplex(vm[v] for v in s):
+    for t in _in_order(source._top_sets()):
+        if not target.has_simplex(map(vm.__getitem__, t)):
             raise ValidationError(
-                f"image of simplex {tuple(sorted(s))!r} is not a simplex",
-                details={"simplex": tuple(sorted(s))},
+                f"image of simplex {t!r} is not a simplex",
+                details={"simplex": t},
             )
 
 
@@ -450,7 +450,7 @@ def barycentric_subdivision(
         for s in x._top_sets()
         for order in itertools.permutations(s)
     ]
-    sd = build_complex(maximal_chains) if maximal_chains else SimplicialComplex([])
+    sd = build_complex(maximal_chains)
     carrier = {t: frozenset(t) for t in sd.vertices}
     return sd, carrier
 
@@ -466,17 +466,12 @@ def mapping_cylinder(
     is embedded whole at end 1, the source at end 0.
     """
     source, target = f.source, f.target
-    pieces = []
-    for s in source.maximal_simplices:
-        ordered = tuple(sorted(s))
-        n = len(ordered)
-        for i in range(n):
-            prism = {(0, ordered[j]) for j in range(i + 1)}
-            prism |= {(1, f(ordered[j])) for j in range(i, n)}
-            pieces.append(prism)
-    for t in target.maximal_simplices:
-        pieces.append({(1, w) for w in t})
-    cylinder = build_complex(pieces) if pieces else SimplicialComplex([])
+    pieces = [
+        {(0, v) for v in ordered[:i + 1]} | {(1, f(v)) for v in ordered[i:]}
+        for ordered in source._top_sets() for i in range(len(ordered))
+    ]
+    pieces += [{(1, w) for w in t} for t in target._top_sets()]
+    cylinder = build_complex(pieces)
     include_source = SimplicialMap(
         source, cylinder, {v: (0, v) for v in source.vertices}
     )
@@ -525,7 +520,7 @@ def pi1_presentation(x: SimplicialComplex, basepoint) -> Pi1Presentation:
             for w in adjacency[v]:
                 if w not in visited:
                     visited.add(w)
-                    tree.add(frozenset((v, w)))
+                    tree.add((v, w) if v < w else (w, v))
                     nxt.append(w)
         frontier = sorted(nxt)
     if len(visited) != len(x.vertices):
@@ -536,7 +531,7 @@ def pi1_presentation(x: SimplicialComplex, basepoint) -> Pi1Presentation:
     generator_edges = tuple(
         (u, v)
         for u, v in x.simplices_of_dim(1)
-        if frozenset((u, v)) not in tree
+        if (u, v) not in tree
     )
     index = {edge: i + 1 for i, edge in enumerate(generator_edges)}
 
@@ -556,7 +551,7 @@ def pi1_presentation(x: SimplicialComplex, basepoint) -> Pi1Presentation:
         )
         relations.append(word)
 
-    tree_edges = tuple(sorted(tuple(sorted(e)) for e in tree))
+    tree_edges = tuple(sorted(tree))
     return Pi1Presentation(
         basepoint=basepoint,
         generator_edges=generator_edges,

@@ -117,12 +117,11 @@ def closed_star_cover(x: SimplicialComplex) -> Cover:
     multiple intersections need not be connected, so it is not in general
     a good cover.
     """
-    parts: Dict = {}
-    for v in x.vertices:
-        parts[v] = build_complex(
-            [s for s in x.maximal_simplices if v in s]
-        )
-    return Cover(x, parts)
+    stars: Dict = {v: [] for v in x.vertices}
+    for t in x._top_sets():
+        for v in t:
+            stars[v].append(t)
+    return Cover(x, {v: build_complex(stars[v]) for v in x.vertices})
 
 
 class NerveComplex:

@@ -1,4 +1,5 @@
-"""Exception types shared across the library."""
+"""Exception types, the search budget and the integer test shared
+across the library."""
 
 from __future__ import annotations
 
@@ -16,6 +17,12 @@ class ValidationError(ValueError):
     def __init__(self, message: str, details: Any = None):
         super().__init__(message)
         self.details = details
+
+
+def _is_integer(v) -> bool:
+    """Whether a value is an int and not a bool: what transition values,
+    labels and document integers must be."""
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 DEFAULT_BUDGET = 1_000_000

@@ -17,10 +17,9 @@ import math
 from typing import Dict, List, Mapping, NamedTuple, Optional
 
 from .covers import Cover, NerveComplex, refuse_off_nerve
-from .errors import DEFAULT_BUDGET, BudgetExceededError, ValidationError
-from .groups import CrossedModule, abelian_decomposition
+from .errors import DEFAULT_BUDGET, BudgetExceededError, ValidationError, _is_integer
+from .groups import CrossedModule, abelian_decomposition, adjoint_crossed_module
 from .homology import LatticeQuotient, simplex_boundary_matrix
-from .io import _is_integer
 from .snf import sparse_columns
 
 
@@ -57,34 +56,27 @@ def validate_gerbe_cocycle(
     nerve = cover.nerve
     cover.require_good()
     base, fiber = module.base, module.fiber
-    edges: Dict[tuple, int] = {}
-    for pair in nerve.keys(2):
-        if pair not in edge_values:
-            raise ValidationError(f"missing edge value for {pair!r}")
-        g = edge_values[pair]
-        if not _is_integer(g):
-            raise ValidationError(
-                f"edge value {g!r} at {pair!r} is not an integer",
-                details={"pair": pair},
-            )
-        if not (0 <= g < base.order):
-            raise ValidationError(f"edge value {g} out of range at {pair!r}")
-        edges[pair] = g
-    refuse_off_nerve(edge_values, edges, "edge values given for non-overlapping pairs")
-    tris: Dict[tuple, int] = {}
-    for triple in nerve.keys(3):
-        if triple not in witnesses:
-            raise ValidationError(f"missing witness for {triple!r}")
-        h = witnesses[triple]
-        if not _is_integer(h):
-            raise ValidationError(
-                f"witness {h!r} at {triple!r} is not an integer",
-                details={"triple": triple},
-            )
-        if not (0 <= h < fiber.order):
-            raise ValidationError(f"witness {h} out of range at {triple!r}")
-        tris[triple] = h
-    refuse_off_nerve(witnesses, tris, "witnesses given for non-overlapping triples")
+    checked = []
+    for size, given, what, many, order, detail in (
+        (2, edge_values, "edge value", "edge values", base.order, "pair"),
+        (3, witnesses, "witness", "witnesses", fiber.order, "triple"),
+    ):
+        kept: Dict[tuple, int] = {}
+        for key in nerve.keys(size):
+            if key not in given:
+                raise ValidationError(f"missing {what} for {key!r}")
+            v = given[key]
+            if not _is_integer(v):
+                raise ValidationError(
+                    f"{what} {v!r} at {key!r} is not an integer",
+                    details={detail: key},
+                )
+            if not (0 <= v < order):
+                raise ValidationError(f"{what} {v} out of range at {key!r}")
+            kept[key] = v
+        refuse_off_nerve(given, kept, f"{many} given for non-overlapping {detail}s")
+        checked.append(kept)
+    edges, tris = checked
     data = GerbeCocycle(
         cover=cover, module=module, edge_values=edges, witnesses=tris,
     )
@@ -112,8 +104,6 @@ def validate_gerbe_cocycle(
 
 def gerbe_from_cocycle(cocycle) -> GerbeCocycle:
     """View a strict cocycle as gerbe data with identity witnesses."""
-    from .groups import adjoint_crossed_module
-
     module = adjoint_crossed_module(cocycle.group)
     witnesses = {key: 0 for key in cocycle.nerve.keys(3)}
     return validate_gerbe_cocycle(
@@ -262,11 +252,10 @@ class CechClassifier:
             )
             for m in self.factors
         ]
-        self.class_count = 1
-        for quotient in self._quotients:
-            if quotient.group.betti:
-                raise ValidationError("cocycle lattice is not of finite index")
-            self.class_count *= math.prod(quotient.group.torsion)
+        # the generators include m times the lattice, so each quotient is finite
+        self.class_count = math.prod(
+            math.prod(quotient.group.torsion) for quotient in self._quotients
+        )
 
     def label(self, witnesses: Mapping) -> tuple:
         out = []

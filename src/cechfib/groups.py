@@ -10,7 +10,7 @@ import itertools
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import DEFAULT_BUDGET, BudgetExceededError, ValidationError
-from .snf import sparse_smith_form
+from .homology import LatticeQuotient
 
 
 class FiniteGroup:
@@ -185,16 +185,24 @@ def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
     return FiniteGroup(table, inverse)
 
 
-def conjugacy_classes(group: FiniteGroup) -> tuple:
-    """Orbits of the conjugation action, sorted by least member."""
-    remaining = set(group.elements())
+def _orbits(items: Iterable, orbit) -> tuple:
+    """The partition of ``items`` into orbits, each sorted, in sorted
+    order: ``orbit(seed)`` is the set around the least item not yet
+    placed."""
+    remaining = set(items)
     classes = []
     while remaining:
-        seed = min(remaining)
-        orbit = {group.conjugate(g, seed) for g in group.elements()}
-        classes.append(tuple(sorted(orbit)))
-        remaining -= orbit
+        found = orbit(min(remaining))
+        classes.append(tuple(sorted(found)))
+        remaining -= found
     return tuple(sorted(classes))
+
+
+def conjugacy_classes(group: FiniteGroup) -> tuple:
+    """Orbits of the conjugation action, sorted by least member."""
+    return _orbits(group.elements(), lambda seed: {
+        group.conjugate(g, seed) for g in group.elements()
+    })
 
 
 def enumerate_homs(
@@ -317,21 +325,19 @@ def enumerate_homs(
 def hom_conjugacy_classes(homs: Sequence[tuple], group: FiniteGroup) -> tuple:
     """Partition generator-image tuples under simultaneous conjugation."""
     hom_set = set(homs)
-    remaining = set(homs)
-    classes = []
-    while remaining:
-        seed = min(remaining)
-        orbit = set()
-        for g in group.elements():
-            conjugated = tuple(group.conjugate(g, image) for image in seed)
-            if conjugated not in hom_set:
-                raise ValidationError(
-                    "conjugate of a homomorphism is missing from the input"
-                )
-            orbit.add(conjugated)
-        classes.append(tuple(sorted(orbit)))
-        remaining -= orbit
-    return tuple(sorted(classes))
+
+    def orbit(seed: tuple) -> set:
+        conjugates = {
+            tuple(group.conjugate(g, image) for image in seed)
+            for g in group.elements()
+        }
+        if not conjugates <= hom_set:
+            raise ValidationError(
+                "conjugate of a homomorphism is missing from the input"
+            )
+        return conjugates
+
+    return _orbits(hom_set, orbit)
 
 
 class GroupAction:
@@ -382,14 +388,9 @@ class GroupAction:
                     if nxt not in closure:
                         closure.add(nxt)
                         frontier.append(nxt)
-        remaining = set(self.fiber)
-        out = []
-        while remaining:
-            seed = min(remaining)
-            orbit = {self.act(g, seed) for g in closure}
-            out.append(tuple(sorted(orbit)))
-            remaining -= orbit
-        return tuple(sorted(out))
+        return _orbits(self.fiber, lambda seed: {
+            self.act(g, seed) for g in closure
+        })
 
 
 def regular_action(group: FiniteGroup) -> GroupAction:
@@ -526,34 +527,25 @@ def abelian_coefficients(fiber: FiniteGroup) -> CrossedModule:
 def abelian_decomposition(group: FiniteGroup) -> Tuple[tuple, tuple]:
     """Invariant factors of an abelian group plus element coordinates.
 
-    Presents the group on all of its elements with one relation per table
-    entry, reduces the relation lattice, and reads coordinates off the
-    left transform.  ``coords[g]`` identifies g inside the product of the
-    returned cyclic factors.
+    Presents the group on all of its elements with one relation
+    a + b - ab per table entry; the quotient of Z^n by the relations is
+    one :class:`~cechfib.homology.LatticeQuotient`.  Its torsion gives
+    the cyclic factors, and the label of the unit vector e_g ends in g's
+    coordinates inside their product, after one zero per unit factor.
     """
     if not group.is_abelian:
         raise ValidationError("group is not abelian")
     n = group.order
-    matrix = [{} for _ in range(n)]  # one column per relation a + b - ab
+    relations = [{} for _ in range(n)]  # one column per relation a + b - ab
     for a in range(n):
         for b in range(n):
             j = a * n + b
             for g, v in ((a, 1), (b, 1), (group.mul(a, b), -1)):
-                matrix[g][j] = matrix[g].get(j, 0) + v
-    form = sparse_smith_form(
-        matrix, (n, n * n), want_left=True, want_right=False
+                relations[g][j] = relations[g].get(j, 0) + v
+    quotient = LatticeQuotient([], n, relations, n * n, 0)
+    factors = quotient.group.torsion
+    coords = tuple(
+        quotient.label([int(i == g) for i in range(n)])[n - len(factors):]
+        for g in range(n)
     )
-    keep = [
-        i for i, d in enumerate(form.diagonal)
-        if d != 1
-    ]
-    factors = tuple(form.diagonal[i] for i in keep)
-    if any(d == 0 for d in factors):
-        raise ValidationError("abelian decomposition produced a free factor")
-    coords = []
-    for g in range(n):
-        full = [form.left[i].get(g, 0) for i in range(n)]
-        coords.append(
-            tuple(full[i] % form.diagonal[i] for i in keep)
-        )
-    return factors, tuple(coords)
+    return factors, coords

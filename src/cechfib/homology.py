@@ -11,15 +11,16 @@ isomorphism when both sides have the same groups and its mapping cone
 has none; the cone is peeled the same way.  Canonical class labels come
 from one lattice-quotient routine (:class:`LatticeQuotient`), which
 reduces the full matrices in the fixed pivot order so that labels do
-not depend on the peel; homology workspaces and the degree-2 classes of
-:mod:`cechfib.gerbes` both use it.
+not depend on the peel; homology workspaces, the degree-2 classes of
+:mod:`cechfib.gerbes` and the abelian coordinates of :mod:`cechfib.groups`
+all use it.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter, deque
-from itertools import chain
+from itertools import chain, combinations
 from typing import List, NamedTuple, Optional, Sequence
 
 from .complexes import SimplicialComplex, SimplicialMap
@@ -400,28 +401,11 @@ def simplicial_chain_map(f: SimplicialMap, max_degree: int) -> List[SparseRows]:
             image = [f(v) for v in s]
             if len(set(image)) != len(image):
                 continue
-            order = sorted(range(len(image)), key=lambda i: image[i])
-            sign = _permutation_sign(order)
-            mat[tgt_index[tuple(sorted(image))]][j] = sign
+            # sorting the image takes one transposition per inversion
+            inversions = sum(a > b for a, b in combinations(image, 2))
+            mat[tgt_index[tuple(sorted(image))]][j] = -1 if inversions % 2 else 1
         mats.append(mat)
     return mats
-
-
-def _permutation_sign(perm: Sequence[int]) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        i = start
-        while not seen[i]:
-            seen[i] = True
-            i = perm[i]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 def _mapping_cone(

@@ -12,9 +12,12 @@ import itertools
 from fractions import Fraction
 from typing import Dict, Mapping
 
+from .bundles import Bundle, validate_bundle
+from .cocycles import validate_cocycle
 from .complexes import SimplicialComplex, SimplicialMap, build_complex
 from .covers import Cover
-from .errors import ValidationError
+from .errors import ValidationError, _is_integer
+from .gerbes import validate_gerbe_cocycle
 from .groups import (
     CrossedModule,
     FiniteGroup,
@@ -25,11 +28,7 @@ from .groups import (
 
 
 def complex_to_doc(x: SimplicialComplex) -> dict:
-    return {
-        "maximal": sorted(
-            [str(v) for v in sorted(s)] for s in x.maximal_simplices
-        )
-    }
+    return {"maximal": sorted([str(v) for v in t] for t in x._top_sets())}
 
 
 def complex_from_doc(doc: Mapping) -> SimplicialComplex:
@@ -50,10 +49,6 @@ def _all_labels(values) -> bool:
     tested once per distinct type."""
     return all(issubclass(t, (str, int)) and t is not bool
                for t in set(map(type, values)))
-
-
-def _is_integer(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _integer(v, what: str) -> int:
@@ -216,8 +211,6 @@ def parse_cocycle_doc(doc: Mapping) -> tuple:
 
 
 def cocycle_from_doc(doc: Mapping):
-    from .cocycles import validate_cocycle
-
     return validate_cocycle(*parse_cocycle_doc(doc))
 
 
@@ -275,8 +268,6 @@ def parse_gerbe_doc(doc: Mapping) -> tuple:
 
 
 def gerbe_from_doc(doc: Mapping):
-    from .gerbes import validate_gerbe_cocycle
-
     return validate_gerbe_cocycle(*parse_gerbe_doc(doc))
 
 
@@ -315,8 +306,6 @@ def _flatten(v) -> str:
 
 
 def bundle_from_doc(doc: Mapping):
-    from .bundles import Bundle, validate_bundle
-
     require_keys(doc, "bundle", ("total", "base", "projection", "fiber"))
     total = complex_from_doc(doc["total"])
     base = complex_from_doc(doc["base"])

@@ -5,13 +5,17 @@ Each scans every case in order, as the library did before it checked
 maps in one pass, group and action laws on generators, the carrier
 condition on maximal simplices, and nerves by vertex incidence.  Each
 returns what the library's version builds or raises the same
-``ValidationError``.
+``ValidationError``.  The abelian decomposition by its own Smith form,
+the three orbit loops and the chain-map signs by cycle parity are kept
+from before the library read them off one lattice quotient, one orbit
+partition and the parity of inversions.
 """
 
 from __future__ import annotations
 
 from cechfib import NerveComplex, ValidationError, build_complex
 from cechfib.complexes import intersect_complexes
+from cechfib.snf import sparse_smith_form
 
 
 def validate_group(table):
@@ -136,3 +140,116 @@ def _extend(cover, witnesses, prefix, met, start):
         key = prefix + (idx,)
         witnesses[key] = inter
         _extend(cover, witnesses, key, inter, pos + 1)
+
+
+def abelian_decomposition(group):
+    """Invariant factors and element coordinates from one Smith form of
+    the relations a + b - ab, with its left transform."""
+    if not group.is_abelian:
+        raise ValidationError("group is not abelian")
+    n = group.order
+    matrix = [{} for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            j = a * n + b
+            for g, v in ((a, 1), (b, 1), (group.mul(a, b), -1)):
+                matrix[g][j] = matrix[g].get(j, 0) + v
+    form = sparse_smith_form(
+        matrix, (n, n * n), want_left=True, want_right=False
+    )
+    keep = [i for i, d in enumerate(form.diagonal) if d != 1]
+    factors = tuple(form.diagonal[i] for i in keep)
+    if any(d == 0 for d in factors):
+        raise ValidationError("abelian decomposition produced a free factor")
+    coords = []
+    for g in range(n):
+        full = [form.left[i].get(g, 0) for i in range(n)]
+        coords.append(tuple(full[i] % form.diagonal[i] for i in keep))
+    return factors, tuple(coords)
+
+
+def conjugacy_classes(group):
+    remaining = set(group.elements())
+    classes = []
+    while remaining:
+        seed = min(remaining)
+        orbit = {group.conjugate(g, seed) for g in group.elements()}
+        classes.append(tuple(sorted(orbit)))
+        remaining -= orbit
+    return tuple(sorted(classes))
+
+
+def hom_conjugacy_classes(homs, group):
+    hom_set = set(homs)
+    remaining = set(homs)
+    classes = []
+    while remaining:
+        seed = min(remaining)
+        orbit = set()
+        for g in group.elements():
+            conjugated = tuple(group.conjugate(g, image) for image in seed)
+            if conjugated not in hom_set:
+                raise ValidationError(
+                    "conjugate of a homomorphism is missing from the input"
+                )
+            orbit.add(conjugated)
+        classes.append(tuple(sorted(orbit)))
+        remaining -= orbit
+    return tuple(sorted(classes))
+
+
+def orbits_under(action, elements):
+    """Orbits of the subgroup generated by ``elements`` on the fiber."""
+    gens = set(elements)
+    closure = {0}
+    frontier = [0]
+    while frontier:
+        g = frontier.pop()
+        for h in gens:
+            for nxt in (action.group.mul(g, h), action.group.mul(h, g)):
+                if nxt not in closure:
+                    closure.add(nxt)
+                    frontier.append(nxt)
+    remaining = set(action.fiber)
+    out = []
+    while remaining:
+        seed = min(remaining)
+        orbit = {action.act(g, seed) for g in closure}
+        out.append(tuple(sorted(orbit)))
+        remaining -= orbit
+    return tuple(sorted(out))
+
+
+def permutation_sign(perm):
+    """The sign of a permutation of 0..n-1, from its even cycles."""
+    sign = 1
+    seen = [False] * len(perm)
+    for start in range(len(perm)):
+        if seen[start]:
+            continue
+        length = 0
+        i = start
+        while not seen[i]:
+            seen[i] = True
+            i = perm[i]
+            length += 1
+        if length % 2 == 0:
+            sign = -sign
+    return sign
+
+
+def simplicial_chain_map(f, max_degree):
+    """Chain map matrices in the sorted bases, each sign the sign of the
+    permutation that sorts the image."""
+    mats = []
+    for k in range(max_degree + 1):
+        tgt_index = {s: i for i, s in enumerate(f.target.simplices_of_dim(k))}
+        mat = [{} for _ in tgt_index]
+        for j, s in enumerate(f.source.simplices_of_dim(k)):
+            image = [f(v) for v in s]
+            if len(set(image)) != len(image):
+                continue
+            order = sorted(range(len(image)), key=lambda i: image[i])
+            mat[tgt_index[tuple(sorted(image))]][j] = permutation_sign(order)
+        mats.append(mat)
+    return mats
