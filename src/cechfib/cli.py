@@ -1,10 +1,11 @@
 """Batch command line: load JSON documents, run a verb, emit a report.
 
 Each verb is one ``_VERBS`` entry: how many documents it reads, a runner
-that turns them into a verdict and report details, and whether it takes
-``--mode`` (only ``bundle-build``).  Every verb accepts ``--budget``,
-read by ``cocycle-equiv`` and ``classify``, and ``--max-degree``, read
-by ``homology`` and ``bar-homology``.
+that turns them into a verdict and report details, and the options of
+``_OPTIONS`` that the runner reads.  Each verb accepts only those, beside
+``--input`` and ``--output``: ``--budget`` for ``cocycle-equiv`` and
+``classify``, ``--max-degree`` for ``homology`` and ``bar-homology``, and
+``--mode`` for ``bundle-build``.
 
 Exit codes: 0 verdict true; 1 verdict false, report written; 2 input
 error; 3 search budget exceeded.  Nothing is written on exit codes 2 and
@@ -43,7 +44,16 @@ EXIT_BUDGET = 3
 class _Verb(NamedTuple):
     inputs: int
     run: Callable  # (docs, args) -> (verdict, details)
-    mode: bool = False
+    options: tuple = ()  # keys of _OPTIONS that run reads
+
+
+_OPTIONS = {
+    "--budget": dict(type=int, default=DEFAULT_BUDGET,
+                     help="cap on exhaustive search size"),
+    "--max-degree": dict(type=int, default=None, dest="max_degree",
+                         help="top homology degree for homology verbs"),
+    "--mode": dict(choices=("direct", "skeletal"), default="direct"),
+}
 
 
 def _load(paths: List[str]) -> list:
@@ -203,23 +213,25 @@ _VERBS = {
                    "simplexCounts": [x.simplex_count(k) for k in range(x.dim + 1)]},
         context=False)),
     "homology": _Verb(1, _homology_run(
-        docio.complex_from_doc, homology, lambda x: max(x.dim, 0))),
+        docio.complex_from_doc, homology, lambda x: max(x.dim, 0)),
+        ("--max-degree",)),
     "nerve": _Verb(1, _run_nerve),
     "cover-check": _Verb(1, _run_cover_check),
     "cocycle-check": _Verb(1, _checker(
         docio.parse_cocycle_doc, validate_cocycle,
         lambda cocycle: {"pairs": len(cocycle.values)})),
-    "cocycle-equiv": _Verb(2, _run_cocycle_equiv),
-    "bundle-build": _Verb(1, _run_bundle_build, mode=True),
+    "cocycle-equiv": _Verb(2, _run_cocycle_equiv, ("--budget",)),
+    "bundle-build": _Verb(1, _run_bundle_build, ("--mode",)),
     "pullback": _Verb(2, _run_pullback),
-    "classify": _Verb(2, _run_classify),
+    "classify": _Verb(2, _run_classify, ("--budget",)),
     "gerbe-check": _Verb(1, _checker(
         docio.parse_gerbe_doc, validate_gerbe_cocycle,
         lambda data: {"pairs": len(data.edge_values),
                       "witnesses": len(data.witnesses)})),
     "gerbe-class": _Verb(1, _run_gerbe_class),
     "bar-homology": _Verb(1, _homology_run(
-        docio.group_from_doc, bar_homology, lambda group: 3)),
+        docio.group_from_doc, bar_homology, lambda group: 3),
+        ("--max-degree",)),
     "milnor-check": _Verb(1, _checker(
         docio.parse_milnor_doc, validate_milnor_point,
         lambda point: {"support": [i for i, t in enumerate(point.coordinates)
@@ -242,13 +254,8 @@ def _parser() -> argparse.ArgumentParser:
                        help="input JSON document(s)")
         p.add_argument("--output", default=None,
                        help="write the report here instead of stdout")
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                       help="cap on exhaustive search size")
-        p.add_argument("--max-degree", type=int, default=None, dest="max_degree",
-                       help="top homology degree for homology verbs")
-        if verb.mode:
-            p.add_argument("--mode", choices=("direct", "skeletal"),
-                           default="direct")
+        for option in verb.options:
+            p.add_argument(option, **_OPTIONS[option])
     return parser
 
 

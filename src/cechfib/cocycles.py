@@ -38,9 +38,6 @@ class Cocycle1(NamedTuple):
             return self.values[(alpha, beta)]
         return self.group.inv(self.values[(beta, alpha)])
 
-    def pairs(self) -> tuple:
-        return tuple(sorted(self.values))
-
 
 class Cochain0(NamedTuple):
     """One group element per cover index."""

@@ -396,16 +396,6 @@ class SimplicialMap:
     def identity(cls, x: SimplicialComplex) -> "SimplicialMap":
         return cls(x, x, {v: v for v in x.vertices})
 
-    def compose(self, other: "SimplicialMap") -> "SimplicialMap":
-        """self after other."""
-        if other.target is not self.source and other.target != self.source:
-            raise ValidationError("composition mismatch")
-        return SimplicialMap(
-            other.source,
-            self.target,
-            {v: self.vertex_map[w] for v, w in other.vertex_map.items()},
-        )
-
     def __repr__(self) -> str:
         return f"SimplicialMap({self.source!r} -> {self.target!r})"
 

@@ -62,9 +62,6 @@ class Cover:
         self._nerve = None
         self._goodness = None
 
-    def part(self, idx) -> SimplicialComplex:
-        return self.parts[idx]
-
     @property
     def nerve(self) -> NerveComplex:
         """The cover's nerve, built on first read and then kept."""
@@ -152,9 +149,6 @@ class NerveComplex:
     def __repr__(self):
         return (f"NerveComplex(complex={self.complex!r}, "
                 f"witnesses={self.witnesses!r})")
-
-    def witness(self, simplex) -> SimplicialComplex:
-        return self.witnesses[tuple(sorted(simplex))]
 
     @cached_property
     def _keys_by_size(self) -> Dict[int, tuple]:

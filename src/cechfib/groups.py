@@ -1,7 +1,8 @@
 """Finite groups as multiplication tables, actions, and crossed modules.
 
-Elements are labeled 0..n-1 with 0 the identity.  Every axiom is checked
-at construction (group and action laws on generators); orders stay small.
+Elements are labeled 0..n-1 with 0 the identity.  Every axiom of a table
+from outside is checked at construction, each law on generators, and
+library makers build what is valid by construction; orders stay small.
 """
 
 from __future__ import annotations
@@ -36,12 +37,6 @@ class FiniteGroup:
 
     def elements(self) -> range:
         return range(self.order)
-
-    def product(self, elements: Iterable[int]) -> int:
-        out = 0
-        for g in elements:
-            out = self.table[out][g]
-        return out
 
     def conjugate(self, g: int, h: int) -> int:
         """g h g^-1."""
@@ -78,14 +73,16 @@ class FiniteGroup:
 
 def _generators(mul: Sequence[Sequence[int]]) -> list:
     """Elements whose left-to-right products from the identity 0 reach
-    every element; each is the least element not yet reached."""
+    every element; each is the least element not yet reached.  The
+    trivial group's list is [0], so that a law on generators still reads
+    its one element."""
     reached, gens = [0], []
     for a in range(len(mul)):
         if a not in reached:
             gens.append(a)
             for x in reached:  # grows while read: the closure under gens
                 reached += set(map(mul[x].__getitem__, gens)).difference(reached)
-    return gens
+    return gens or [0]
 
 
 def _law_on_generators(mul, table) -> bool:
@@ -95,6 +92,13 @@ def _law_on_generators(mul, table) -> bool:
         list(map(table[g].__getitem__, table[h])) == list(table[gh])
         for g in _generators(mul) for h, gh in enumerate(mul[g])
     )
+
+
+def _least_failure(holds, *ranges) -> tuple:
+    """The least tuple of ``ranges``, in lexicographic order, where
+    ``holds`` is false: the witness that names a law found to fail on
+    generators."""
+    return next(t for t in itertools.product(*ranges) if not holds(*t))
 
 
 def validate_group(table: Sequence[Sequence[int]]) -> FiniteGroup:
@@ -120,21 +124,19 @@ def validate_group(table: Sequence[Sequence[int]]) -> FiniteGroup:
                 details={"element": a},
             )
     if not _law_on_generators(table, table):
-        for a, b, c in itertools.product(range(n), repeat=3):
-            if table[table[a][b]][c] != table[a][table[b][c]]:
-                raise ValidationError(
-                    f"associativity fails at ({a}, {b}, {c})",
-                    details={"triple": (a, b, c)},
-                )
-    inverse = [-1] * n
-    for a in range(n):
-        for b in range(n):
-            if table[a][b] == 0 and table[b][a] == 0:
-                inverse[a] = b
-                break
-        if inverse[a] < 0:
+        triple = _least_failure(
+            lambda a, b, c: table[table[a][b]][c] == table[a][table[b][c]],
+            range(n), range(n), range(n),
+        )
+        raise ValidationError(f"associativity fails at {triple}",
+                              details={"triple": triple})
+    # in a finite associative table with identity, ab = 0 gives ba = 0
+    inverse = []
+    for a, row in enumerate(table):
+        if 0 not in row:
             raise ValidationError(f"element {a} has no two-sided inverse",
                                   details={"element": a})
+        inverse.append(row.index(0))
     return FiniteGroup(table, inverse)
 
 
@@ -359,12 +361,14 @@ class GroupAction:
                 raise ValidationError(f"element {g} does not act bijectively")
         if not _law_on_generators(group.table, table):
             elements = group.elements()
-            for g, h, f in itertools.product(elements, elements, range(size)):
-                if table[g][table[h][f]] != table[group.mul(g, h)][f]:
-                    raise ValidationError(
-                        f"action incompatible with multiplication at "
-                        f"({g}, {h}, {fiber[f]!r})"
-                    )
+            g, h, f = _least_failure(
+                lambda g, h, f: table[g][table[h][f]] == table[group.mul(g, h)][f],
+                elements, elements, range(size),
+            )
+            raise ValidationError(
+                f"action incompatible with multiplication at "
+                f"({g}, {h}, {fiber[f]!r})"
+            )
         self.group = group
         self.fiber = fiber
         self.table = tuple(tuple(r) for r in table)
@@ -406,8 +410,9 @@ class CrossedModule:
     """Group homomorphism base <- fiber with a compatible base action.
 
     ``boundary`` maps fiber elements to base elements; ``action`` is a
-    base-indexed table of fiber automorphisms.  Equivariance and the
-    Peiffer identity are verified exhaustively in the validator.
+    base-indexed table of fiber automorphisms.  A module from outside
+    passes :func:`validate_crossed_module`, which decides each axiom on
+    generators; the library's makers build modules valid by construction.
     """
 
     __slots__ = ("base", "fiber", "boundary", "action")
@@ -434,94 +439,75 @@ def validate_crossed_module(
     boundary: Sequence[int],
     action: Sequence[Sequence[int]],
 ) -> CrossedModule:
-    """Check the crossed-module axioms, naming the first violated one."""
+    """Check the crossed-module axioms, naming the first violated one.
+
+    In order: the boundary is a homomorphism and each action row an
+    automorphism (on generators of the fiber), the base identity acts
+    trivially, the action is functorial (on generators of the base), and
+    equivariance and the Peiffer identity hold (on generators of both).
+    Given the axioms before it, the elements where one holds are closed
+    under products; a failure is named by its least witness in full.
+    """
     if len(boundary) != fiber.order:
         raise ValidationError("boundary has wrong length")
     if any(not (0 <= g < base.order) for g in boundary):
         raise ValidationError("boundary image out of range")
     if len(action) != base.order or any(len(r) != fiber.order for r in action):
         raise ValidationError("action table has wrong shape")
+    G, H = base.elements(), fiber.elements()
+    base_gens, fiber_gens = _generators(base.table), _generators(fiber.table)
+    bmul, fmul = base.table, fiber.table
 
-    for h1 in fiber.elements():
-        for h2 in fiber.elements():
-            lhs = base.mul(boundary[h1], boundary[h2])
-            rhs = boundary[fiber.mul(h1, h2)]
-            if lhs != rhs:
-                raise ValidationError(
-                    f"boundary is not a homomorphism at ({h1}, {h2})",
-                    details={"axiom": "homomorphism", "witness": (h1, h2)},
-                )
-    for g in base.elements():
-        row = action[g]
-        if sorted(row) != list(range(fiber.order)):
+    def fail(holds, ranges, text, axiom, *prefix):
+        witness = _least_failure(holds, *ranges)
+        raise ValidationError(f"{text} at {witness}",
+                              details={"axiom": axiom, "witness": prefix + witness})
+
+    hom = lambda h1, h2: bmul[boundary[h1]][boundary[h2]] == boundary[fmul[h1][h2]]
+    if not all(hom(h1, h2) for h1 in fiber_gens for h2 in H):
+        fail(hom, (H, H), "boundary is not a homomorphism", "homomorphism")
+    for g, row in enumerate(action):
+        if sorted(row) != list(H):
             raise ValidationError(
                 f"action of {g} is not a bijection",
                 details={"axiom": "automorphism", "witness": (g,)},
             )
-        for h1 in fiber.elements():
-            for h2 in fiber.elements():
-                if row[fiber.mul(h1, h2)] != fiber.mul(row[h1], row[h2]):
-                    raise ValidationError(
-                        f"action of {g} is not multiplicative at ({h1}, {h2})",
-                        details={"axiom": "automorphism", "witness": (g, h1, h2)},
-                    )
-    for h in fiber.elements():
+        mult = lambda h1, h2: row[fmul[h1][h2]] == fmul[row[h1]][row[h2]]
+        if not all(mult(h1, h2) for h1 in fiber_gens for h2 in H):
+            fail(mult, (H, H), f"action of {g} is not multiplicative",
+                 "automorphism", g)
+    for h in H:
         if action[0][h] != h:
             raise ValidationError(
                 "identity of the base does not act trivially",
                 details={"axiom": "automorphism", "witness": (0, h)},
             )
-    for g1 in base.elements():
-        for g2 in base.elements():
-            g12 = base.mul(g1, g2)
-            for h in fiber.elements():
-                if action[g1][action[g2][h]] != action[g12][h]:
-                    raise ValidationError(
-                        f"action is not functorial at ({g1}, {g2}, {h})",
-                        details={"axiom": "automorphism", "witness": (g1, g2, h)},
-                    )
-    for g in base.elements():
-        for h in fiber.elements():
-            lhs = boundary[action[g][h]]
-            rhs = base.conjugate(g, boundary[h])
-            if lhs != rhs:
-                raise ValidationError(
-                    f"equivariance fails at ({g}, {h})",
-                    details={"axiom": "equivariance", "witness": (g, h)},
-                )
-    for h1 in fiber.elements():
-        for h2 in fiber.elements():
-            lhs = action[boundary[h1]][h2]
-            rhs = fiber.conjugate(h1, h2)
-            if lhs != rhs:
-                raise ValidationError(
-                    f"Peiffer identity fails at ({h1}, {h2})",
-                    details={"axiom": "peiffer", "witness": (h1, h2)},
-                )
+    if not _law_on_generators(bmul, action):
+        fail(lambda g1, g2, h: action[g1][action[g2][h]] == action[bmul[g1][g2]][h],
+             (G, G, H), "action is not functorial", "automorphism")
+    equi = lambda g, h: boundary[action[g][h]] == base.conjugate(g, boundary[h])
+    if not all(equi(g, h) for g in base_gens for h in fiber_gens):
+        fail(equi, (G, H), "equivariance fails", "equivariance")
+    peiffer = lambda h1, h2: action[boundary[h1]][h2] == fiber.conjugate(h1, h2)
+    if not all(peiffer(h1, h2) for h1 in fiber_gens for h2 in fiber_gens):
+        fail(peiffer, (H, H), "Peiffer identity fails", "peiffer")
     return CrossedModule(base, fiber, boundary, action)
 
 
 def adjoint_crossed_module(group: FiniteGroup) -> CrossedModule:
     """base = fiber = group, identity boundary, conjugation action."""
-    action = [
-        [group.conjugate(g, h) for h in group.elements()]
-        for g in group.elements()
-    ]
-    return validate_crossed_module(
-        group, group, tuple(group.elements()), action
-    )
+    table, inverse = group.table, group.inverse
+    return CrossedModule(group, group, group.elements(), [
+        [table[gh][inverse[g]] for gh in table[g]] for g in group.elements()
+    ])
 
 
 def abelian_coefficients(fiber: FiniteGroup) -> CrossedModule:
     """Trivial base over an abelian fiber (plain cohomology coefficients)."""
     if not fiber.is_abelian:
         raise ValidationError("coefficient group must be abelian")
-    return validate_crossed_module(
-        trivial_group(),
-        fiber,
-        [0] * fiber.order,
-        [list(fiber.elements())],
-    )
+    return CrossedModule(trivial_group(), fiber, [0] * fiber.order,
+                         [fiber.elements()])
 
 
 def abelian_decomposition(group: FiniteGroup) -> Tuple[tuple, tuple]:

@@ -2,13 +2,13 @@
 against.
 
 Each scans every case in order, as the library did before it checked
-maps in one pass, group and action laws on generators, the carrier
-condition on maximal simplices, and nerves by vertex incidence.  Each
-returns what the library's version builds or raises the same
-``ValidationError``.  The abelian decomposition by its own Smith form,
-the three orbit loops and the chain-map signs by cycle parity are kept
-from before the library read them off one lattice quotient, one orbit
-partition and the parity of inversions.
+maps in one pass, group, action and crossed-module laws on generators,
+the carrier condition on maximal simplices, and nerves by vertex
+incidence.  Each returns what the library's version builds or raises
+the same ``ValidationError``.  The abelian decomposition by its own
+Smith form, the three orbit loops and the chain-map signs by cycle
+parity are kept from before the library read them off one lattice
+quotient, one orbit partition and the parity of inversions.
 """
 
 from __future__ import annotations
@@ -78,6 +78,75 @@ def check_action(group, fiber, table):
                         f"({g}, {h}, {fiber[f]!r})"
                     )
     return tuple(tuple(r) for r in table)
+
+
+def validate_crossed_module(base, fiber, boundary, action):
+    """(boundary, action) of a crossed module, checking each axiom on
+    every tuple of elements, in the library's order of axioms."""
+    if len(boundary) != fiber.order:
+        raise ValidationError("boundary has wrong length")
+    if any(not (0 <= g < base.order) for g in boundary):
+        raise ValidationError("boundary image out of range")
+    if len(action) != base.order or any(len(r) != fiber.order for r in action):
+        raise ValidationError("action table has wrong shape")
+
+    for h1 in fiber.elements():
+        for h2 in fiber.elements():
+            lhs = base.mul(boundary[h1], boundary[h2])
+            rhs = boundary[fiber.mul(h1, h2)]
+            if lhs != rhs:
+                raise ValidationError(
+                    f"boundary is not a homomorphism at ({h1}, {h2})",
+                    details={"axiom": "homomorphism", "witness": (h1, h2)},
+                )
+    for g in base.elements():
+        row = action[g]
+        if sorted(row) != list(range(fiber.order)):
+            raise ValidationError(
+                f"action of {g} is not a bijection",
+                details={"axiom": "automorphism", "witness": (g,)},
+            )
+        for h1 in fiber.elements():
+            for h2 in fiber.elements():
+                if row[fiber.mul(h1, h2)] != fiber.mul(row[h1], row[h2]):
+                    raise ValidationError(
+                        f"action of {g} is not multiplicative at ({h1}, {h2})",
+                        details={"axiom": "automorphism", "witness": (g, h1, h2)},
+                    )
+    for h in fiber.elements():
+        if action[0][h] != h:
+            raise ValidationError(
+                "identity of the base does not act trivially",
+                details={"axiom": "automorphism", "witness": (0, h)},
+            )
+    for g1 in base.elements():
+        for g2 in base.elements():
+            g12 = base.mul(g1, g2)
+            for h in fiber.elements():
+                if action[g1][action[g2][h]] != action[g12][h]:
+                    raise ValidationError(
+                        f"action is not functorial at ({g1}, {g2}, {h})",
+                        details={"axiom": "automorphism", "witness": (g1, g2, h)},
+                    )
+    for g in base.elements():
+        for h in fiber.elements():
+            lhs = boundary[action[g][h]]
+            rhs = base.conjugate(g, boundary[h])
+            if lhs != rhs:
+                raise ValidationError(
+                    f"equivariance fails at ({g}, {h})",
+                    details={"axiom": "equivariance", "witness": (g, h)},
+                )
+    for h1 in fiber.elements():
+        for h2 in fiber.elements():
+            lhs = action[boundary[h1]][h2]
+            rhs = fiber.conjugate(h1, h2)
+            if lhs != rhs:
+                raise ValidationError(
+                    f"Peiffer identity fails at ({h1}, {h2})",
+                    details={"axiom": "peiffer", "witness": (h1, h2)},
+                )
+    return tuple(boundary), tuple(tuple(r) for r in action)
 
 
 def check_map(source, target, vertex_map):

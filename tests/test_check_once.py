@@ -1,11 +1,12 @@
-"""Each fact about a group, an action, a map, a cover or a bundle is
-checked once, and the checks keep their verdicts and their errors.
+"""Each fact about a group, an action, a crossed module, a map, a cover
+or a bundle is checked once, and the checks keep their verdicts and
+their errors.
 
-Group and action laws are checked on generators and simplicial maps in
-one pass over the maximal simplices; the full ordered scans in
-``reference_checks`` are the oracle for verdict, message and details.
-Bundles built by the library carry trusted projections, and a loaded
-bundle never builds its total's frozenset family.
+Group, action and crossed-module laws are checked on generators and
+simplicial maps in one pass over the maximal simplices; the full ordered
+scans in ``reference_checks`` are the oracle for verdict, message and
+details.  Bundles built by the library carry trusted projections, and a
+loaded bundle never builds its total's frozenset family.
 """
 
 from __future__ import annotations
@@ -37,6 +38,8 @@ from cechfib import (
     symmetric_group,
     total_space,
     trivial_cocycle,
+    trivial_group,
+    validate_crossed_module,
     validate_group,
 )
 from cechfib import io as docio
@@ -166,6 +169,128 @@ def test_random_permutation_actions_match_full_scan(name, size, data):
     table = [list(range(size))] + [data.draw(perms) for _ in range(group.order - 1)]
     args = (group, tuple(range(size)), table)
     assert outcome(library_action, *args) == outcome(reference_checks.check_action, *args)
+
+
+def test_every_table_of_order_three_matches_full_scan():
+    """Every 3x3 table with 0 as identity: the 81 fillings of its other
+    four entries, monoids without inverses among them."""
+    for a, b, c, d in itertools.product(range(3), repeat=4):
+        rows = [[0, 1, 2], [1, a, b], [2, c, d]]
+        assert outcome(library_group, rows) == outcome(reference_checks.validate_group, rows)
+    with pytest.raises(ValidationError, match=r"^element 1 has no two-sided inverse$") as info:
+        validate_group([[0, 1], [1, 1]])
+    assert info.value.details == {"element": 1}
+
+
+def homs(source, target):
+    """Every homomorphism source -> target as its tuple of images, each
+    extended from images of the generators along left-to-right products."""
+    gens = _generators(source.table)
+    found = set()
+    for images in itertools.product(target.elements(), repeat=len(gens)):
+        image = {0: 0}
+        queue = [0]
+        for x in queue:  # grows while read
+            for g, v in zip(gens, images):
+                y = source.mul(x, g)
+                if y not in image:
+                    image[y] = target.mul(image[x], v)
+                    queue.append(y)
+        phi = tuple(image[x] for x in source.elements())
+        if all(phi[source.mul(a, b)] == target.mul(phi[a], phi[b])
+               for a in source.elements() for b in source.elements()):
+            found.add(phi)
+    return sorted(found)
+
+
+def automorphisms(group):
+    """The automorphisms of a group, and the group they form under
+    composition, element i being the i-th automorphism."""
+    autos = [phi for phi in homs(group, group) if len(set(phi)) == group.order]
+    index = {phi: i for i, phi in enumerate(autos)}
+    table = [[index[tuple(a[h] for h in b)] for b in autos] for a in autos]
+    return autos, validate_group(table)
+
+
+def library_crossed_module(base, fiber, boundary, action):
+    module = validate_crossed_module(base, fiber, boundary, action)
+    return module.boundary, module.action
+
+
+CROSSED_MODULE_FAILURES = (
+    "boundary is not a homomorphism", "is not a bijection",
+    "is not multiplicative", "identity of the base does not act trivially",
+    "action is not functorial", "equivariance fails", "Peiffer identity fails",
+)
+
+
+def crossed_module_candidates(rng, count):
+    """Base and fiber among the corpus groups, the trivial group among
+    them; a boundary homomorphism and an action by automorphisms, each
+    lawful alone, so that their pairing tests equivariance and Peiffer;
+    then most candidates perturbed once: a boundary entry, an action
+    entry, two entries of a row swapped, or a row (the identity's, in
+    one case of six) replaced by an automorphism."""
+    groups = list(corpus.GROUPS.values())
+    laws = {}
+    for _ in range(count):
+        base, fiber = rng.choice(groups), rng.choice(groups)
+        if (id(base), id(fiber)) not in laws:
+            autos, aut_group = automorphisms(fiber)
+            laws[id(base), id(fiber)] = (
+                homs(fiber, base), autos,
+                [[autos[k] for k in phi] for phi in homs(base, aut_group)])
+        boundaries, autos, actions = laws[id(base), id(fiber)]
+        boundary = list(rng.choice(boundaries))
+        action = [list(row) for row in rng.choice(actions)]
+        g, h = rng.randrange(base.order), rng.randrange(fiber.order)
+        kind = rng.randrange(6)
+        if kind == 1:
+            boundary[h] = rng.randrange(base.order)
+        elif kind == 2:
+            action[g][h] = rng.randrange(fiber.order)
+        elif kind == 3:
+            k = rng.randrange(fiber.order)
+            action[g][h], action[g][k] = action[g][k], action[g][h]
+        elif kind == 4:
+            action[g] = list(rng.choice(autos))
+        elif kind == 5:
+            action[0] = list(rng.choice(autos))
+        yield base, fiber, boundary, action
+
+
+def test_seeded_crossed_modules_match_full_scan():
+    seen = dict.fromkeys(("ok",) + CROSSED_MODULE_FAILURES, 0)
+    for args in crossed_module_candidates(random.Random(19), 4200):
+        got = outcome(library_crossed_module, *args)
+        assert got == outcome(reference_checks.validate_crossed_module, *args), args
+        seen["ok" if got[0] == "ok" else
+             next(kind for kind in CROSSED_MODULE_FAILURES if kind in got[1])] += 1
+    # every failure kind, equivariance included, is exercised many times
+    assert min(seen.values()) >= 100, seen
+
+
+def test_a_trivial_fiber_still_needs_a_boundary_homomorphism():
+    """The trivial group has no generators but its identity, which must
+    map to the identity."""
+    args = (corpus.Z2, trivial_group(), [1], [[0], [0]])
+    with pytest.raises(ValidationError,
+                       match=r"^boundary is not a homomorphism at \(0, 0\)$") as info:
+        validate_crossed_module(*args)
+    assert info.value.details == {"axiom": "homomorphism", "witness": (0, 0)}
+    assert outcome(library_crossed_module, *args) == outcome(
+        reference_checks.validate_crossed_module, *args)
+
+
+def test_crossed_module_shape_errors_match_full_scan():
+    z2, z4 = corpus.Z2, corpus.Z4
+    for args in ((z2, z4, [0, 1, 0], [[0, 1, 2, 3]] * 2),
+                 (z2, z4, [0, 1, 0, 2], [[0, 1, 2, 3]] * 2),
+                 (z2, z4, [0, 1, 0, 1], [[0, 1, 2, 3]]),
+                 (z2, z4, [0, 1, 0, 1], [[0, 1, 2, 3], [0, 1, 2]])):
+        got = outcome(library_crossed_module, *args)
+        assert got[0] == "error"
+        assert got == outcome(reference_checks.validate_crossed_module, *args)
 
 
 def library_map(source, target, vertex_map):

@@ -1,9 +1,10 @@
 """The command-line parser is built once per process.
 
 Help text, usage errors and exit codes are the ones the parser gave
-when it was rebuilt for every call; the expected text below was recorded
-from that parser at a terminal width of 80 columns.  Consecutive calls
-share nothing but the parser.
+when it was rebuilt for every call, except that each verb now accepts
+only the options it reads; the expected text below was recorded at a
+terminal width of 80 columns.  Consecutive calls share nothing but the
+parser.
 """
 
 from __future__ import annotations
@@ -45,73 +46,56 @@ TOP_HELP = TOP_USAGE + (
 VERB_HELP = {
     'validate-complex': (
         'usage: cechfib validate-complex [-h] --input INPUT [INPUT ...]\n'
-        '                                [--output OUTPUT] [--budget BUDGET]\n'
-        '                                [--max-degree MAX_DEGREE]\n'
+        '                                [--output OUTPUT]\n'
         '\n'
         'options:\n'
         '  -h, --help            show this help message and exit\n'
         '  --input INPUT [INPUT ...]\n'
         '                        input JSON document(s)\n'
         '  --output OUTPUT       write the report here instead of stdout\n'
-        '  --budget BUDGET       cap on exhaustive search size\n'
-        '  --max-degree MAX_DEGREE\n'
-        '                        top homology degree for homology verbs\n'
     ),
     'homology': (
         'usage: cechfib homology [-h] --input INPUT [INPUT ...] [--output OUTPUT]\n'
-        '                        [--budget BUDGET] [--max-degree MAX_DEGREE]\n'
+        '                        [--max-degree MAX_DEGREE]\n'
         '\n'
         'options:\n'
         '  -h, --help            show this help message and exit\n'
         '  --input INPUT [INPUT ...]\n'
         '                        input JSON document(s)\n'
         '  --output OUTPUT       write the report here instead of stdout\n'
-        '  --budget BUDGET       cap on exhaustive search size\n'
         '  --max-degree MAX_DEGREE\n'
         '                        top homology degree for homology verbs\n'
     ),
     'nerve': (
         'usage: cechfib nerve [-h] --input INPUT [INPUT ...] [--output OUTPUT]\n'
-        '                     [--budget BUDGET] [--max-degree MAX_DEGREE]\n'
         '\n'
         'options:\n'
         '  -h, --help            show this help message and exit\n'
         '  --input INPUT [INPUT ...]\n'
         '                        input JSON document(s)\n'
         '  --output OUTPUT       write the report here instead of stdout\n'
-        '  --budget BUDGET       cap on exhaustive search size\n'
-        '  --max-degree MAX_DEGREE\n'
-        '                        top homology degree for homology verbs\n'
     ),
     'cover-check': (
         'usage: cechfib cover-check [-h] --input INPUT [INPUT ...] [--output OUTPUT]\n'
-        '                           [--budget BUDGET] [--max-degree MAX_DEGREE]\n'
         '\n'
         'options:\n'
         '  -h, --help            show this help message and exit\n'
         '  --input INPUT [INPUT ...]\n'
         '                        input JSON document(s)\n'
         '  --output OUTPUT       write the report here instead of stdout\n'
-        '  --budget BUDGET       cap on exhaustive search size\n'
-        '  --max-degree MAX_DEGREE\n'
-        '                        top homology degree for homology verbs\n'
     ),
     'cocycle-check': (
         'usage: cechfib cocycle-check [-h] --input INPUT [INPUT ...] [--output OUTPUT]\n'
-        '                             [--budget BUDGET] [--max-degree MAX_DEGREE]\n'
         '\n'
         'options:\n'
         '  -h, --help            show this help message and exit\n'
         '  --input INPUT [INPUT ...]\n'
         '                        input JSON document(s)\n'
         '  --output OUTPUT       write the report here instead of stdout\n'
-        '  --budget BUDGET       cap on exhaustive search size\n'
-        '  --max-degree MAX_DEGREE\n'
-        '                        top homology degree for homology verbs\n'
     ),
     'cocycle-equiv': (
         'usage: cechfib cocycle-equiv [-h] --input INPUT [INPUT ...] [--output OUTPUT]\n'
-        '                             [--budget BUDGET] [--max-degree MAX_DEGREE]\n'
+        '                             [--budget BUDGET]\n'
         '\n'
         'options:\n'
         '  -h, --help            show this help message and exit\n'
@@ -119,12 +103,9 @@ VERB_HELP = {
         '                        input JSON document(s)\n'
         '  --output OUTPUT       write the report here instead of stdout\n'
         '  --budget BUDGET       cap on exhaustive search size\n'
-        '  --max-degree MAX_DEGREE\n'
-        '                        top homology degree for homology verbs\n'
     ),
     'bundle-build': (
         'usage: cechfib bundle-build [-h] --input INPUT [INPUT ...] [--output OUTPUT]\n'
-        '                            [--budget BUDGET] [--max-degree MAX_DEGREE]\n'
         '                            [--mode {direct,skeletal}]\n'
         '\n'
         'options:\n'
@@ -132,27 +113,20 @@ VERB_HELP = {
         '  --input INPUT [INPUT ...]\n'
         '                        input JSON document(s)\n'
         '  --output OUTPUT       write the report here instead of stdout\n'
-        '  --budget BUDGET       cap on exhaustive search size\n'
-        '  --max-degree MAX_DEGREE\n'
-        '                        top homology degree for homology verbs\n'
         '  --mode {direct,skeletal}\n'
     ),
     'pullback': (
         'usage: cechfib pullback [-h] --input INPUT [INPUT ...] [--output OUTPUT]\n'
-        '                        [--budget BUDGET] [--max-degree MAX_DEGREE]\n'
         '\n'
         'options:\n'
         '  -h, --help            show this help message and exit\n'
         '  --input INPUT [INPUT ...]\n'
         '                        input JSON document(s)\n'
         '  --output OUTPUT       write the report here instead of stdout\n'
-        '  --budget BUDGET       cap on exhaustive search size\n'
-        '  --max-degree MAX_DEGREE\n'
-        '                        top homology degree for homology verbs\n'
     ),
     'classify': (
         'usage: cechfib classify [-h] --input INPUT [INPUT ...] [--output OUTPUT]\n'
-        '                        [--budget BUDGET] [--max-degree MAX_DEGREE]\n'
+        '                        [--budget BUDGET]\n'
         '\n'
         'options:\n'
         '  -h, --help            show this help message and exit\n'
@@ -160,72 +134,56 @@ VERB_HELP = {
         '                        input JSON document(s)\n'
         '  --output OUTPUT       write the report here instead of stdout\n'
         '  --budget BUDGET       cap on exhaustive search size\n'
-        '  --max-degree MAX_DEGREE\n'
-        '                        top homology degree for homology verbs\n'
     ),
     'gerbe-check': (
         'usage: cechfib gerbe-check [-h] --input INPUT [INPUT ...] [--output OUTPUT]\n'
-        '                           [--budget BUDGET] [--max-degree MAX_DEGREE]\n'
         '\n'
         'options:\n'
         '  -h, --help            show this help message and exit\n'
         '  --input INPUT [INPUT ...]\n'
         '                        input JSON document(s)\n'
         '  --output OUTPUT       write the report here instead of stdout\n'
-        '  --budget BUDGET       cap on exhaustive search size\n'
-        '  --max-degree MAX_DEGREE\n'
-        '                        top homology degree for homology verbs\n'
     ),
     'gerbe-class': (
         'usage: cechfib gerbe-class [-h] --input INPUT [INPUT ...] [--output OUTPUT]\n'
-        '                           [--budget BUDGET] [--max-degree MAX_DEGREE]\n'
         '\n'
         'options:\n'
         '  -h, --help            show this help message and exit\n'
         '  --input INPUT [INPUT ...]\n'
         '                        input JSON document(s)\n'
         '  --output OUTPUT       write the report here instead of stdout\n'
-        '  --budget BUDGET       cap on exhaustive search size\n'
-        '  --max-degree MAX_DEGREE\n'
-        '                        top homology degree for homology verbs\n'
     ),
     'bar-homology': (
         'usage: cechfib bar-homology [-h] --input INPUT [INPUT ...] [--output OUTPUT]\n'
-        '                            [--budget BUDGET] [--max-degree MAX_DEGREE]\n'
+        '                            [--max-degree MAX_DEGREE]\n'
         '\n'
         'options:\n'
         '  -h, --help            show this help message and exit\n'
         '  --input INPUT [INPUT ...]\n'
         '                        input JSON document(s)\n'
         '  --output OUTPUT       write the report here instead of stdout\n'
-        '  --budget BUDGET       cap on exhaustive search size\n'
         '  --max-degree MAX_DEGREE\n'
         '                        top homology degree for homology verbs\n'
     ),
     'milnor-check': (
         'usage: cechfib milnor-check [-h] --input INPUT [INPUT ...] [--output OUTPUT]\n'
-        '                            [--budget BUDGET] [--max-degree MAX_DEGREE]\n'
         '\n'
         'options:\n'
         '  -h, --help            show this help message and exit\n'
         '  --input INPUT [INPUT ...]\n'
         '                        input JSON document(s)\n'
         '  --output OUTPUT       write the report here instead of stdout\n'
-        '  --budget BUDGET       cap on exhaustive search size\n'
-        '  --max-degree MAX_DEGREE\n'
-        '                        top homology degree for homology verbs\n'
     ),
 }
 
 MISSING_INPUT = (
     'usage: cechfib classify [-h] --input INPUT [INPUT ...] [--output OUTPUT]\n'
-    '                        [--budget BUDGET] [--max-degree MAX_DEGREE]\n'
+    '                        [--budget BUDGET]\n'
     'cechfib classify: error: the following arguments are required: --input\n'
 )
 
 BAD_MODE = (
     'usage: cechfib bundle-build [-h] --input INPUT [INPUT ...] [--output OUTPUT]\n'
-    '                            [--budget BUDGET] [--max-degree MAX_DEGREE]\n'
     '                            [--mode {direct,skeletal}]\n'
     "cechfib bundle-build: error: argument --mode: invalid choice: 'bad' (choose from 'direct', 'skeletal')\n"
 )
@@ -275,6 +233,31 @@ def test_usage_errors(capsys):
     assert call(capsys, ["bundle-build", "--input", "x", "--mode", "bad"]) == (
         2, "", BAD_MODE)
     assert call(capsys, []) == (2, "", NO_VERB)
+
+
+def test_nerve_refuses_a_budget(tmp_path, capsys):
+    path = write(tmp_path, "cover.json",
+                 docio.cover_to_doc(star_cover(corpus.HOLLOW_TRIANGLE)))
+    assert call(capsys, ["nerve", "--input", path])[0] == cli.EXIT_TRUE
+    code, out, err = call(capsys, ["nerve", "--input", path, "--budget", "5"])
+    assert (code, out) == (2, "")
+    assert err.endswith("error: unrecognized arguments: --budget 5\n")
+
+
+@pytest.mark.parametrize("verb", list(VERB_HELP))
+def test_each_verb_accepts_only_the_options_it_reads(tmp_path, capsys, verb):
+    reads = {"cocycle-equiv": ("--budget",), "classify": ("--budget",),
+             "homology": ("--max-degree",), "bar-homology": ("--max-degree",),
+             "bundle-build": ("--mode",)}.get(verb, ())
+    assert cli._VERBS[verb].options == reads
+    missing = str(tmp_path / "missing.json")
+    for option, value in (("--budget", "5"), ("--max-degree", "1"),
+                          ("--mode", "skeletal")):
+        code, out, err = call(capsys, [verb, "--input", missing, option, value])
+        assert (code, out) == (2, "")
+        # an option the verb reads gets as far as loading the input
+        assert ("does not exist" in err) == (option in reads), err
+        assert ("unrecognized arguments" in err) == (option not in reads), err
 
 
 def test_the_parser_is_built_once(capsys):

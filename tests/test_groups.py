@@ -79,14 +79,30 @@ def test_trivial_group_single_class():
     assert conjugacy_classes(trivial_group()) == ((0,),)
 
 
+def revalidated(module):
+    """The module rebuilt from its fields by the checked constructor."""
+    checked = validate_crossed_module(
+        module.base, module.fiber, module.boundary, module.action)
+    assert (checked.boundary, checked.action) == (module.boundary, module.action)
+    return checked
+
+
 def test_adjoint_crossed_module_valid_for_corpus_groups():
-    for g in corpus.GROUPS.values():
-        adjoint_crossed_module(g)
+    # the maker is trusted, so its output passes the validator here
+    for g in [*corpus.GROUPS.values(), symmetric_group(4), symmetric_group(5)]:
+        module = revalidated(adjoint_crossed_module(g))
+        assert module.base is g and module.fiber is g
+        assert module.boundary == tuple(g.elements())
+        assert module.action == tuple(
+            tuple(g.conjugate(x, h) for h in g.elements()) for x in g.elements())
 
 
 def test_abelian_coefficient_module_valid():
-    abelian_coefficients(corpus.Z2)
-    abelian_coefficients(corpus.Z4)
+    for g in (corpus.Z1, corpus.Z2, corpus.Z4, corpus.Z2xZ2):
+        module = revalidated(abelian_coefficients(g))
+        assert module.base.order == 1 and module.fiber is g
+        assert module.boundary == (0,) * g.order
+        assert module.action == (tuple(g.elements()),)
 
 
 def test_trivial_action_on_nonabelian_fails_peiffer():
