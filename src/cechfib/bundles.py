@@ -311,11 +311,18 @@ def bundle_isomorphism(
     vertex in branch order.  Forced images hold in every isomorphism
     extending the guesses, so the first hit is the lexicographically
     least witness.  Returns the total-vertex bijection, or None.
+
+    Two bundles with the same total and the same fibers get the identity
+    at once, spending no budget: it is the search's first hit, since
+    with every earlier vertex fixed each vertex's first unused image is
+    itself.
     """
     if b1.base != b2.base:
         return None
     if len(b1.fiber) != len(b2.fiber):
         return None
+    if b1.total == b2.total and b1._fibers == b2._fibers:
+        return {e: e for v in b1.base.vertices for e in b1.fiber_over(v)}
     for k in range(max(b1.total.dim, b2.total.dim) + 1):
         if b1.total.simplex_count(k) != b2.total.simplex_count(k):
             return None

@@ -9,11 +9,17 @@ the same ``ValidationError``.  The abelian decomposition by its own
 Smith form, the three orbit loops and the chain-map signs by cycle
 parity are kept from before the library read them off one lattice
 quotient, one orbit partition and the parity of inversions.
+``cocycle-equiv``'s runner is kept as it was when it compared every
+second cover with the first as JSON text.
 """
 
 from __future__ import annotations
 
-from cechfib import NerveComplex, ValidationError, build_complex
+import json
+
+from cechfib import NerveComplex, ValidationError, are_equivalent, build_complex
+from cechfib import io as docio
+from cechfib.cocycles import validate_cocycle
 from cechfib.complexes import intersect_complexes
 from cechfib.snf import sparse_smith_form
 
@@ -322,3 +328,33 @@ def simplicial_chain_map(f, max_degree):
             mat[tgt_index[tuple(sorted(image))]][j] = permutation_sign(order)
         mats.append(mat)
     return mats
+
+
+def same_json(a, b) -> bool:
+    """Equal as JSON text; Python's ``==`` would also match 1 with 1.0
+    or true, which a document may not use interchangeably."""
+    return json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+def run_cocycle_equiv(docs, args) -> tuple:
+    """``cocycle-equiv``'s runner, parsing the second cover unless it is
+    equal to the first as JSON text."""
+    d1, d2 = docs
+    c1 = docio.cocycle_from_doc(d1)
+    docio.require_keys(d2, "cocycle", ("cover", "group", "values"))
+    cover = c1.cover
+    if not same_json(d2["cover"], d1["cover"]):
+        other = docio.cover_from_doc(d2["cover"])
+        if other != cover:
+            cover = other
+    group = (c1.group if same_json(d2["group"], d1["group"])
+             else docio.group_from_doc(d2["group"]))
+    c2 = validate_cocycle(cover, group, docio.cocycle_values_from_doc(d2["values"]))
+    result = are_equivalent(c1, c2, budget=args.budget)
+    details = {}
+    if result.equivalent:
+        details["bridge"] = {
+            "|".join(map(str, key)): value
+            for key, value in sorted(result.bridge.items())
+        }
+    return result.equivalent, details

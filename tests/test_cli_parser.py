@@ -2,8 +2,9 @@
 
 Help text, usage errors and exit codes are the ones the parser gave
 when it was rebuilt for every call, except that each verb now accepts
-only the options it reads; the expected text below was recorded at a
-terminal width of 80 columns.  Consecutive calls share nothing but the
+only the options it reads and refuses any other under its own usage
+line; the expected text below was recorded at a terminal width of 80
+columns.  Consecutive calls share nothing but the
 parser.
 """
 
@@ -188,6 +189,12 @@ BAD_MODE = (
     "cechfib bundle-build: error: argument --mode: invalid choice: 'bad' (choose from 'direct', 'skeletal')\n"
 )
 
+# a verb's usage line is the same on every Python version
+NERVE_BUDGET = (
+    'usage: cechfib nerve [-h] --input INPUT [INPUT ...] [--output OUTPUT]\n'
+    'cechfib nerve: error: unrecognized arguments: --budget 5\n'
+)
+
 NO_VERB = TOP_USAGE + (
     'cechfib: error: the following arguments are required: command\n'
 )
@@ -239,9 +246,8 @@ def test_nerve_refuses_a_budget(tmp_path, capsys):
     path = write(tmp_path, "cover.json",
                  docio.cover_to_doc(star_cover(corpus.HOLLOW_TRIANGLE)))
     assert call(capsys, ["nerve", "--input", path])[0] == cli.EXIT_TRUE
-    code, out, err = call(capsys, ["nerve", "--input", path, "--budget", "5"])
-    assert (code, out) == (2, "")
-    assert err.endswith("error: unrecognized arguments: --budget 5\n")
+    assert call(capsys, ["nerve", "--input", path, "--budget", "5"]) == (
+        2, "", NERVE_BUDGET)
 
 
 @pytest.mark.parametrize("verb", list(VERB_HELP))
@@ -258,6 +264,11 @@ def test_each_verb_accepts_only_the_options_it_reads(tmp_path, capsys, verb):
         # an option the verb reads gets as far as loading the input
         assert ("does not exist" in err) == (option in reads), err
         assert ("unrecognized arguments" in err) == (option not in reads), err
+        if option not in reads:
+            # refused under the verb's own usage line
+            assert err.startswith(f"usage: cechfib {verb} [-h]"), err
+            assert err.endswith(f"\ncechfib {verb}: error: unrecognized "
+                                f"arguments: {option} {value}\n"), err
 
 
 def test_the_parser_is_built_once(capsys):
