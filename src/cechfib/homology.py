@@ -5,22 +5,26 @@ Boundaries, chain maps and relation matrices are sparse rows (see
 come from the invariant factors of the boundaries after a peel: free
 faces and coreduction pairs with a unit entry are removed first, which
 only deletes rows and columns, and the Smith form runs on what remains.
-Simplicial homology peels from the augmentation C_0 -> Z, so that a
-closed surface has a place to start.  A simplicial map is a homology
-isomorphism when both sides have the same groups and its mapping cone
-has none; the cone is peeled the same way.  Canonical class labels come
-from one lattice-quotient routine (:class:`LatticeQuotient`), which
-reduces the full matrices in the fixed pivot order so that labels do
-not depend on the peel; homology workspaces, the degree-2 classes of
-:mod:`cechfib.gerbes` and the abelian coordinates of :mod:`cechfib.groups`
-all use it.
+A simplicial chain complex is shrunk by two runs of unit eliminations
+before the peel: a spanning forest of the 1-skeleton, found by
+union-find, leaves one vertex per component and d_1 = 0, so H_0 needs
+no Smith form; then each remaining edge is eliminated against a coface
+with entry +-1 (the cotree).  A closed connected surface is left with
+one vertex, 2 - chi edges and one triangle.  A simplicial map is a
+homology isomorphism when both sides have the same groups and its
+mapping cone has none; the cone goes to the peel directly.  Canonical
+class labels come from one lattice-quotient routine
+(:class:`LatticeQuotient`), which reduces the full matrices in the
+fixed pivot order so that labels do not depend on the reductions;
+homology workspaces, the degree-2 classes of :mod:`cechfib.gerbes` and
+the abelian coordinates of :mod:`cechfib.groups` all use it.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter, deque
-from itertools import chain, combinations
+from collections import deque
+from itertools import combinations
 from typing import List, NamedTuple, Optional, Sequence
 
 from .complexes import SimplicialComplex, SimplicialMap
@@ -86,10 +90,11 @@ def simplex_boundary_matrix(x: SimplicialComplex, k: int) -> SparseRows:
     """Boundary C_k -> C_{k-1} in the sorted-simplex bases, as sparse rows."""
     row_index = {s: i for i, s in enumerate(x.simplices_of_dim(k - 1))}
     mat = [{} for _ in row_index]
+    # combinations drop the last vertex first, the first one last
+    signs = [(-1) ** (k - i) for i in range(k + 1)]
     for j, s in enumerate(x.simplices_of_dim(k)):
-        for drop in range(len(s)):
-            face = s[:drop] + s[drop + 1:]
-            mat[row_index[face]][j] = (-1) ** drop
+        for face, sign in zip(combinations(s, k), signs):
+            mat[row_index[face]][j] = sign
     return mat
 
 
@@ -217,14 +222,6 @@ def _peel(cc: ChainComplex, top: int) -> ChainComplex:
     )
 
 
-def _augmented(cc: ChainComplex) -> ChainComplex:
-    """The complex shifted up one degree over the augmentation C_0 -> Z."""
-    epsilon = [{j: 1 for j in range(cc.rank(0))}]
-    return ChainComplex(
-        ranks=(1,) + cc.ranks, boundaries=(epsilon,) + cc.boundaries
-    )
-
-
 def homology(x: SimplicialComplex, max_degree: Optional[int] = None) -> HomologyResult:
     """Integral simplicial homology through ``max_degree``.
 
@@ -240,31 +237,107 @@ def homology(x: SimplicialComplex, max_degree: Optional[int] = None) -> Homology
 
 
 def _simplicial_homology(cc: ChainComplex, max_degree: int) -> HomologyResult:
-    """Homology of a simplicial chain complex, read off its reduced
-    homology over the augmentation, where the peel has a start even on a
-    closed surface (every edge there lies in two triangles, every vertex
-    in three or more edges).  Degree 0 gets its Z back."""
-    if cc.rank(0) == 0:
-        return homology_of_chain_complex(cc, max_degree)
-    reduced = homology_of_chain_complex(_augmented(cc), max_degree + 1).groups
-    h0 = HomologyGroup(reduced[1].betti + 1, reduced[1].torsion)
-    return HomologyResult(groups=(h0,) + reduced[2:])
+    """Homology of a simplicial chain complex: :func:`_forest_cotree`
+    first, then the peel and the Smith form on what it leaves."""
+    return homology_of_chain_complex(_forest_cotree(cc), max_degree)
+
+
+def _forest_cotree(cc: ChainComplex) -> ChainComplex:
+    """A simplicial chain complex with two runs of unit eliminations.
+
+    Forest: every edge has boundary v - u, so union-find over the
+    vertices, with edges in order, finds a spanning forest.  Eliminating
+    a tree edge against the root of one endpoint's tree only renames
+    that root to the other's in every later boundary, so each remaining
+    edge ends with boundary root - root = 0: one vertex per component
+    is left and d_1 vanishes.  Cotree: each remaining edge, in order, is
+    eliminated against its least live coface whose entry is +-1; that
+    coface's column, times the ratio of entries, is subtracted from the
+    edge's other cofaces, and its row of d_3 is dropped.  An edge with
+    no unit coface stays.  By the Gaussian-elimination lemma homology
+    is unchanged; a closed connected surface is left with one vertex,
+    2 - chi edges and one triangle.
+    """
+    if len(cc.ranks) < 2:
+        return cc
+    parent = list(range(cc.ranks[0]))
+    ends = [[] for _ in range(cc.ranks[1])]
+    for v, row in enumerate(cc.boundaries[0]):
+        for e in row:
+            ends[e].append(v)
+    kept = []
+    for e, (a, b) in enumerate(ends):
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a == b:
+            kept.append(e)
+        else:
+            parent[a] = b
+    roots = sum(v == p for v, p in enumerate(parent))
+    d1 = [{} for _ in range(roots)]
+    if len(cc.ranks) == 2:
+        return ChainComplex(ranks=(roots, len(kept)), boundaries=(d1,))
+    # live entries of d_2 by edge (cofaces) and by triangle (faces)
+    d2 = cc.boundaries[1]
+    cofaces = {e: dict(d2[e]) for e in kept}
+    faces = [{} for _ in range(cc.ranks[2])]
+    for e, row in cofaces.items():
+        for t, v in row.items():
+            faces[t][e] = v
+    paired = set()
+    edges = []
+    for e in kept:
+        near = cofaces[e]
+        units = [t for t, v in near.items() if v * v == 1]
+        if not units:
+            edges.append(e)
+            continue
+        t = min(units)
+        unit = near.pop(t)
+        column = faces[t]
+        del column[e]
+        # each other coface loses its e entry, w - (w * unit) * unit = 0
+        for c, w in near.items():
+            q = w * unit
+            into = faces[c]
+            del into[e]
+            for f, a in column.items():
+                v = into.get(f, 0) - q * a
+                if v:
+                    into[f] = cofaces[f][c] = v
+                else:
+                    del into[f], cofaces[f][c]
+        for f in column:
+            del cofaces[f][t]
+        paired.add(t)
+    live = [t for t in range(cc.ranks[2]) if t not in paired]
+    index = {t: n for n, t in enumerate(live)}
+    d2 = [{index[t]: v for t, v in cofaces[e].items()} for e in edges]
+    above = ()
+    if len(cc.ranks) > 3:
+        d3 = cc.boundaries[2]
+        above = ([d3[t] for t in live],) + cc.boundaries[3:]
+    return ChainComplex(
+        ranks=(roots, len(edges), len(live)) + cc.ranks[3:],
+        boundaries=(d1, d2) + above,
+    )
 
 
 def is_point_like(x: SimplicialComplex) -> bool:
     """Connected with the homology of a point (no higher homology).
 
-    A cone is answered by counting: dropping v sends the simplices
-    through v other than {v} one-to-one into those without v, so v lies
-    in at most (n + 1) / 2 of the n simplices, with equality exactly when
-    every simplex without v spans one with v, that is, when x is a cone
-    over v.  Any other complex goes to :func:`homology`, whose peel
-    collapses free faces with their only cofaces before any Smith form.
+    A cone is answered at once: x is a cone over v exactly when v lies
+    in every maximal simplex (then each simplex without v spans one with
+    v), so the vertex sets of the maximal simplices have a common
+    vertex.  Any other complex goes to :func:`homology`, whose forest,
+    cotree and peel shrink it before any Smith form.
     """
     if x.is_empty():
         return False
-    counts = Counter(chain.from_iterable(x.simplex_tuples()))
-    if 2 * max(counts.values()) - 1 == x.simplex_count():
+    tops = x._top_sets()
+    if set(tops[0]).intersection(*tops[1:]):
         return True
     groups = homology(x).groups
     return groups[0] == HomologyGroup(1, ()) and all(

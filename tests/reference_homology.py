@@ -6,7 +6,12 @@ kernel/relation Smith-form routines, one over the integers
 (``HomologyWorkspace``) and one per cyclic coefficient factor
 (``_CyclicReducer``, used by ``CechClassifier``).  The code is as it
 stood before the mapping-cone check and the single lattice-quotient
-routine replaced it."""
+routine replaced it.
+
+Simplicial homology is referenced by the path the forest and cotree
+eliminations replaced: the peel over the augmentation C_0 -> Z
+(``augmented_simplicial_homology``), which the isomorphism reference
+here uses for both sides."""
 
 from __future__ import annotations
 
@@ -19,8 +24,9 @@ from cechfib.groups import abelian_decomposition
 from cechfib.homology import (
     ChainComplex,
     HomologyGroup,
-    _simplicial_homology,
+    HomologyResult,
     chain_complex_of,
+    homology_of_chain_complex,
     simplex_boundary_matrix,
     simplicial_chain_map,
 )
@@ -30,6 +36,26 @@ from cechfib.snf import (
     sparse_multiply,
     sparse_smith_form,
 )
+
+
+def augmented(cc: ChainComplex) -> ChainComplex:
+    """The complex shifted up one degree over the augmentation C_0 -> Z."""
+    epsilon = [{j: 1 for j in range(cc.rank(0))}]
+    return ChainComplex(
+        ranks=(1,) + cc.ranks, boundaries=(epsilon,) + cc.boundaries
+    )
+
+
+def augmented_simplicial_homology(cc: ChainComplex, max_degree: int) -> HomologyResult:
+    """Homology of a simplicial chain complex, read off its reduced
+    homology over the augmentation, where the peel has a start even on a
+    closed surface (every edge there lies in two triangles, every vertex
+    in three or more edges).  Degree 0 gets its Z back."""
+    if cc.rank(0) == 0:
+        return homology_of_chain_complex(cc, max_degree)
+    reduced = homology_of_chain_complex(augmented(cc), max_degree + 1).groups
+    h0 = HomologyGroup(reduced[1].betti + 1, reduced[1].torsion)
+    return HomologyResult(groups=(h0,) + reduced[2:])
 
 
 class HomologyWorkspace:
@@ -197,7 +223,7 @@ def map_induces_homology_isomorphism(f: SimplicialMap, max_degree: int) -> bool:
     """
     src_cc = chain_complex_of(f.source, min(max_degree + 1, max(f.source.dim, 0)))
     tgt_cc = chain_complex_of(f.target, min(max_degree + 1, max(f.target.dim, 0)))
-    src_hom = _simplicial_homology(src_cc, max_degree)
+    src_hom = augmented_simplicial_homology(src_cc, max_degree)
     target = HomologyWorkspace(tgt_cc, max_degree)
     chain_maps = simplicial_chain_map(f, max_degree)
     for k in range(max_degree + 1):

@@ -2,7 +2,10 @@
 
 ``homology_of_chain_complex`` removes free faces and coreduction pairs
 before any Smith form runs.  The reference here is the computation it
-replaced: invariant factors of every full boundary, with no peel.
+replaced: invariant factors of every full boundary, with no peel.  The
+peel also runs over the augmentation C_0 -> Z, the path simplicial
+homology took before its forest and cotree eliminations, kept as
+``reference_homology.augmented``.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from cechfib.classifying import bar_construction
 from cechfib.snf import sparse_multiply
 
 import corpus
+import reference_homology as ref
 
 homology_module = importlib.import_module("cechfib.homology")
 
@@ -66,7 +70,7 @@ def unpeeled_simplicial(x: SimplicialComplex, max_degree: int) -> HomologyResult
 def assert_peel_agrees(x: SimplicialComplex, max_degree: int) -> None:
     want = unpeeled_simplicial(x, max_degree)
     assert homology(x, max_degree) == want
-    # the same complex without the augmentation
+    # the same complex with the peel alone, no forest or cotree
     cc = chain_complex_of(x, min(max_degree + 1, max(x.dim, 0)))
     assert homology_of_chain_complex(cc, max_degree) == want
 
@@ -110,7 +114,7 @@ def test_peel_matches_unpeeled_on_subdivided_surfaces(surface, k):
     x = rung(surface, k)
     for max_degree in (0, 1, 2, 3):
         assert_peel_agrees(x, max_degree)
-    augmented = homology_module._augmented(chain_complex_of(x))
+    augmented = ref.augmented(chain_complex_of(x))
     assert_residue_is_chain_complex(augmented, x.dim + 1)
 
 
@@ -164,7 +168,7 @@ def test_peel_keeps_non_unit_entries(a, seed, max_degree):
     scaled = ChainComplex(ranks=cc.ranks, boundaries=tuple(boundaries))
     want = unpeeled_homology(scaled, max_degree)
     assert homology_of_chain_complex(scaled, max_degree) == want
-    augmented = homology_module._augmented(scaled) if cc.rank(0) else scaled
+    augmented = ref.augmented(scaled) if cc.rank(0) else scaled
     assert_residue_is_chain_complex(augmented, len(augmented.ranks) - 1)
 
 
@@ -186,11 +190,13 @@ def test_star_cover_witnesses_peel_without_a_smith_form(monkeypatch):
     assert all(is_point_like(w) for w in nerve.witnesses.values())
 
 
-def test_closed_surfaces_peel_over_the_augmentation():
-    # no free face and no coreduction without the augmentation
+def test_closed_surfaces_peel_only_after_the_forest_and_cotree():
+    # no free face and no coreduction on the surface itself
     x = rung("torus", 1)
     cc = chain_complex_of(x)
     assert homology_module._peel(cc, x.dim).ranks == cc.ranks
-    augmented = homology_module._augmented(cc)
-    residue = homology_module._peel(augmented, x.dim + 1)
-    assert sum(residue.ranks) < sum(cc.ranks) // 4
+    # one vertex, two edges and one triangle, all of zero boundary
+    residue = homology_module._forest_cotree(cc)
+    assert residue.ranks == (1, 2, 1)
+    assert not any(residue.boundary(1)) and not any(residue.boundary(2))
+    assert homology_module._peel(residue, x.dim).ranks == (1, 2, 1)
