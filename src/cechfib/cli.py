@@ -208,36 +208,43 @@ def _stringify(value):
     return str(value)
 
 
+# runners look library functions up when they run (hence the lambdas), so
+# a function rebound on its module, by a tracer or a test, is the one called
 _VERBS = {
     # build_complex's details would name the offending simplex; this
     # verb's report has never carried them
     "validate-complex": _Verb(1, _checker(
-        lambda doc: (doc,), docio.complex_from_doc,
+        lambda doc: (doc,), lambda doc: docio.complex_from_doc(doc),
         lambda x: {"vertices": len(x.vertices), "dim": x.dim,
                    "simplexCounts": [x.simplex_count(k) for k in range(x.dim + 1)]},
         context=False)),
     "homology": _Verb(1, _homology_run(
-        docio.complex_from_doc, homology, lambda x: max(x.dim, 0)),
+        lambda doc: docio.complex_from_doc(doc),
+        lambda x, degree: homology(x, degree), lambda x: max(x.dim, 0)),
         ("--max-degree",)),
     "nerve": _Verb(1, _run_nerve),
     "cover-check": _Verb(1, _run_cover_check),
     "cocycle-check": _Verb(1, _checker(
-        docio.parse_cocycle_doc, validate_cocycle,
+        lambda doc: docio.parse_cocycle_doc(doc),
+        lambda *parsed: validate_cocycle(*parsed),
         lambda cocycle: {"pairs": len(cocycle.values)})),
     "cocycle-equiv": _Verb(2, _run_cocycle_equiv, ("--budget",)),
     "bundle-build": _Verb(1, _run_bundle_build, ("--mode",)),
     "pullback": _Verb(2, _run_pullback),
     "classify": _Verb(2, _run_classify, ("--budget",)),
     "gerbe-check": _Verb(1, _checker(
-        docio.parse_gerbe_doc, validate_gerbe_cocycle,
+        lambda doc: docio.parse_gerbe_doc(doc),
+        lambda *parsed: validate_gerbe_cocycle(*parsed),
         lambda data: {"pairs": len(data.edge_values),
                       "witnesses": len(data.witnesses)})),
     "gerbe-class": _Verb(1, _run_gerbe_class),
     "bar-homology": _Verb(1, _homology_run(
-        docio.group_from_doc, bar_homology, lambda group: 3),
+        lambda doc: docio.group_from_doc(doc),
+        lambda group, degree: bar_homology(group, degree), lambda group: 3),
         ("--max-degree",)),
     "milnor-check": _Verb(1, _checker(
-        docio.parse_milnor_doc, validate_milnor_point,
+        lambda doc: docio.parse_milnor_doc(doc),
+        lambda *parsed: validate_milnor_point(*parsed),
         lambda point: {"support": [i for i, t in enumerate(point.coordinates)
                                    if t != 0]})),
 }

@@ -9,6 +9,7 @@ enumerated in sorted order.
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import Dict, Iterable, Mapping, NamedTuple, Optional, Tuple
 
 from .errors import ValidationError
@@ -44,15 +45,25 @@ def simplex_key(vertices) -> tuple:
 
 
 def _layered(words: Iterable[tuple]) -> Dict[int, set]:
-    """Nonempty sorted vertex tuples as layers: each dimension's set."""
+    """Sorted vertex tuples as layers: each dimension's set (-1: empty)."""
     return {size - 1: set(group) for size, group
             in itertools.groupby(sorted(words, key=len), len)}
 
 
-def _tops_and_gap(layers: Dict[int, set]) -> Tuple[list, int]:
+def _add_faces(faces: set, columns: tuple, size: int) -> set:
+    """Add to ``faces``, and return it, every face with ``size`` vertices
+    of sorted tuples given as vertex columns: those that keep positions
+    P are the zip of the columns in P, sorted as the tuples are."""
+    for kept in itertools.combinations(columns, size):
+        faces.update(zip(*kept))
+    return faces
+
+
+def _tops_and_gap(layers: Dict[int, set], closed: bool = False) -> Tuple[list, int]:
     """The maximal simplices of per-dimension sets of sorted tuples, and
     the least dimension whose simplices miss a codimension-1 face (0
-    when every face is present)."""
+    when every face is present, or unlooked for when ``closed``).  Each
+    layer's faces are taken at once from its vertex columns."""
     tops: list = []
     gap = 0
     above: set = set()
@@ -60,11 +71,8 @@ def _tops_and_gap(layers: Dict[int, set]) -> Tuple[list, int]:
         layer = layers[k]
         tops.extend(layer - above if above else layer)
         if k:
-            # the faces of sorted tuples, taken in position order, are sorted
-            above = set(itertools.chain.from_iterable(
-                map(itertools.combinations, layer, itertools.repeat(k))
-            ))
-            if not above <= layers.get(k - 1, set()):
+            above = _add_faces(set(), tuple(zip(*layer)), k)
+            if not (closed or above <= layers.get(k - 1, set())):
                 gap = k
     return tops, gap
 
@@ -116,13 +124,15 @@ class SimplicialComplex:
         self.vertices  # labels must be orderable: checked now, not on a read
 
     @classmethod
-    def _trusted(cls, layers: Dict[int, set], tops=None) -> "SimplicialComplex":
+    def _trusted(cls, layers: Dict[int, set], tops=None,
+                 vertices=None) -> "SimplicialComplex":
         """A complex from its layers, nonempty sets of sorted vertex
         tuples by dimension that its maker knows closed under faces,
-        with orderable labels, and its maximal simplices where known."""
+        with orderable labels, and its maximal simplices and sorted
+        vertices where known."""
         x = cls.__new__(cls)
-        x._layers, x._tops = layers, tops
-        x._simplices = x._vertices = x._by_dim = x._maximal = None
+        x._layers, x._tops, x._vertices = layers, tops, vertices
+        x._simplices = x._by_dim = x._maximal = None
         return x
 
     @classmethod
@@ -162,7 +172,7 @@ class SimplicialComplex:
     def _top_sets(self) -> list:
         """The maximal simplices as sorted vertex tuples, in no order."""
         if self._tops is None:
-            self._tops = _tops_and_gap(self._layers)[0]
+            self._tops = _tops_and_gap(self._layers, closed=True)[0]
         return self._tops
 
     @property
@@ -226,16 +236,60 @@ def build_complex(maximal_simplices: Iterable[Iterable]) -> SimplicialComplex:
     """Downward closure of the declared simplices.
 
     Raises on an empty declared simplex, a repeated vertex inside one,
-    and labels that cannot be ordered, all before it returns.  It closes
-    the family largest first as sorted vertex tuples, skipping a declared
-    simplex that is already a face of a larger one; those it keeps are
-    the maximal simplices, and the complex orders its views on first
-    read.  Rebuilding from the result's own maximal simplices reproduces
-    it.
+    and labels that cannot be ordered, all before it returns.  Every
+    declared simplex is sorted in one pass.  Largest first, those not
+    already present are maximal, and all their faces are read off their
+    vertex columns at once; a repeated vertex shows as equal entries of
+    adjacent columns.  The vertex layer and ``vertices`` come from the
+    one sorted set of labels.  Only when a check fails are the declared
+    simplices walked in order to name the first fault.  Rebuilding from
+    the result's own maximal simplices reproduces it.
     """
-    declared: Dict[int, set] = {}
-    for simplex in maximal_simplices:
-        listed = list(simplex)
+    lists: list = []
+    try:
+        lists.extend(map(list, maximal_simplices))
+        declared = _layered(map(tuple, map(sorted, lists)))
+    except TypeError:
+        _first_declared_fault(lists)
+        raise  # a declared simplex that is not a collection
+    if -1 in declared:
+        _first_declared_fault(lists)
+    # Largest first: a declared simplex already present is a face of a
+    # larger one, and so are all of its faces; the others are maximal.
+    layers: Dict[int, set] = {}
+    tops: list = []
+    for k in sorted(declared, reverse=True):
+        if k < 1:
+            break
+        new = declared[k]  # this function's own set: updated in place
+        if k in layers:
+            new -= layers[k]
+            layers[k] |= new
+        else:
+            layers[k] = new
+        tops.extend(new)
+        columns = tuple(zip(*new))
+        # a repeated vertex sits in adjacent columns; a declared face
+        # repeats one only if a new simplex does
+        if any(map(operator.eq, itertools.chain(*columns[:-1]),
+                   itertools.chain(*columns[1:]))):
+            _first_declared_fault(lists)
+        for size in range(2, k + 1):
+            _add_faces(layers.setdefault(size - 1, set()), columns, size)
+    vertices = _in_order(set(itertools.chain.from_iterable(lists)))
+    if 0 in declared:
+        # a declared vertex is maximal unless some edge holds it
+        tops.extend(declared[0].difference(
+            zip(itertools.chain.from_iterable(layers.get(1, ())))))
+    if vertices:
+        layers[0] = set(zip(vertices))
+    return SimplicialComplex._trusted(layers, tops, vertices)
+
+
+def _first_declared_fault(declared: list) -> None:
+    """Raise the first fault of declared simplices, as lists, in order:
+    empty, a repeated vertex, or labels that cannot be ordered."""
+    for listed in declared:
         if not listed:
             raise ValidationError("declared simplex is empty")
         if len(set(listed)) != len(listed):
@@ -243,23 +297,7 @@ def build_complex(maximal_simplices: Iterable[Iterable]) -> SimplicialComplex:
                 f"repeated vertex in declared simplex {listed!r}",
                 details={"simplex": listed},
             )
-        declared.setdefault(len(listed), set()).add(_in_order(listed))
-    # Largest first: a declared simplex already present is a face of a
-    # larger one, and so are all of its faces; the others are maximal.
-    by_dim: Dict[int, set] = {}
-    tops: list = []
-    for size in sorted(declared, reverse=True):
-        present = by_dim.setdefault(size - 1, set())
-        new = declared[size] - present
-        present |= new
-        tops.extend(new)
-        for k in range(1, size):
-            by_dim.setdefault(k - 1, set()).update(itertools.chain.from_iterable(
-                map(itertools.combinations, new, itertools.repeat(k))
-            ))
-    x = SimplicialComplex._trusted(by_dim, tops)
-    x.vertices  # every pair of labels is compared now, not on a later read
-    return x
+        _in_order(listed)
 
 
 def intersect_complexes(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComplex:

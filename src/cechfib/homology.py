@@ -87,14 +87,19 @@ def chain_complex(
 
 
 def simplex_boundary_matrix(x: SimplicialComplex, k: int) -> SparseRows:
-    """Boundary C_k -> C_{k-1} in the sorted-simplex bases, as sparse rows."""
-    row_index = {s: i for i, s in enumerate(x.simplices_of_dim(k - 1))}
-    mat = [{} for _ in row_index]
-    # combinations drop the last vertex first, the first one last
-    signs = [(-1) ** (k - i) for i in range(k + 1)]
-    for j, s in enumerate(x.simplices_of_dim(k)):
-        for face, sign in zip(combinations(s, k), signs):
-            mat[row_index[face]][j] = sign
+    """Boundary C_k -> C_{k-1} in the sorted-simplex bases, as sparse rows.
+
+    The faces without position i, of sign (-1)^i, come for every column
+    at once from a zip of the other vertex columns.  Cofaces that drop a
+    lower position sort first, so each row's keys stay in column order."""
+    faces = x.simplices_of_dim(k - 1)
+    row_of = dict(zip(faces, range(len(faces)))).__getitem__
+    mat = [{} for _ in faces]
+    columns = tuple(zip(*x.simplices_of_dim(k)))
+    for i in range(k + 1):
+        sign = (-1) ** i
+        for j, r in enumerate(map(row_of, zip(*columns[:i], *columns[i + 1:]))):
+            mat[r][j] = sign
     return mat
 
 

@@ -11,11 +11,14 @@ routine replaced it.
 Simplicial homology is referenced by the path the forest and cotree
 eliminations replaced: the peel over the augmentation C_0 -> Z
 (``augmented_simplicial_homology``), which the isomorphism reference
-here uses for both sides."""
+here uses for both sides.  Boundary matrices are referenced by the
+per-simplex loop that reading faces off vertex columns replaced
+(``reference_simplex_boundary_matrix``), which ``CechClassifier`` uses."""
 
 from __future__ import annotations
 
 import math
+from itertools import combinations
 from typing import List, Mapping, Sequence
 
 from cechfib import SimplicialMap, ValidationError
@@ -27,7 +30,6 @@ from cechfib.homology import (
     HomologyResult,
     chain_complex_of,
     homology_of_chain_complex,
-    simplex_boundary_matrix,
     simplicial_chain_map,
 )
 from cechfib.snf import (
@@ -36,6 +38,19 @@ from cechfib.snf import (
     sparse_multiply,
     sparse_smith_form,
 )
+
+
+def reference_simplex_boundary_matrix(x, k: int) -> SparseRows:
+    """Boundary C_k -> C_{k-1} in the sorted-simplex bases, as sparse
+    rows, filled one simplex at a time."""
+    row_index = {s: i for i, s in enumerate(x.simplices_of_dim(k - 1))}
+    mat = [{} for _ in row_index]
+    # combinations drop the last vertex first, the first one last
+    signs = [(-1) ** (k - i) for i in range(k + 1)]
+    for j, s in enumerate(x.simplices_of_dim(k)):
+        for face, sign in zip(combinations(s, k), signs):
+            mat[row_index[face]][j] = sign
+    return mat
 
 
 def augmented(cc: ChainComplex) -> ChainComplex:
@@ -318,9 +333,9 @@ class CechClassifier:
         self.factors, self.coords = abelian_decomposition(coefficients)
         cx = nerve.complex
         self.triangles = cx.simplices_of_dim(2)
-        edge_cobounds = simplex_boundary_matrix(cx, 2)
+        edge_cobounds = reference_simplex_boundary_matrix(cx, 2)
         delta2 = sparse_columns(
-            simplex_boundary_matrix(cx, 3), cx.simplex_count(3)
+            reference_simplex_boundary_matrix(cx, 3), cx.simplex_count(3)
         )
         self._reducers = [
             _CyclicReducer(m, edge_cobounds, delta2, len(self.triangles))
