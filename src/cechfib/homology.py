@@ -2,28 +2,25 @@
 
 Boundaries, chain maps and relation matrices are sparse rows (see
 :mod:`cechfib.snf`), built directly from the simplices.  Homology groups
-come from the invariant factors of the boundaries after a peel: free
-faces and coreduction pairs with a unit entry are removed first, which
-only deletes rows and columns, and the Smith form runs on what remains.
-A simplicial chain complex is shrunk by two runs of unit eliminations
-before the peel: a spanning forest of the 1-skeleton, found by
-union-find, leaves one vertex per component and d_1 = 0, so H_0 needs
-no Smith form; then each remaining edge is eliminated against a coface
-with entry +-1 (the cotree).  A closed connected surface is left with
-one vertex, 2 - chi edges and one triangle.  A simplicial map is a
-homology isomorphism when both sides have the same groups and its
-mapping cone has none; the cone goes to the peel directly.  Canonical
-class labels come from one lattice-quotient routine
-(:class:`LatticeQuotient`), which reduces the full matrices in the
-fixed pivot order so that labels do not depend on the reductions;
-homology workspaces, the degree-2 classes of :mod:`cechfib.gerbes` and
-the abelian coordinates of :mod:`cechfib.groups` all use it.
+come from the invariant factors of what one unit elimination leaves:
+degree by degree, each cell goes with a coface of entry +-1, which
+keeps homology.  A simplicial chain complex first loses a spanning
+forest of its 1-skeleton, found by union-find, so one vertex per
+component is left and H_0 needs no Smith form; a closed connected
+surface is then left with one vertex, 2 - chi edges and one triangle.
+Mapping cones and bar complexes go to the same elimination.  A
+simplicial map is a homology isomorphism when both sides have the same
+groups and its mapping cone has none.  Canonical class labels come
+from one lattice-quotient routine (:class:`LatticeQuotient`), which
+reduces the full matrices in the fixed pivot order so that labels do
+not depend on the reductions; homology workspaces, the degree-2 classes
+of :mod:`cechfib.gerbes` and the abelian coordinates of
+:mod:`cechfib.groups` all use it.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from itertools import combinations
 from typing import List, NamedTuple, Optional, Sequence
 
@@ -142,12 +139,12 @@ class HomologyResult(NamedTuple):
 def homology_of_chain_complex(cc: ChainComplex, max_degree: int) -> HomologyResult:
     """Integral homology of a chain complex through ``max_degree``.
 
-    The complex is first shrunk by :func:`_peel`; only what remains of
-    each boundary goes to the Smith form, and only if it is nonzero.
+    The complex is first shrunk by :func:`_eliminate`; only what remains
+    of each boundary goes to the Smith form, and only if it is nonzero.
     """
     if max_degree < 0:
         raise ValidationError("max_degree must be nonnegative")
-    cc = _peel(cc, max_degree + 1)
+    cc = _eliminate(cc, max_degree + 1)
     ranks_of = {}
     torsion_of = {}
     for k in range(1, max_degree + 2):
@@ -165,66 +162,76 @@ def homology_of_chain_complex(cc: ChainComplex, max_degree: int) -> HomologyResu
     return HomologyResult(groups=tuple(groups))
 
 
-def _peel(cc: ChainComplex, top: int) -> ChainComplex:
+def _eliminate(cc: ChainComplex, top: int) -> ChainComplex:
     """The complex in degrees 0..top with unit pairs eliminated.
 
-    A cell with exactly one coface (a free face: collapse) or exactly one
-    face (coreduction) is removed together with that neighbour when
-    their entry is a unit.  Neither case needs a correction term, so each
-    elimination only deletes a row and a column of the neighbouring
-    boundaries; by the Gaussian-elimination lemma for chain complexes
-    homology is unchanged.  Degrees above ``top`` are dropped, which
-    keeps homology below ``top``.
+    Degree by degree from the bottom, each live cell, in order, is
+    eliminated against its least live coface whose entry is +-1: that
+    coface's column, times the ratio of entries, is subtracted from the
+    cell's other cofaces, and the pair's rows and columns are dropped on
+    both sides.  A cell with no unit coface stays.  Free faces and
+    coreductions are pairs with nothing to subtract.  By the
+    Gaussian-elimination lemma homology is unchanged; degrees above
+    ``top`` are dropped, which keeps homology below ``top``.  Only
+    degrees that exist are built, and input rows are copied, never
+    changed.
     """
-    ranks = [cc.rank(k) for k in range(top + 1)]
-    # cofaces[k][c] and faces[k][c]: live neighbours of cell c of degree k
-    cofaces = [[{} for _ in range(r)] for r in ranks]
-    faces = [[{} for _ in range(r)] for r in ranks]
-    for k in range(1, top + 1):
-        for i, row in enumerate(cc.boundary(k)):
-            for j, v in row.items():
-                if v:
-                    cofaces[k - 1][i][j] = v
-                    faces[k][j][i] = v
-    alive = [set(range(r)) for r in ranks]
-    queue = deque((k, c) for k in range(top + 1) for c in range(ranks[k]))
-
-    def remove(k, c):
-        alive[k].discard(c)
-        for i in faces[k][c]:
-            up = cofaces[k - 1][i]
-            del up[c]
-            if len(up) == 1:
-                queue.append((k - 1, i))
-        for j in cofaces[k][c]:
-            down = faces[k + 1][j]
-            del down[c]
-            if len(down) == 1:
-                queue.append((k + 1, j))
-
-    while queue:
-        k, c = queue.popleft()
-        if c not in alive[k]:
-            continue
-        for near, step in ((cofaces[k][c], 1), (faces[k][c], -1)):
-            if len(near) == 1:
-                (d, v), = near.items()
-                if v in (1, -1):
-                    remove(k, c)
-                    remove(k + step, d)
-                    break
-
-    index = [{c: n for n, c in enumerate(sorted(live))} for live in alive]
+    top = min(top, len(cc.ranks) - 1)
+    if top < 0:
+        return cc
+    live = range(cc.ranks[0])
+    kept_of, rows_of = [], []
+    for k in range(top):
+        # live entries of d_(k+1) by cell (cofaces) and by coface (faces)
+        d = cc.boundaries[k]
+        cofaces = {c: dict(d[c]) for c in live}
+        # a zero boundary (d_1 after the forest) pairs nothing
+        n = cc.ranks[k + 1]
+        faces = [{} for _ in range(n)] if any(cofaces.values()) else [()] * n
+        for c, row in cofaces.items():
+            for t, v in row.items():
+                faces[t][c] = v
+        kept = []
+        for c in live:
+            near = cofaces[c]
+            units = [t for t, v in near.items() if v * v == 1]
+            if not units:
+                kept.append(c)
+                continue
+            t = min(units)
+            unit = near.pop(t)
+            column = faces[t]
+            del column[c]
+            # each other coface loses its c entry, w - (w * unit) * unit = 0
+            for s, w in near.items():
+                q = w * unit
+                into = faces[s]
+                del into[c]
+                for f, a in column.items():
+                    v = into.get(f, 0) - q * a
+                    if v:
+                        into[f] = cofaces[f][s] = v
+                    elif f in into:
+                        del into[f], cofaces[f][s]
+            # t's row of d_(k+2) is never read: t is not live above
+            for f in column:
+                del cofaces[f][t]
+            faces[t] = None
+        kept_of.append(kept)
+        rows_of.append([cofaces[c] for c in kept])
+        if len(kept) < len(live):
+            live = [t for t, column in enumerate(faces) if column is not None]
+        else:
+            live = range(n)
+    kept_of.append(live)
+    # columns renumbered to the kept cells; those eliminated as cells of
+    # the degree above are dropped here
+    index = [dict(zip(kept, range(len(kept)))) for kept in kept_of[1:]]
     boundaries = tuple(
-        [
-            {index[k][j]: v for j, v in cofaces[k - 1][i].items()}
-            for i in sorted(alive[k - 1])
-        ]
-        for k in range(1, top + 1)
+        [{at[j]: v for j, v in row.items() if j in at} for row in rows]
+        for at, rows in zip(index, rows_of)
     )
-    return ChainComplex(
-        ranks=tuple(len(live) for live in alive), boundaries=boundaries
-    )
+    return ChainComplex(ranks=tuple(map(len, kept_of)), boundaries=boundaries)
 
 
 def homology(x: SimplicialComplex, max_degree: Optional[int] = None) -> HomologyResult:
@@ -242,26 +249,23 @@ def homology(x: SimplicialComplex, max_degree: Optional[int] = None) -> Homology
 
 
 def _simplicial_homology(cc: ChainComplex, max_degree: int) -> HomologyResult:
-    """Homology of a simplicial chain complex: :func:`_forest_cotree`
-    first, then the peel and the Smith form on what it leaves."""
-    return homology_of_chain_complex(_forest_cotree(cc), max_degree)
+    """Homology of a simplicial chain complex: :func:`_forest` first, then
+    the elimination and the Smith form of any chain complex."""
+    return homology_of_chain_complex(_forest(cc), max_degree)
 
 
-def _forest_cotree(cc: ChainComplex) -> ChainComplex:
-    """A simplicial chain complex with two runs of unit eliminations.
+def _forest(cc: ChainComplex) -> ChainComplex:
+    """A simplicial chain complex with the edges of a spanning forest
+    eliminated.
 
-    Forest: every edge has boundary v - u, so union-find over the
-    vertices, with edges in order, finds a spanning forest.  Eliminating
-    a tree edge against the root of one endpoint's tree only renames
-    that root to the other's in every later boundary, so each remaining
-    edge ends with boundary root - root = 0: one vertex per component
-    is left and d_1 vanishes.  Cotree: each remaining edge, in order, is
-    eliminated against its least live coface whose entry is +-1; that
-    coface's column, times the ratio of entries, is subtracted from the
-    edge's other cofaces, and its row of d_3 is dropped.  An edge with
-    no unit coface stays.  By the Gaussian-elimination lemma homology
-    is unchanged; a closed connected surface is left with one vertex,
-    2 - chi edges and one triangle.
+    Every edge has boundary v - u, so union-find over the vertices, with
+    edges in order, finds a spanning forest.  Eliminating a tree edge
+    against the root of one endpoint's tree only renames that root to
+    the other's in every later boundary, so each remaining edge ends
+    with boundary root - root = 0: one vertex per component is left, d_1
+    vanishes and d_2 keeps the rows of the remaining edges.  Vertices
+    are left to no later elimination, which would pile the edges of
+    merged vertices up in long rows.
     """
     if len(cc.ranks) < 2:
         return cc
@@ -281,52 +285,10 @@ def _forest_cotree(cc: ChainComplex) -> ChainComplex:
         else:
             parent[a] = b
     roots = sum(v == p for v, p in enumerate(parent))
-    d1 = [{} for _ in range(roots)]
-    if len(cc.ranks) == 2:
-        return ChainComplex(ranks=(roots, len(kept)), boundaries=(d1,))
-    # live entries of d_2 by edge (cofaces) and by triangle (faces)
-    d2 = cc.boundaries[1]
-    cofaces = {e: dict(d2[e]) for e in kept}
-    faces = [{} for _ in range(cc.ranks[2])]
-    for e, row in cofaces.items():
-        for t, v in row.items():
-            faces[t][e] = v
-    paired = set()
-    edges = []
-    for e in kept:
-        near = cofaces[e]
-        units = [t for t, v in near.items() if v * v == 1]
-        if not units:
-            edges.append(e)
-            continue
-        t = min(units)
-        unit = near.pop(t)
-        column = faces[t]
-        del column[e]
-        # each other coface loses its e entry, w - (w * unit) * unit = 0
-        for c, w in near.items():
-            q = w * unit
-            into = faces[c]
-            del into[e]
-            for f, a in column.items():
-                v = into.get(f, 0) - q * a
-                if v:
-                    into[f] = cofaces[f][c] = v
-                else:
-                    del into[f], cofaces[f][c]
-        for f in column:
-            del cofaces[f][t]
-        paired.add(t)
-    live = [t for t in range(cc.ranks[2]) if t not in paired]
-    index = {t: n for n, t in enumerate(live)}
-    d2 = [{index[t]: v for t, v in cofaces[e].items()} for e in edges]
-    above = ()
-    if len(cc.ranks) > 3:
-        d3 = cc.boundaries[2]
-        above = ([d3[t] for t in live],) + cc.boundaries[3:]
+    d2 = tuple([d[e] for e in kept] for d in cc.boundaries[1:2])
     return ChainComplex(
-        ranks=(roots, len(edges), len(live)) + cc.ranks[3:],
-        boundaries=(d1, d2) + above,
+        ranks=(roots, len(kept)) + cc.ranks[2:],
+        boundaries=([{} for _ in range(roots)],) + d2 + cc.boundaries[2:],
     )
 
 
@@ -336,8 +298,8 @@ def is_point_like(x: SimplicialComplex) -> bool:
     A cone is answered at once: x is a cone over v exactly when v lies
     in every maximal simplex (then each simplex without v spans one with
     v), so the vertex sets of the maximal simplices have a common
-    vertex.  Any other complex goes to :func:`homology`, whose forest,
-    cotree and peel shrink it before any Smith form.
+    vertex.  Any other complex goes to :func:`homology`, whose forest
+    and elimination shrink it before any Smith form.
     """
     if x.is_empty():
         return False
@@ -517,7 +479,8 @@ def map_induces_homology_isomorphism(f: SimplicialMap, max_degree: int) -> bool:
     0 -> coker f_k -> H_k(cone) -> ker f_(k-1) -> 0, so a zero cone makes
     f_* onto in each of those degrees, and a surjection between isomorphic
     finitely generated abelian groups is an isomorphism.  The cone's
-    entries are 0 or +-1, so the peel leaves little for the Smith form.
+    entries are 0 or +-1, so the elimination leaves little for the
+    Smith form.
     """
     src_cc, tgt_cc = (
         chain_complex_of(x, min(max_degree + 1, max(x.dim, 0)))

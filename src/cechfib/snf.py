@@ -8,9 +8,9 @@ complexes, chain maps and relation matrices are built in this form.
 first (boundary matrices of simplicial complexes reduce almost entirely
 this way) and falls back to the classical minimum-pivot algorithm for
 whatever remains.  Its transforms are sparse vectors as well.
-Homology calls it only on the residue of a chain complex after
-collapses and coreductions (see :mod:`cechfib.homology`); transforms for
-class labels still come from full matrices.  :func:`sparse_rows` turns
+Homology calls it only on what the unit elimination of a chain complex
+leaves (see :mod:`cechfib.homology`); transforms for class labels still
+come from full matrices.  :func:`sparse_rows` turns
 hand-written dense rows into this form.
 """
 

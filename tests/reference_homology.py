@@ -8,16 +8,24 @@ kernel/relation Smith-form routines, one over the integers
 stood before the mapping-cone check and the single lattice-quotient
 routine replaced it.
 
-Simplicial homology is referenced by the path the forest and cotree
-eliminations replaced: the peel over the augmentation C_0 -> Z
-(``augmented_simplicial_homology``), which the isomorphism reference
-here uses for both sides.  Boundary matrices are referenced by the
-per-simplex loop that reading faces off vertex columns replaced
-(``reference_simplex_boundary_matrix``), which ``CechClassifier`` uses."""
+Chain-complex homology is referenced by the two unit eliminations that
+one elimination in every degree replaced: the correction-free peel of
+free faces and coreductions (``reference_peel``), followed by the
+invariant factors of every boundary it leaves
+(``reference_homology_of_chain_complex``), and the forest and
+degree-2 cotree of a simplicial chain complex
+(``reference_forest_cotree``).  Simplicial homology is referenced by
+the path the forest and cotree replaced: the peel over the
+augmentation C_0 -> Z (``augmented_simplicial_homology``), which the
+isomorphism reference here uses for both sides.  Boundary matrices are
+referenced by the per-simplex loop that reading faces off vertex
+columns replaced (``reference_simplex_boundary_matrix``), which
+``CechClassifier`` uses."""
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from itertools import combinations
 from typing import List, Mapping, Sequence
 
@@ -29,7 +37,6 @@ from cechfib.homology import (
     HomologyGroup,
     HomologyResult,
     chain_complex_of,
-    homology_of_chain_complex,
     simplicial_chain_map,
 )
 from cechfib.snf import (
@@ -53,6 +60,170 @@ def reference_simplex_boundary_matrix(x, k: int) -> SparseRows:
     return mat
 
 
+def reference_homology_of_chain_complex(
+    cc: ChainComplex, max_degree: int
+) -> HomologyResult:
+    """Integral homology through ``max_degree`` from the invariant factors
+    of every boundary :func:`reference_peel` leaves."""
+    cc = reference_peel(cc, max_degree + 1)
+    ranks_of = {}
+    torsion_of = {}
+    for k in range(1, max_degree + 2):
+        factors = _invariant_factors(cc.boundary(k), (cc.rank(k - 1), cc.rank(k)))
+        ranks_of[k] = len(factors)
+        torsion_of[k] = tuple(d for d in factors if d > 1)
+    groups = []
+    for k in range(max_degree + 1):
+        betti = cc.rank(k) - ranks_of.get(k, 0) - ranks_of.get(k + 1, 0)
+        groups.append(HomologyGroup(betti=betti, torsion=torsion_of.get(k + 1, ())))
+    return HomologyResult(groups=tuple(groups))
+
+
+def reference_peel(cc: ChainComplex, top: int) -> ChainComplex:
+    """The complex in degrees 0..top with unit pairs eliminated.
+
+    A cell with exactly one coface (a free face: collapse) or exactly one
+    face (coreduction) is removed together with that neighbour when
+    their entry is a unit.  Neither case needs a correction term, so each
+    elimination only deletes a row and a column of the neighbouring
+    boundaries; by the Gaussian-elimination lemma for chain complexes
+    homology is unchanged.  Degrees above ``top`` are dropped, which
+    keeps homology below ``top``.
+    """
+    ranks = [cc.rank(k) for k in range(top + 1)]
+    # cofaces[k][c] and faces[k][c]: live neighbours of cell c of degree k
+    cofaces = [[{} for _ in range(r)] for r in ranks]
+    faces = [[{} for _ in range(r)] for r in ranks]
+    for k in range(1, top + 1):
+        for i, row in enumerate(cc.boundary(k)):
+            for j, v in row.items():
+                if v:
+                    cofaces[k - 1][i][j] = v
+                    faces[k][j][i] = v
+    alive = [set(range(r)) for r in ranks]
+    queue = deque((k, c) for k in range(top + 1) for c in range(ranks[k]))
+
+    def remove(k, c):
+        alive[k].discard(c)
+        for i in faces[k][c]:
+            up = cofaces[k - 1][i]
+            del up[c]
+            if len(up) == 1:
+                queue.append((k - 1, i))
+        for j in cofaces[k][c]:
+            down = faces[k + 1][j]
+            del down[c]
+            if len(down) == 1:
+                queue.append((k + 1, j))
+
+    while queue:
+        k, c = queue.popleft()
+        if c not in alive[k]:
+            continue
+        for near, step in ((cofaces[k][c], 1), (faces[k][c], -1)):
+            if len(near) == 1:
+                (d, v), = near.items()
+                if v in (1, -1):
+                    remove(k, c)
+                    remove(k + step, d)
+                    break
+
+    index = [{c: n for n, c in enumerate(sorted(live))} for live in alive]
+    boundaries = tuple(
+        [
+            {index[k][j]: v for j, v in cofaces[k - 1][i].items()}
+            for i in sorted(alive[k - 1])
+        ]
+        for k in range(1, top + 1)
+    )
+    return ChainComplex(
+        ranks=tuple(len(live) for live in alive), boundaries=boundaries
+    )
+
+
+def reference_forest_cotree(cc: ChainComplex) -> ChainComplex:
+    """A simplicial chain complex with two runs of unit eliminations.
+
+    Forest: every edge has boundary v - u, so union-find over the
+    vertices, with edges in order, finds a spanning forest.  Eliminating
+    a tree edge against the root of one endpoint's tree only renames
+    that root to the other's in every later boundary, so each remaining
+    edge ends with boundary root - root = 0: one vertex per component
+    is left and d_1 vanishes.  Cotree: each remaining edge, in order, is
+    eliminated against its least live coface whose entry is +-1; that
+    coface's column, times the ratio of entries, is subtracted from the
+    edge's other cofaces, and its row of d_3 is dropped.  An edge with
+    no unit coface stays.  By the Gaussian-elimination lemma homology
+    is unchanged; a closed connected surface is left with one vertex,
+    2 - chi edges and one triangle.
+    """
+    if len(cc.ranks) < 2:
+        return cc
+    parent = list(range(cc.ranks[0]))
+    ends = [[] for _ in range(cc.ranks[1])]
+    for v, row in enumerate(cc.boundaries[0]):
+        for e in row:
+            ends[e].append(v)
+    kept = []
+    for e, (a, b) in enumerate(ends):
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a == b:
+            kept.append(e)
+        else:
+            parent[a] = b
+    roots = sum(v == p for v, p in enumerate(parent))
+    d1 = [{} for _ in range(roots)]
+    if len(cc.ranks) == 2:
+        return ChainComplex(ranks=(roots, len(kept)), boundaries=(d1,))
+    # live entries of d_2 by edge (cofaces) and by triangle (faces)
+    d2 = cc.boundaries[1]
+    cofaces = {e: dict(d2[e]) for e in kept}
+    faces = [{} for _ in range(cc.ranks[2])]
+    for e, row in cofaces.items():
+        for t, v in row.items():
+            faces[t][e] = v
+    paired = set()
+    edges = []
+    for e in kept:
+        near = cofaces[e]
+        units = [t for t, v in near.items() if v * v == 1]
+        if not units:
+            edges.append(e)
+            continue
+        t = min(units)
+        unit = near.pop(t)
+        column = faces[t]
+        del column[e]
+        # each other coface loses its e entry, w - (w * unit) * unit = 0
+        for c, w in near.items():
+            q = w * unit
+            into = faces[c]
+            del into[e]
+            for f, a in column.items():
+                v = into.get(f, 0) - q * a
+                if v:
+                    into[f] = cofaces[f][c] = v
+                else:
+                    del into[f], cofaces[f][c]
+        for f in column:
+            del cofaces[f][t]
+        paired.add(t)
+    live = [t for t in range(cc.ranks[2]) if t not in paired]
+    index = {t: n for n, t in enumerate(live)}
+    d2 = [{index[t]: v for t, v in cofaces[e].items()} for e in edges]
+    above = ()
+    if len(cc.ranks) > 3:
+        d3 = cc.boundaries[2]
+        above = ([d3[t] for t in live],) + cc.boundaries[3:]
+    return ChainComplex(
+        ranks=(roots, len(edges), len(live)) + cc.ranks[3:],
+        boundaries=(d1, d2) + above,
+    )
+
+
 def augmented(cc: ChainComplex) -> ChainComplex:
     """The complex shifted up one degree over the augmentation C_0 -> Z."""
     epsilon = [{j: 1 for j in range(cc.rank(0))}]
@@ -67,8 +238,10 @@ def augmented_simplicial_homology(cc: ChainComplex, max_degree: int) -> Homology
     closed surface (every edge there lies in two triangles, every vertex
     in three or more edges).  Degree 0 gets its Z back."""
     if cc.rank(0) == 0:
-        return homology_of_chain_complex(cc, max_degree)
-    reduced = homology_of_chain_complex(augmented(cc), max_degree + 1).groups
+        return reference_homology_of_chain_complex(cc, max_degree)
+    reduced = reference_homology_of_chain_complex(
+        augmented(cc), max_degree + 1
+    ).groups
     h0 = HomologyGroup(reduced[1].betti + 1, reduced[1].torsion)
     return HomologyResult(groups=(h0,) + reduced[2:])
 

@@ -3,8 +3,8 @@
 ``build_complex`` closes each declared simplex once as sorted tuples and
 hands the closure and its maximal simplices to the complex, which orders
 its views only when they are first read; ``is_point_like`` decides a
-cone by counting and any other complex by homology, whose peel collapses
-free faces.  The references in ``reference_complexes`` are the
+cone by counting and any other complex by homology, whose forest and
+elimination take free faces.  The references in ``reference_complexes`` are the
 implementations these replaced.
 """
 
@@ -337,7 +337,7 @@ def test_is_point_like_matches_reference_on_generated_complexes(declared):
 
 def test_collapses_do_not_need_a_cone():
     # a path and a strip of triangles: collapsible, but no vertex lies in
-    # every maximal simplex, so the collapses of homology's peel decide
+    # every maximal simplex, so homology's forest and elimination decide
     path = build_complex([[0, 1], [1, 2], [2, 3], [3, 4]])
     strip = build_complex([[0, 1, 2], [1, 2, 3], [2, 3, 4], [3, 4, 5]])
     for x in (path, strip):

@@ -1,11 +1,12 @@
-"""Forest and cotree eliminations against the augmented peel and sympy.
+"""Forest and unit eliminations against the augmented peel and sympy.
 
-``homology`` shrinks a simplicial chain complex before the peel: a
+``homology`` shrinks a simplicial chain complex before any Smith form: a
 spanning forest of the 1-skeleton leaves one vertex per component and
-d_1 = 0, then each remaining edge is eliminated against a coface with
-entry +-1.  The references are the path this replaced, the peel over
-the augmentation C_0 -> Z (``reference_homology``), and sympy's Smith
-forms of the full dense boundaries.
+d_1 = 0, then each remaining cell, degree by degree, is eliminated
+against a coface with entry +-1 (for edges, the cotree).  The
+references are the path this replaced, the peel over the augmentation
+C_0 -> Z (``reference_homology``), and sympy's Smith forms of the full
+dense boundaries.
 """
 
 from __future__ import annotations
@@ -70,9 +71,17 @@ def truncated(x: SimplicialComplex, max_degree: int) -> ChainComplex:
     return chain_complex_of(x, min(max_degree + 1, max(x.dim, 0)))
 
 
+def reduced(cc: ChainComplex) -> ChainComplex:
+    """What the Smith form sees: the forest, then the elimination in every
+    degree of the complex."""
+    return homology_module._eliminate(
+        homology_module._forest(cc), len(cc.ranks) - 1
+    )
+
+
 def assert_residue_is_reduced(x: SimplicialComplex, cc: ChainComplex) -> None:
     """One vertex per component, d_1 = 0, and d^2 = 0 on the rest."""
-    residue = homology_module._forest_cotree(cc)
+    residue = reduced(cc)
     assert len(residue.ranks) == len(cc.ranks)
     assert residue.rank(0) == len(connected_components(x))
     if len(cc.ranks) > 1:
@@ -129,14 +138,14 @@ def test_generated_complexes_match_sympy(a, b, max_degree):
 
 def test_three_dimensional_complexes_drop_paired_rows_of_d3():
     # the boundary of the 4-simplex is a 3-sphere: every triangle lies in
-    # two tetrahedra, so the cotree pairs triangles that d_3 has rows for
+    # two tetrahedra, so edges pair with triangles that d_3 has rows for
     sphere = build_complex(
         [[v for v in range(5) if v != drop] for drop in range(5)]
     )
     for x in (sphere, barycentric_subdivision(sphere)[0],
               disjoint(TETRAHEDRA, HOLLOW)):
         cc = chain_complex_of(x)
-        residue = homology_module._forest_cotree(cc)
+        residue = reduced(cc)
         assert residue.rank(2) < cc.rank(2)
         assert len(residue.boundary(3)) == residue.rank(2)
         for max_degree in range(5):
@@ -147,10 +156,10 @@ def test_three_dimensional_complexes_drop_paired_rows_of_d3():
 @pytest.mark.parametrize("max_degree", [0, 1, 2])
 def test_empty_and_vertex_only_complexes(max_degree):
     empty = build_complex([])
-    assert homology_module._forest_cotree(truncated(empty, max_degree)).ranks == (0,)
+    assert reduced(truncated(empty, max_degree)).ranks == (0,)
     assert_matches_references(empty, max_degree, with_sympy=True)
     points = build_complex([["a"], ["b"], ["c"]])
-    assert homology_module._forest_cotree(truncated(points, max_degree)).ranks == (3,)
+    assert reduced(truncated(points, max_degree)).ranks == (3,)
     assert_matches_references(points, max_degree, with_sympy=True)
     assert homology(points, max_degree).group(0) == HomologyGroup(3, ())
 
@@ -202,7 +211,8 @@ def test_closed_surfaces_leave_a_vertex_2_minus_chi_edges_and_a_triangle(
     # one vertex, 2 - chi edges and one triangle: the torus's boundaries
     # are zero, and RP^2's Z/2 is the one 1x1 Smith form
     x = rung(surface, k)
-    assert homology_module._forest_cotree(chain_complex_of(x)).ranks == residue
+    cc = chain_complex_of(x)
+    assert reduced(cc).ranks == ref.reference_forest_cotree(cc).ranks == residue
     seen = []
     smith = homology_module.sparse_smith_form
 

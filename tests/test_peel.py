@@ -1,11 +1,12 @@
-"""Peeled homology against the unpeeled reduction.
+"""Eliminated homology against the unreduced Smith form.
 
-``homology_of_chain_complex`` removes free faces and coreduction pairs
-before any Smith form runs.  The reference here is the computation it
-replaced: invariant factors of every full boundary, with no peel.  The
-peel also runs over the augmentation C_0 -> Z, the path simplicial
-homology took before its forest and cotree eliminations, kept as
-``reference_homology.augmented``.
+``homology_of_chain_complex`` eliminates unit pairs in every degree
+before any Smith form runs.  The reference here is the computation with
+no elimination: invariant factors of every full boundary.  The file is
+named for the peel of free faces and coreductions that the elimination
+replaced, kept as ``reference_homology.reference_peel``.  The
+elimination also runs over the augmentation C_0 -> Z
+(``reference_homology.augmented``), where degree 0 has cofaces.
 """
 
 from __future__ import annotations
@@ -70,13 +71,13 @@ def unpeeled_simplicial(x: SimplicialComplex, max_degree: int) -> HomologyResult
 def assert_peel_agrees(x: SimplicialComplex, max_degree: int) -> None:
     want = unpeeled_simplicial(x, max_degree)
     assert homology(x, max_degree) == want
-    # the same complex with the peel alone, no forest or cotree
+    # the same complex with the elimination alone, no forest
     cc = chain_complex_of(x, min(max_degree + 1, max(x.dim, 0)))
     assert homology_of_chain_complex(cc, max_degree) == want
 
 
 def assert_residue_is_chain_complex(cc: ChainComplex, top: int) -> None:
-    residue = homology_module._peel(cc, top)
+    residue = homology_module._eliminate(cc, top)
     assert len(residue.ranks) == top + 1
     for k in range(1, top):
         product = sparse_multiply(residue.boundary(k), residue.boundary(k + 1))
@@ -122,10 +123,10 @@ def test_peel_matches_unpeeled_on_subdivided_surfaces(surface, k):
 def test_peel_matches_unpeeled_on_bar_complexes(name):
     group = corpus.GROUPS[name]
     for max_degree in range(4):
-        want = unpeeled_homology(
-            bar_construction(group, max_degree + 1).complex, max_degree
-        )
+        bar = bar_construction(group, max_degree + 1).complex
+        want = unpeeled_homology(bar, max_degree)
         assert bar_homology(group, max_degree) == want
+        assert_residue_is_chain_complex(bar, max_degree + 1)
 
 
 FAMILIES = st.lists(
@@ -152,7 +153,8 @@ def test_peel_matches_unpeeled_on_generated_complexes(a, b, max_degree):
 @settings(max_examples=80, deadline=None)
 def test_peel_keeps_non_unit_entries(a, seed, max_degree):
     # Scaling the boundary of a cell with no cofaces keeps d^2 = 0 and
-    # puts entries other than +-1 (and torsion) in front of the peel.
+    # puts entries other than +-1 (and torsion) in front of the
+    # elimination.
     x = build_complex(a)
     cc = chain_complex_of(x)
     rng = random.Random(seed)
@@ -191,12 +193,14 @@ def test_star_cover_witnesses_peel_without_a_smith_form(monkeypatch):
 
 
 def test_closed_surfaces_peel_only_after_the_forest_and_cotree():
-    # no free face and no coreduction on the surface itself
+    # no free face and no coreduction on the surface itself, so the peel
+    # the elimination replaced removes nothing
     x = rung("torus", 1)
     cc = chain_complex_of(x)
-    assert homology_module._peel(cc, x.dim).ranks == cc.ranks
-    # one vertex, two edges and one triangle, all of zero boundary
-    residue = homology_module._forest_cotree(cc)
-    assert residue.ranks == (1, 2, 1)
+    assert ref.reference_peel(cc, x.dim).ranks == cc.ranks
+    # the forest and one elimination leave one vertex, two edges and one
+    # triangle, all of zero boundary, as the forest and cotree did
+    residue = homology_module._eliminate(homology_module._forest(cc), x.dim)
+    assert residue.ranks == ref.reference_forest_cotree(cc).ranks == (1, 2, 1)
     assert not any(residue.boundary(1)) and not any(residue.boundary(2))
-    assert homology_module._peel(residue, x.dim).ranks == (1, 2, 1)
+    assert homology_module._eliminate(residue, x.dim).ranks == (1, 2, 1)
