@@ -8,9 +8,13 @@ that turns them into a verdict and report details, and the options of
 ``--mode`` for ``bundle-build``.
 
 Exit codes: 0 verdict true; 1 verdict false, report written; 2 input
-error; 3 search budget exceeded.  Nothing is written on exit codes 2 and
-3.  Reports are JSON with a top-level verdict and details; identical
-inputs give byte-identical reports apart from the toolVersion field.
+error, an ``--output`` that cannot be written included; 3 search budget
+exceeded.  Nothing is written to stdout on exit codes 2 and 3.  Reports
+are JSON with a top-level verdict and details; identical inputs give
+byte-identical reports apart from the toolVersion field.  A report's
+text is ``json.dumps(report, indent=2, sort_keys=True)`` plus a newline
+on every Python; before 3.13, where that call encodes in pure Python,
+:func:`report_text` writes the same text in bulk.
 """
 
 from __future__ import annotations
@@ -19,6 +23,8 @@ import argparse
 import functools
 import json
 import sys
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Callable, List, NamedTuple, Optional
 
@@ -208,6 +214,121 @@ def _stringify(value):
     return str(value)
 
 
+# json's text for every item of a list whose items share one exact type;
+# a str subclass or a bool (an int subclass) is written item by item
+_STR = frozenset([str])
+_LEAF_TEXT = {_STR: _quote, frozenset([int]): int.__repr__}
+_SEQUENCES = frozenset([list, tuple])
+_INFINITY = float("inf")
+
+
+def report_text(value) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, the same text.
+
+    Before Python 3.13 that call writes item by item in Python.  Here each
+    list of strings or of exact ints, list of lists of either, and dict
+    from strings to either is written with C-level joins; anything else
+    is written item by item under json's rules, so a value that json.dumps
+    rejects raises the same exception type.  A cycle, which would exhaust
+    the stack here, is left to json.dumps to name.
+    """
+    try:
+        return _text(value, "\n")
+    except RecursionError:
+        pass
+    return json.dumps(value, indent=2, sort_keys=True)
+
+
+def _text(o, nl: str) -> str:
+    """JSON text of ``o``, which starts on a line that ``nl`` opens."""
+    if isinstance(o, str):
+        return _quote(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return _float_text(o)
+    if isinstance(o, (list, tuple)):
+        return _list_text(o, nl)
+    if isinstance(o, dict):
+        return _dict_text(o, nl)
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+def _list_text(o, nl: str) -> str:
+    if not o:
+        return "[]"
+    inner = nl + "  "
+    kinds = frozenset(map(type, o))
+    leaf = _LEAF_TEXT.get(kinds)
+    if leaf is not None:
+        items = map(leaf, o)
+    elif kinds <= _SEQUENCES and all(o) and (
+            leaf := _LEAF_TEXT.get(frozenset(map(type, chain.from_iterable(o))))):
+        # one join per inner list, and one for the list
+        inner2 = inner + "  "
+        bodies = map(("," + inner2).join, map(functools.partial(map, leaf), o))
+        return ("[" + inner + "[" + inner2
+                + (inner + "]," + inner + "[" + inner2).join(bodies)
+                + inner + "]" + nl + "]")
+    else:
+        items = [_text(x, inner) for x in o]
+    return "[" + inner + ("," + inner).join(items) + nl + "]"
+
+
+def _dict_text(o, nl: str) -> str:
+    if not o:
+        return "{}"
+    inner = nl + "  "
+    leaf = _LEAF_TEXT.get(frozenset(map(type, o.values())))
+    if leaf is not None and frozenset(map(type, o)) == _STR:
+        keys = sorted(o)
+        items = map(": ".join, zip(map(_quote, keys),
+                                   map(leaf, map(o.__getitem__, keys))))
+    else:
+        # json's order: sorted items, so keys of mixed types raise TypeError
+        items = [_quote(_key_text(k)) + ": " + _text(v, inner)
+                 for k, v in sorted(o.items())]
+    return "{" + inner + ("," + inner).join(items) + nl + "}"
+
+
+def _key_text(key) -> str:
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return _float_text(key)
+    if key is True:
+        return "true"
+    if key is False:
+        return "false"
+    if key is None:
+        return "null"
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {key.__class__.__name__}")
+
+
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == _INFINITY:
+        return "Infinity"
+    if x == -_INFINITY:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+# CPython 3.13 writes indented JSON in C, faster than report_text
+_dump_report = (functools.partial(json.dumps, indent=2, sort_keys=True)
+                if sys.version_info >= (3, 13) else report_text)
+
+
 # runners look library functions up when they run (hence the lambdas), so
 # a function rebound on its module, by a tracer or a test, is the one called
 _VERBS = {
@@ -300,9 +421,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_INPUT
     report = {"toolVersion": __version__, "command": args.command,
               "verdict": verdict, "details": details}
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    text = _dump_report(report) + "\n"
     if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
+        try:
+            Path(args.output).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            print(f"cechfib: input error: cannot write report to "
+                  f"{args.output!r}: {exc}", file=sys.stderr)
+            return EXIT_INPUT
     else:
         sys.stdout.write(text)
     return EXIT_TRUE if verdict else EXIT_FALSE

@@ -530,8 +530,6 @@ def abelian_decomposition(group: FiniteGroup) -> Tuple[tuple, tuple]:
                 relations[g][j] = relations[g].get(j, 0) + v
     quotient = LatticeQuotient([], n, relations, n * n, 0)
     factors = quotient.group.torsion
-    coords = tuple(
-        quotient.label([int(i == g) for i in range(n)])[n - len(factors):]
-        for g in range(n)
-    )
+    units = [[int(i == g) for i in range(n)] for g in range(n)]
+    coords = tuple(label[n - len(factors):] for label in quotient.labels(units))
     return factors, coords

@@ -331,14 +331,21 @@ class LatticeQuotient:
                  generators: SparseRows, gen_count: int, modulus: int):
         self.modulus = modulus
         self.dim = dim
-        form = sparse_smith_form(
-            constraints, (len(constraints), dim),
-            want_left=False, want_right=False, want_right_inverse=True,
-        )
-        diag = list(form.diagonal) + [0] * (dim - len(form.diagonal))
-        self._scale = [modulus // math.gcd(d, modulus) if d else 1 for d in diag]
-        self._solver = form.right_inverse
-        rel = self._scaled(sparse_multiply(self._solver, generators))
+        if constraints:
+            form = sparse_smith_form(
+                constraints, (len(constraints), dim),
+                want_left=False, want_right=False, want_right_inverse=True,
+            )
+            diag = list(form.diagonal) + [0] * (dim - len(form.diagonal))
+            self._scale = [modulus // math.gcd(d, modulus) if d else 1
+                           for d in diag]
+            self._solver = form.right_inverse
+        else:
+            # the Smith form of no rows is the identity: every vector is a
+            # lattice vector, and its coordinates are its entries
+            self._scale = [1] * dim
+            self._solver = None
+        rel = self._scaled(self._solve(generators))
         self._relation_form = sparse_smith_form(
             rel, (len(rel), gen_count), want_left=True, want_right=False
         )
@@ -346,6 +353,12 @@ class LatticeQuotient:
             betti=len(rel) - self._relation_form.rank,
             torsion=tuple(d for d in self._relation_form.diagonal if d > 1),
         )
+
+    def _solve(self, rows: SparseRows) -> SparseRows:
+        """Raw kernel coordinates of the columns of ``rows``."""
+        if self._solver is None:
+            return [{j: v for j, v in row.items() if v} for row in rows]
+        return sparse_multiply(self._solver, rows)
 
     def _scaled(self, rows: SparseRows) -> SparseRows:
         """Kernel coordinates from rows of raw ones: a row of scale 0 must
@@ -361,27 +374,38 @@ class LatticeQuotient:
                 out.append({j: v // s for j, v in row.items()})
         return out
 
+    def _coordinate_rows(self, vectors: Sequence[Sequence[int]]) -> SparseRows:
+        """Kernel coordinates of lattice vectors: row i holds coordinate i
+        of vector j at key j."""
+        columns = [{} for _ in range(self.dim)]
+        for j, vec in enumerate(vectors):
+            if len(vec) != self.dim:
+                raise ValidationError(
+                    f"vector has length {len(vec)}, want {self.dim}"
+                )
+            for column, v in zip(columns, vec):
+                column[j] = v
+        return self._scaled(self._solve(columns))
+
     def coordinates(self, vec: Sequence[int]) -> List[int]:
         """Coordinates of a lattice vector in the kernel basis."""
-        if len(vec) != self.dim:
-            raise ValidationError(
-                f"vector has length {len(vec)}, want {self.dim}"
-            )
-        column = [{0: v} for v in vec]
-        rows = self._scaled(sparse_multiply(self._solver, column))
-        return [row.get(0, 0) for row in rows]
+        return [row.get(0, 0) for row in self._coordinate_rows([vec])]
+
+    def labels(self, vectors: Sequence[Sequence[int]]) -> List[tuple]:
+        """Canonical labels of the vectors' classes in the quotient, from
+        one product of the left transform with their coordinates."""
+        form = self._relation_form
+        rows = sparse_multiply(form.left, self._coordinate_rows(vectors))
+        moduli = list(form.diagonal) + [0] * (len(rows) - len(form.diagonal))
+        return [
+            tuple(row.get(j, 0) % d if d else row.get(j, 0)
+                  for row, d in zip(rows, moduli))
+            for j in range(len(vectors))
+        ]
 
     def label(self, vec: Sequence[int]) -> tuple:
         """Canonical label of the vector's class in the quotient."""
-        coords = self.coordinates(vec)
-        form = self._relation_form
-        reduced = [
-            sum(v * coords[j] for j, v in row.items()) for row in form.left
-        ]
-        for i, d in enumerate(form.diagonal):
-            if d:
-                reduced[i] %= d
-        return tuple(reduced)
+        return self.labels([vec])[0]
 
 
 class HomologyWorkspace:

@@ -281,16 +281,16 @@ def bundle_to_doc(bundle) -> dict:
     flatten; otherwise the flattened ones are closed again, so that
     labels that collide merge as in any other document.
     """
-    flat = {v: _flatten(v) for v in bundle.total.vertices}
+    vertices = bundle.total.vertices
+    flat = dict(zip(vertices, map(_flatten, vertices)))
     tops = [sorted(map(flat.__getitem__, s)) for s in bundle.total._top_sets()]
     if len(set(flat.values())) < len(flat):
         tops = complex_to_doc(build_complex(map(frozenset, tops)))["maximal"]
+    base_of = bundle.projection.vertex_map.__getitem__
     doc = {
         "total": {"maximal": sorted(tops)},
         "base": complex_to_doc(bundle.base),
-        "projection": {
-            flat[v]: str(bundle.projection(v)) for v in bundle.total.vertices
-        },
+        "projection": dict(zip(flat.values(), map(str, map(base_of, flat)))),
         "fiber": [str(f) for f in bundle.fiber],
     }
     doc["action"] = action_to_doc(bundle.action) if bundle.action else None
@@ -301,7 +301,7 @@ def bundle_to_doc(bundle) -> dict:
 
 def _flatten(v) -> str:
     if isinstance(v, tuple):
-        return "|".join(_flatten(x) for x in v)
+        return "|".join(map(_flatten, v))
     return str(v)
 
 

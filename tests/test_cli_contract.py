@@ -181,6 +181,20 @@ def test_cli_input_that_is_a_directory_is_an_input_error(tmp_path):
                           "is not readable UTF-8: ")
 
 
+def test_cli_output_that_cannot_be_written_is_an_input_error(tmp_path):
+    """Once a FileNotFoundError or IsADirectoryError traceback under
+    exit 1, which says a report was written."""
+    doc = tmp_path / "x.json"
+    doc.write_text('{"maximal": [["a", "b"]]}', encoding="utf-8")
+    for target in (tmp_path / "missing" / "x.json", tmp_path):
+        code, out, err = _run(["homology", "--input", str(doc),
+                               "--output", str(target)])
+        assert (code, out) == (cli.EXIT_INPUT, "")
+        assert err.startswith(f"cechfib: input error: cannot write report "
+                              f"to {str(target)!r}: ")
+        assert err.count("\n") == 1
+
+
 def test_every_verb_checks_its_document_count(tmp_path):
     """A wrong number of documents is an input error for every verb,
     validate-complex included (it once reported a false verdict)."""
