@@ -25,7 +25,7 @@ from .complexes import (
     union_complexes,
 )
 from .cocycles import Cocycle1
-from .errors import DEFAULT_BUDGET, BudgetExceededError, ValidationError
+from .errors import DEFAULT_BUDGET, ValidationError, depth_first
 from .groups import GroupAction
 
 
@@ -337,9 +337,9 @@ def bundle_isomorphism(
     near2 = _lifted_neighbours(b2)
     mapping: Dict = {}
     used = set()
-    tried = 0
+    trail: list = []  # the vertices assigned, in order
 
-    def assign(e, w, trail: list) -> bool:
+    def assign(e, w) -> bool:
         # e -> w and everything it forces, recorded on the trail; False
         # on a contradiction
         mapping[e] = w
@@ -372,48 +372,25 @@ def bundle_isomorphism(
     def fits(i: int) -> bool:
         return b2.total._holds_all(_image_keys(mapping, by_last[i]))
 
-    def undo(trail: list) -> None:
-        for x in trail:
-            used.discard(mapping.pop(x))
-        trail.clear()
+    def retract(mark: int) -> None:
+        while len(trail) > mark:
+            used.discard(mapping.pop(trail.pop()))
 
-    def guess(i: int, w, trail: list) -> bool:
-        nonlocal tried
-        tried += 1
-        if tried > budget:
-            raise BudgetExceededError(
-                f"isomorphism search exceeded budget {budget} after "
-                f"{tried - 1} guesses, with {len(mapping)} of {len(order)} "
-                f"total vertices assigned",
-                budget,
-            )
-        if assign(order[i], w, trail) and fits(i):
-            return True
-        undo(trail)
-        return False
+    def exceeded(spent: int) -> str:
+        return (f"isomorphism search exceeded budget {budget} after {spent} guesses, "
+                f"with {len(mapping)} of {len(order)} total vertices assigned")
 
-    # one frame per open guess: its position, the images left to try and
-    # the vertices the current guess assigned
-    frames: List[tuple] = []
-    i = 0
-    while i < len(order):
-        e = order[i]
-        if e in mapping:
-            if fits(i):
-                i += 1
-                continue
-        else:
-            frames.append((i, iter(b2.fiber_over(b1.projection(e))), []))
-        while frames:
-            i, images, trail = frames[-1]
-            undo(trail)
-            if any(guess(i, w, trail) for w in images if w not in used):
-                break
-            frames.pop()
-        else:
-            return None
-        i += 1
-    return {e: mapping[e] for e in order}
+    for _ in depth_first(
+        len(order),
+        lambda i: None if order[i] not in mapping else fits(i),
+        # the filter reads ``used`` as each image comes up, after retracting
+        lambda i: (w for w in b2.fiber_over(b1.projection(order[i]))
+                   if w not in used),
+        lambda i, w: assign(order[i], w) and fits(i),
+        trail, retract, budget, exceeded,
+    ):
+        return {e: mapping[e] for e in order}
+    return None
 
 
 def _lifted_neighbours(bundle: Bundle) -> Dict[object, Dict[object, list]]:

@@ -219,28 +219,27 @@ def _stringify(value):
 _STR = frozenset([str])
 _LEAF_TEXT = {_STR: _quote, frozenset([int]): int.__repr__}
 _SEQUENCES = frozenset([list, tuple])
-_INFINITY = float("inf")
 
 
 def report_text(value) -> str:
     """``json.dumps(value, indent=2, sort_keys=True)``, the same text.
 
-    Before Python 3.13 that call writes item by item in Python.  Here each
-    list of strings or of exact ints, list of lists of either, and dict
-    from strings to either is written with C-level joins; anything else
-    is written item by item under json's rules, so a value that json.dumps
-    rejects raises the same exception type.  A cycle, which would exhaust
-    the stack here, is left to json.dumps to name.
+    Before Python 3.13 that call writes item by item in Python.  Here a
+    value made of strings, ints, bools, None, lists and dicts with string
+    keys is written with one C-level join per list of strings or of exact
+    ints, per list of lists of either and per dict from strings to either.
+    A value holding anything else (a float, another key type, a cycle) is
+    written whole by json.dumps, which raises what it raises.
     """
     try:
         return _text(value, "\n")
-    except RecursionError:
-        pass
-    return json.dumps(value, indent=2, sort_keys=True)
+    except (TypeError, RecursionError):
+        return json.dumps(value, indent=2, sort_keys=True)
 
 
 def _text(o, nl: str) -> str:
-    """JSON text of ``o``, which starts on a line that ``nl`` opens."""
+    """JSON text of ``o``, which starts on a line that ``nl`` opens; a
+    TypeError leaves the whole value to json.dumps."""
     if isinstance(o, str):
         return _quote(o)
     if o is None:
@@ -251,13 +250,11 @@ def _text(o, nl: str) -> str:
         return "false"
     if isinstance(o, int):
         return int.__repr__(o)
-    if isinstance(o, float):
-        return _float_text(o)
     if isinstance(o, (list, tuple)):
         return _list_text(o, nl)
     if isinstance(o, dict):
         return _dict_text(o, nl)
-    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+    raise TypeError(o.__class__.__name__)
 
 
 def _list_text(o, nl: str) -> str:
@@ -284,44 +281,15 @@ def _list_text(o, nl: str) -> str:
 def _dict_text(o, nl: str) -> str:
     if not o:
         return "{}"
+    if frozenset(map(type, o)) != _STR:
+        raise TypeError("a key that is not a str")
     inner = nl + "  "
+    keys = sorted(o)
+    values = map(o.__getitem__, keys)
     leaf = _LEAF_TEXT.get(frozenset(map(type, o.values())))
-    if leaf is not None and frozenset(map(type, o)) == _STR:
-        keys = sorted(o)
-        items = map(": ".join, zip(map(_quote, keys),
-                                   map(leaf, map(o.__getitem__, keys))))
-    else:
-        # json's order: sorted items, so keys of mixed types raise TypeError
-        items = [_quote(_key_text(k)) + ": " + _text(v, inner)
-                 for k, v in sorted(o.items())]
+    texts = map(leaf, values) if leaf else [_text(v, inner) for v in values]
+    items = map(": ".join, zip(map(_quote, keys), texts))
     return "{" + inner + ("," + inner).join(items) + nl + "}"
-
-
-def _key_text(key) -> str:
-    if isinstance(key, str):
-        return key
-    if isinstance(key, float):
-        return _float_text(key)
-    if key is True:
-        return "true"
-    if key is False:
-        return "false"
-    if key is None:
-        return "null"
-    if isinstance(key, int):
-        return int.__repr__(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, "
-                    f"not {key.__class__.__name__}")
-
-
-def _float_text(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x == _INFINITY:
-        return "Infinity"
-    if x == -_INFINITY:
-        return "-Infinity"
-    return float.__repr__(x)
 
 
 # CPython 3.13 writes indented JSON in C, faster than report_text

@@ -1,5 +1,5 @@
-"""Exception types, the search budget and the integer test shared
-across the library."""
+"""Exception types, the integer test and the depth-first search that
+every branching search of the library runs under one budget."""
 
 from __future__ import annotations
 
@@ -39,3 +39,41 @@ class BudgetExceededError(RuntimeError):
     def __init__(self, message: str, budget: int):
         super().__init__(message)
         self.budget = budget
+
+
+def depth_first(size, status, choices, assign, trail, retract, budget, exceeded):
+    """Search positions ``0 .. size - 1`` in order, yielding at each full
+    assignment (the caller reads it off its own state).  ``status(i)`` is
+    None at an open position, else whether the value forced there fits:
+    pass it, or back up.  An open position tries ``choices(i)`` in order,
+    one guess each; ``assign(i, c)`` says whether c holds and records what
+    it sets on ``trail``, which ``retract(mark)`` cuts back to ``mark``
+    entries.  The guess past ``budget`` raises BudgetExceededError with
+    the text ``exceeded(spent)``.
+    """
+    frames = []  # one per open position: it, its trail mark, choices left
+    guesses = i = 0
+    while True:
+        if i == size:
+            yield
+        elif (fit := status(i)) is None:
+            frames.append((i, len(trail), iter(choices(i))))
+        elif fit:
+            i += 1
+            continue
+        # back up to the last open position with a choice left, and take it
+        while frames:
+            i, mark, left = frames[-1]
+            retract(mark)
+            choice = next(left, left)  # the iterator itself once it is spent
+            if choice is left:
+                frames.pop()
+                continue
+            guesses += 1
+            if guesses > budget:
+                raise BudgetExceededError(exceeded(guesses - 1), budget)
+            if assign(i, choice):
+                break
+        else:
+            return
+        i += 1

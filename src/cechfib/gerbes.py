@@ -7,17 +7,17 @@ The two laws:
 where . is the crossed-module action.  The tetrahedron law is also
 re-derived independently by pasting 2-cells in the associated strict
 2-group, and the trivial-base abelian case reduces to degree-2 cochain
-cohomology of the nerve, computed by Smith reduction.
+cohomology of the nerve, computed by Smith reduction.  Equivalence is
+decided by one depth-first search over gauge entries, then shifts.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Dict, List, Mapping, NamedTuple, Optional
 
 from .covers import Cover, NerveComplex, refuse_off_nerve
-from .errors import DEFAULT_BUDGET, BudgetExceededError, ValidationError, _is_integer
+from .errors import DEFAULT_BUDGET, ValidationError, _is_integer, depth_first
 from .groups import CrossedModule, abelian_decomposition, adjoint_crossed_module
 from .homology import LatticeQuotient, simplex_boundary_matrix
 from .snf import sparse_columns
@@ -137,25 +137,25 @@ def gerbe_coboundary(
 
 def _moved(data: GerbeCocycle, lam: Mapping, shift: Mapping) -> tuple:
     """The edges and witnesses of the gauge transform, unchecked."""
-    base, fiber, module = data.module.base, data.module.fiber, data.module
+    boundary, mul = data.module.boundary, data.module.base.mul
+    return (
+        {(a, b): mul(boundary[shift[(a, b)]], _conjugated(data, lam, a, b))
+         for a, b in data.nerve.keys(2)},
+        {t: _moved_witness(data, lam, shift, *t) for t in data.nerve.keys(3)},
+    )
 
-    def conjugated_edge(a, b) -> int:
-        return base.mul(base.mul(lam[a], data.edge(a, b)), base.inv(lam[b]))
 
-    new_edges = {
-        (a, b): base.mul(module.boundary[shift[(a, b)]], conjugated_edge(a, b))
-        for a, b in data.nerve.keys(2)
-    }
-    new_witnesses = {}
-    for a, b, c in data.nerve.keys(3):
-        term = fiber.mul(
-            shift[(a, b)],
-            module.act(conjugated_edge(a, b), shift[(b, c)]),
-        )
-        term = fiber.mul(term, module.act(lam[a], data.witness(a, b, c)))
-        term = fiber.mul(term, fiber.inv(shift[(a, c)]))
-        new_witnesses[(a, b, c)] = term
-    return new_edges, new_witnesses
+def _conjugated(data: GerbeCocycle, lam: Mapping, a, b) -> int:
+    base = data.module.base
+    return base.mul(base.mul(lam[a], data.edge(a, b)), base.inv(lam[b]))
+
+
+def _moved_witness(data: GerbeCocycle, lam: Mapping, shift: Mapping, a, b, c) -> int:
+    """The moved witness on (a, b, c), from lam at a and b and three shifts."""
+    module, mul = data.module, data.module.fiber.mul
+    moved = module.act(_conjugated(data, lam, a, b), shift[(b, c)])
+    term = mul(mul(shift[(a, b)], moved), module.act(lam[a], data.witness(a, b, c)))
+    return mul(term, module.fiber.inv(shift[(a, c)]))
 
 
 class TwoCell(NamedTuple):
@@ -304,12 +304,13 @@ def gerbes_equivalent(
     *,
     budget: int = DEFAULT_BUDGET,
 ) -> GerbeEquivalenceResult:
-    """Exhaustive search for a gauge taking one datum to the other.
-
-    Iterates gauges in lexicographic order; for each gauge the shift on
-    every pair is constrained to the boundary fiber of a forced element,
-    so impossible gauges are pruned before the witness comparison.  The
-    first hit is the least witness.
+    """Exhaustive depth-first search for a gauge and shift taking one
+    datum to the other, one budget unit per guess.  Gauge entries are
+    guessed in index order; an entry fails once a pair ending at it needs
+    an edge outside the boundary's image.  Shifts are guessed in pair
+    order over the boundary fiber that moves the pair's edge to d2's, and
+    a triple is compared with d2 once its last pair has a shift.  So the
+    first hit is the least (gauge, shift).
     """
     if d1.cover != d2.cover:
         raise ValidationError("gerbe data live over different covers")
@@ -320,44 +321,47 @@ def gerbes_equivalent(
         or d1.module.action != d2.module.action
     ):
         raise ValidationError("gerbe data use different crossed modules")
-    module = d1.module
-    base, fiber = module.base, module.fiber
+    module, base = d1.module, d1.module.base
     indices = d1.cover.indices
     pairs = d1.nerve.keys(2)
     boundary_fibers: Dict[int, List[int]] = {}
-    for h in fiber.elements():
+    for h in module.fiber.elements():
         boundary_fibers.setdefault(module.boundary[h], []).append(h)
 
-    gauges = base.order ** len(indices)
-    tried = 0
-    for number, gauge_tuple in enumerate(
-        itertools.product(base.elements(), repeat=len(indices)), 1
-    ):
-        lam = dict(zip(indices, gauge_tuple))
-        options: List[List[int]] = []
-        for a, b in pairs:
-            conj = base.mul(base.mul(lam[a], d1.edge(a, b)), base.inv(lam[b]))
-            need = base.mul(d2.edge(a, b), base.inv(conj))
-            choices = boundary_fibers.get(need)
-            if not choices:
-                break
-            options.append(choices)
-        # a pruned gauge costs one trial, a feasible one a trial per shift
-        feasible = len(options) == len(pairs)
-        for combo in itertools.product(*options) if feasible else [None]:
-            tried += 1
-            if tried > budget:
-                raise BudgetExceededError(
-                    f"gerbe equivalence search exceeded budget {budget} after "
-                    f"{tried - 1} trials, reaching gauge {number} of {gauges}",
-                    budget,
-                )
-            if combo is None:
-                break
-            shift = dict(zip(pairs, combo))
-            # the options force d2's edges, and data equal to d2 is valid
-            if _moved(d1, lam, shift)[1] == d2.witnesses:
-                return GerbeEquivalenceResult(
-                    equivalent=True, gauge=lam, shift=shift
-                )
+    n = len(indices)
+    ending = {idx: [] for idx in indices}  # pairs by their later index
+    closing = {pair: [] for pair in pairs}  # triples by their last pair
+    for pair in pairs:
+        ending[pair[1]].append(pair)
+    for t in d1.nerve.keys(3):
+        closing[t[1:]].append(t)
+    lam, shift = {}, {}
+    trail: List[int] = []  # positions set; stale values are rewritten before use
+
+    def need(a, b) -> int:  # the boundary of the shift on (a, b)
+        return base.mul(d2.edge(a, b), base.inv(_conjugated(d1, lam, a, b)))
+
+    def choices(i: int):
+        return base.elements() if i < n else boundary_fibers[need(*pairs[i - n])]
+
+    def assign(i: int, x: int) -> bool:
+        trail.append(i)
+        if i < n:
+            lam[indices[i]] = x
+            return all(need(*pair) in boundary_fibers for pair in ending[indices[i]])
+        shift[pairs[i - n]] = x
+        return all(_moved_witness(d1, lam, shift, *t) == d2.witness(*t)
+                   for t in closing[pairs[i - n]])
+
+    def retract(mark: int) -> None:
+        del trail[mark:]
+
+    def exceeded(spent: int) -> str:
+        return (f"gerbe equivalence search exceeded budget {budget} after {spent} "
+                f"guesses, with {min(len(trail), n)} of {n} gauge entries and "
+                f"{max(len(trail) - n, 0)} of {len(pairs)} shifts set")
+
+    for _ in depth_first(n + len(pairs), lambda i: None, choices, assign,
+                         trail, retract, budget, exceeded):
+        return GerbeEquivalenceResult(equivalent=True, gauge=lam, shift=shift)
     return GerbeEquivalenceResult(equivalent=False)

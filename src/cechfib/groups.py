@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .errors import DEFAULT_BUDGET, BudgetExceededError, ValidationError
+from .errors import DEFAULT_BUDGET, ValidationError, depth_first
 from .homology import LatticeQuotient
 
 
@@ -210,6 +210,7 @@ def conjugacy_classes(group: FiniteGroup) -> tuple:
 def enumerate_homs(
     presentation,
     group: FiniteGroup,
+    *,
     budget: int = DEFAULT_BUDGET,
 ) -> List[tuple]:
     """All homomorphisms from a presented group, as generator images, in
@@ -266,62 +267,40 @@ def enumerate_homs(
     def propagate(start: int) -> bool:
         pos = start
         while pos < len(trail):
-            for word in containing[trail[pos]]:
-                if not settle(word):
-                    return False
+            if not all(map(settle, containing[trail[pos]])):
+                return False
             pos += 1
         return True
 
-    def undo(mark: int) -> None:
+    def retract(mark: int) -> None:
         while len(trail) > mark:
             images[trail.pop()] = None
 
-    homs: List[tuple] = []
-    guesses = 0
-    deepest = 0
+    def choices(i: int) -> range:
+        nonlocal deepest
+        deepest = max(deepest, i + 1)
+        return range(group.order)
 
-    def guess(i: int, g: int, mark: int) -> bool:
-        """Try generator i at g and propagate; undone on a contradiction."""
-        nonlocal guesses
-        guesses += 1
-        if guesses > budget:
-            raise BudgetExceededError(
-                f"hom enumeration exceeded budget {budget} after "
-                f"{guesses - 1} branch guesses, reaching generator "
-                f"{deepest} of {k} ({len(homs)} homomorphisms found)",
-                budget,
-            )
+    def assign(i: int, g: int) -> bool:
         images[i] = g
         trail.append(i)
-        if propagate(mark):
-            return True
-        undo(mark)
-        return False
+        return propagate(len(trail) - 1)
 
+    def exceeded(spent: int) -> str:
+        return (f"hom enumeration exceeded budget {budget} after {spent} "
+                f"branch guesses, reaching generator {deepest} of {k} "
+                f"({len(homs)} homomorphisms found)")
+
+    homs: List[tuple] = []
+    deepest = 0
     # relations of one generator (or none) settle before any guess
-    if not (all(settle(word) for word in words) and propagate(0)):
-        return homs
-    # one frame per open branch: its generator, the trail length before
-    # its guess, and the group elements left to try
-    frames: List[tuple] = []
-    i = 0
-    while True:
-        while i < k and images[i] is not None:
-            i += 1
-        if i == k:
+    if all(settle(word) for word in words) and propagate(0):
+        for _ in depth_first(
+            k, lambda i: None if images[i] is None else True, choices,
+            assign, trail, retract, budget, exceeded,
+        ):
             homs.append(tuple(images))
-        else:
-            deepest = max(deepest, i + 1)
-            frames.append((i, len(trail), iter(range(group.order))))
-        while frames:
-            i, mark, elements = frames[-1]
-            undo(mark)
-            if any(guess(i, g, mark) for g in elements):
-                break
-            frames.pop()
-        else:
-            return homs
-        i += 1
+    return homs
 
 
 def hom_conjugacy_classes(homs: Sequence[tuple], group: FiniteGroup) -> tuple:

@@ -3,9 +3,11 @@ versions against.
 
 ``patch_bundles`` restricts both locals to every overlapping pair of
 parts and compares them, as the library did before it restricted the
-glued bundle once per part.  ``gerbes_equivalent`` validates every tried
-shift through ``gerbe_coboundary``, as the library did before it
-compared the moved witnesses alone.  ``pullback_universal`` reads the
+glued bundle once per part.  ``gerbes_equivalent`` enumerates every gauge
+and every product of shift options and validates each combination through
+``gerbe_coboundary``, as the library did before it compared the moved
+witnesses alone and then searched depth first; ``gerbe_search_trace``
+replays that depth-first search by recursion, to count its guesses.  ``pullback_universal`` reads the
 vertex rule off a built ``UniversalBundle``, as the library did before it
 built no universal chains.  ``is_label`` is the per-value label test the
 document loaders used before they tested each distinct type once.
@@ -144,6 +146,58 @@ def gerbes_equivalent(d1, d2, *, budget: int = DEFAULT_BUDGET):
                     equivalent=True, gauge=lam, shift=shift
                 )
     return GerbeEquivalenceResult(equivalent=False)
+
+
+def gerbe_search_trace(d1, d2):
+    """Whether a depth-first gerbe search finds a hit, and for each guess
+    it makes the number of positions set before it.
+
+    Positions are the gauge entries in index order, over the base group,
+    then the shifts in pair order, over the shifts that move the pair's
+    edge to d2's.  A partial assignment holds while every pair with both
+    ends gauged has such a shift and every triple with all three pairs
+    shifted moves to d2's witness:
+      c' = m_ab * ((lam_a g_ab lam_b^-1) . m_bc) * (lam_a . c) * m_ac^-1
+    The search stops at the first full assignment that holds.
+    """
+    module = d1.module
+    base, fiber = module.base, module.fiber
+    indices, pairs = d1.cover.indices, d1.nerve.keys(2)
+    trace: List[int] = []
+
+    def conjugated(lam, a, b):
+        return base.mul(base.mul(lam[a], d1.edge(a, b)), base.inv(lam[b]))
+
+    def shifts(lam, a, b):
+        return [h for h in fiber.elements()
+                if base.mul(module.boundary[h], conjugated(lam, a, b)) == d2.edge(a, b)]
+
+    def moved(lam, m, a, b, c):
+        term = fiber.mul(m[(a, b)], module.act(conjugated(lam, a, b), m[(b, c)]))
+        term = fiber.mul(term, module.act(lam[a], d1.witness(a, b, c)))
+        return fiber.mul(term, fiber.inv(m[(a, c)]))
+
+    def holds(lam, m):
+        return all(shifts(lam, a, b) for a, b in pairs if a in lam and b in lam) and all(
+            moved(lam, m, a, b, c) == d2.witness(a, b, c)
+            for a, b, c in d1.nerve.keys(3) if {(a, b), (a, c), (b, c)} <= m.keys())
+
+    def walk(lam, m) -> bool:
+        if len(lam) < len(indices):
+            key = indices[len(lam)]
+            extended = [({**lam, key: g}, m) for g in base.elements()]
+        elif len(m) < len(pairs):
+            key = pairs[len(m)]
+            extended = [(lam, {**m, key: h}) for h in shifts(lam, *key)]
+        else:
+            return True
+        for lam2, m2 in extended:
+            trace.append(len(lam) + len(m))
+            if holds(lam2, m2) and walk(lam2, m2):
+                return True
+        return False
+
+    return walk({}, {}), trace
 
 
 def pullback_universal(cocycle, universal: Optional[object] = None) -> Bundle:

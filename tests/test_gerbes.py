@@ -224,6 +224,9 @@ def test_abelian_class_requires_trivial_base():
 
 
 def test_equivalence_matches_abelian_classes():
+    """A second oracle: with trivial-base abelian coefficients, two data
+    are equivalent exactly when their degree-2 classes agree.  All 16 x 16
+    Z2 pairs on the sphere."""
     cover, nerve, pairs, triples = sphere_setup()
     coeff = abelian_coefficients(corpus.Z2)
     edges = {p: 0 for p in pairs}
@@ -233,11 +236,40 @@ def test_equivalence_matches_abelian_classes():
         )
         for bits in itertools.product([0, 1], repeat=4)
     ]
-    rng = random.Random(2)
-    for _ in range(20):
-        d1, d2 = rng.choice(data), rng.choice(data)
+    for d1, d2 in itertools.product(data, repeat=2):
         same_label = abelian_class(d1) == abelian_class(d2)
         assert gerbes_equivalent(d1, d2).equivalent == same_label
+
+
+@pytest.mark.parametrize("name", ["torus", "rp2"])
+def test_equivalence_matches_abelian_classes_on_sampled_surface_pairs(name):
+    """The same oracle on sampled Z2 pairs over the torus and RP2 star
+    covers, whose nerves have no tetrahedra, so every witness assignment
+    is valid; one datum of each pair is a coboundary move of another, so
+    both verdicts occur."""
+    cover, nerve, _ = corpus.cached_star_cover(name)
+    pairs, triples = nerve.keys(2), nerve.keys(3)
+    coeff = abelian_coefficients(corpus.Z2)
+    edges = {p: 0 for p in pairs}
+    rng = random.Random(7)
+
+    def random_data():
+        return validate_gerbe_cocycle(
+            cover, coeff, edges, {t: rng.randrange(2) for t in triples})
+
+    verdicts = []
+    for _ in range(6):
+        d1 = random_data()
+        moved = gerbe_coboundary(d1, {i: 0 for i in cover.indices},
+                                 {p: rng.randrange(2) for p in pairs})
+        for d2 in (random_data(), moved):
+            same_label = abelian_class(d1) == abelian_class(d2)
+            result = gerbes_equivalent(d1, d2)
+            assert result.equivalent == same_label
+            if result.equivalent:
+                assert gerbe_coboundary(d1, result.gauge, result.shift) == d2
+            verdicts.append(result.equivalent)
+    assert set(verdicts) == {True, False}
 
 
 def test_gerbe_equivalence_self_with_identity_witness():
@@ -253,6 +285,9 @@ def test_gerbe_equivalence_self_with_identity_witness():
 
 
 def test_gerbe_equivalence_budget():
+    """Over the sphere with trivial-base Z2 coefficients the search takes
+    66 guesses to decide that one witness set to 1 is not zero data: the
+    four gauge entries, then shifts.  Budget 3 runs out inside the gauge."""
     cover, nerve, pairs, triples = sphere_setup()
     coeff = abelian_coefficients(corpus.Z2)
     edges = {p: 0 for p in pairs}
@@ -265,16 +300,21 @@ def test_gerbe_equivalence_budget():
     )
     with pytest.raises(
         BudgetExceededError,
-        match=r"^gerbe equivalence search exceeded budget 3 after 3 trials, "
-              r"reaching gauge 1 of 1$",
-    ):
+        match=r"^gerbe equivalence search exceeded budget 3 after 3 guesses, "
+              r"with 3 of 4 gauge entries and 0 of 6 shifts set$",
+    ) as err:
         gerbes_equivalent(d0, d1, budget=3)
+    assert err.value.budget == 3
+    with pytest.raises(BudgetExceededError, match=r"after 65 guesses, "):
+        gerbes_equivalent(d0, d1, budget=65)
+    assert not gerbes_equivalent(d0, d1, budget=66).equivalent
 
 
 def test_gerbe_budget_error_says_which_gauge_it_reached():
     """Base Z2 over the sphere's four indices gives 16 gauges, each with
-    2^6 shifts; a witness of order two against none runs out of budget
-    100 on the second gauge."""
+    up to 2^6 shifts; a witness of order two against none runs out of
+    budget 100 with the gauge set and two shifts set, and is decided in
+    1,022 guesses."""
     cover, nerve, pairs, triples = sphere_setup()
     module = validate_crossed_module(
         corpus.Z2, corpus.Z4, [0, 1, 0, 1], [[0, 1, 2, 3], [0, 1, 2, 3]],
@@ -291,9 +331,13 @@ def test_gerbe_budget_error_says_which_gauge_it_reached():
         gerbes_equivalent(d0, d1, budget=100)
     assert err.value.budget == 100
     assert str(err.value) == (
-        "gerbe equivalence search exceeded budget 100 after 100 trials, "
-        "reaching gauge 2 of 16"
+        "gerbe equivalence search exceeded budget 100 after 100 guesses, "
+        "with 4 of 4 gauge entries and 2 of 6 shifts set"
     )
+    with pytest.raises(BudgetExceededError) as err:
+        gerbes_equivalent(d0, d1, budget=1021)
+    assert err.value.budget == 1021
+    assert not gerbes_equivalent(d0, d1, budget=1022).equivalent
     assert not gerbes_equivalent(d0, d1).equivalent
 
 

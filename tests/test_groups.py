@@ -406,6 +406,9 @@ def test_hom_budget_counts_branch_guesses():
     fixed = Pi1Presentation(basepoint=None, generator_edges=((0, 1),),
                             tree_edges=(), relations=((1,),))
     assert enumerate_homs(fixed, corpus.S3, budget=0) == [(0,)]
+    # the budget is keyword-only, as in the other searches
+    with pytest.raises(TypeError):
+        enumerate_homs(circle, corpus.S3, 6)
 
 
 def test_hom_budget_error_says_how_far_the_search_got():

@@ -23,6 +23,7 @@ from cechfib import (
     BudgetExceededError,
     SimplicialMap,
     ValidationError,
+    abelian_class,
     abelian_coefficients,
     build_complex,
     classification_check,
@@ -260,18 +261,73 @@ def test_gerbe_search_matches_the_reference_on_random_data():
 
 
 def test_gerbe_search_budget_errors_match_the_reference():
+    """The search spends one budget unit per guess.  For each budget it
+    raises exactly when the budget is below the guesses that the
+    recursive replay in ``reference.gerbe_search_trace`` counts, naming
+    how many positions that replay had set at the guess it could not
+    make; otherwise it gives the product search's verdict and witness."""
     rng = random.Random(4)
     cover, pairs, triples = sphere()
     z4 = validate_crossed_module(
         corpus.Z2, corpus.Z4, [0, 1, 0, 1], [[0, 1, 2, 3], [0, 1, 2, 3]],
     )
-    kinds = []
+    n, kinds = len(cover.indices), []
     for _ in range(4):
         d1 = random_z4_data(cover, pairs, triples, z4, rng)
         d2 = random_z4_data(cover, pairs, triples, z4, rng)
-        for budget in (*range(1, 12), 63, 64, 65, 129, 200):
-            kinds.append(same_search(d1, d2, budget=budget)[0])
+        found, trace = reference.gerbe_search_trace(d1, d2)
+        want = reference.gerbes_equivalent(d1, d2)
+        assert want.equivalent == found
+        for budget in (*range(1, 12), 63, 64, 65, 129, 200, len(trace) - 1,
+                       len(trace)):
+            got = outcome(gerbes_equivalent, d1, d2, budget=budget)
+            kinds.append(got[0])
+            if budget < len(trace):
+                settled = trace[budget]
+                assert got == ("error", (
+                    f"gerbe equivalence search exceeded budget {budget} after "
+                    f"{budget} guesses, with {min(settled, n)} of {n} gauge "
+                    f"entries and {max(settled - n, 0)} of {len(pairs)} "
+                    f"shifts set"), None)
+                with pytest.raises(BudgetExceededError) as err:
+                    gerbes_equivalent(d1, d2, budget=budget)
+                assert err.value.budget == budget
+            else:
+                assert got[0] == "ok"
+                assert got[1].equivalent == want.equivalent
+                assert got[1].gauge == want.gauge
+                assert got[1].shift == want.shift
     assert kinds.count("error") >= 16 and kinds.count("ok") >= 16
+
+
+@pytest.mark.parametrize("name, guesses, settled", [
+    ("torus", 13_573, "7 of 7 gauge entries and 9 of 21 shifts"),
+    ("rp2", 1_668, "6 of 6 gauge entries and 8 of 15 shifts"),
+])
+def test_gerbe_search_decides_the_surface_pairs(name, guesses, settled):
+    """Z2 zero data against one witness set to 1 at the first triple, over
+    the torus and RP2 star covers (7 and 6 parts), which ``abelian_class``
+    tells apart.  The search decides both false at the default budget;
+    the recursive replay counts the guesses it needs, and one guess fewer
+    raises."""
+    cover, nerve, _ = corpus.cached_star_cover(name)
+    coeff = abelian_coefficients(corpus.Z2)
+    edges = {p: 0 for p in nerve.keys(2)}
+    triples = nerve.keys(3)
+    d0 = validate_gerbe_cocycle(cover, coeff, edges, {t: 0 for t in triples})
+    d1 = validate_gerbe_cocycle(
+        cover, coeff, edges, {t: int(t == triples[0]) for t in triples})
+    assert abelian_class(d0) != abelian_class(d1)
+    found, trace = reference.gerbe_search_trace(d0, d1)
+    assert (found, len(trace)) == (False, guesses)
+    assert not gerbes_equivalent(d0, d1).equivalent
+    assert not gerbes_equivalent(d0, d1, budget=guesses).equivalent
+    with pytest.raises(BudgetExceededError) as err:
+        gerbes_equivalent(d0, d1, budget=guesses - 1)
+    assert err.value.budget == guesses - 1
+    assert str(err.value) == (
+        f"gerbe equivalence search exceeded budget {guesses - 1} after "
+        f"{guesses - 1} guesses, with {settled} set")
 
 
 def test_gerbe_search_revalidates_no_candidate(monkeypatch):
