@@ -237,6 +237,12 @@ def section_map(cover: Cover, nerve: Optional[NerveComplex] = None, /) -> Simpli
     its base.  One walk over the parts in index order finds every
     simplex's least index.  A ``nerve``, if given, must be the cover's
     own.
+
+    The map is simplicial by construction, so it is not checked: a
+    subdivision simplex is a chain s_0 < ... < s_k of base simplices, and
+    the part at each s_i's least index holds s_i, so also its face s_0.
+    Those parts share s_0's vertices, which makes their indices a nerve
+    simplex.
     """
     if nerve is not None and nerve is not cover.nerve:
         raise ValidationError("section_map was given a nerve of another cover")
@@ -247,7 +253,7 @@ def section_map(cover: Cover, nerve: Optional[NerveComplex] = None, /) -> Simpli
     # each subdivision vertex is its base simplex as a sorted tuple
     sd, _ = barycentric_subdivision(cover.base)
     vertex_map = {v: least[v] for v in sd.vertices}
-    return SimplicialMap(sd, cover.nerve.complex, vertex_map)
+    return SimplicialMap._trusted(sd, cover.nerve.complex, vertex_map)
 
 
 def disjoint_union_cover(u: Cover, v: Cover) -> Cover:

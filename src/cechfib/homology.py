@@ -4,18 +4,19 @@ Boundaries, chain maps and relation matrices are sparse rows (see
 :mod:`cechfib.snf`), built directly from the simplices.  Homology groups
 come from the invariant factors of what one unit elimination leaves:
 degree by degree, each cell goes with a coface of entry +-1, which
-keeps homology.  A simplicial chain complex first loses a spanning
-forest of its 1-skeleton, found by union-find, so one vertex per
-component is left and H_0 needs no Smith form; a closed connected
-surface is then left with one vertex, 2 - chi edges and one triangle.
-Mapping cones and bar complexes go to the same elimination.  A
-simplicial map is a homology isomorphism when both sides have the same
-groups and its mapping cone has none.  Canonical class labels come
-from one lattice-quotient routine (:class:`LatticeQuotient`), which
-reduces the full matrices in the fixed pivot order so that labels do
-not depend on the reductions; homology workspaces, the degree-2 classes
-of :mod:`cechfib.gerbes` and the abelian coordinates of
-:mod:`cechfib.groups` all use it.
+keeps homology.  Before it, every chain complex whose d_1 columns are
+all v - u, +-v or 0 loses a grounded spanning forest, found by
+union-find, so H_0 needs no Smith form: a simplicial complex keeps one
+vertex per component, and a closed connected surface is then left with
+one vertex, 2 - chi edges and one triangle.  ``homology`` reads the
+forest off the edge layer and builds no d_1.  A simplicial map is a
+homology isomorphism when both sides have the same groups and its
+mapping cone, whose source vertices are grounded, has none.  Canonical
+class labels come from one lattice-quotient routine
+(:class:`LatticeQuotient`), which reduces the full matrices in the
+fixed pivot order so that labels do not depend on the reductions;
+homology workspaces, the degree-2 classes of :mod:`cechfib.gerbes` and
+the abelian coordinates of :mod:`cechfib.groups` all use it.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from itertools import combinations
 from typing import List, NamedTuple, Optional, Sequence
 
 from .complexes import SimplicialComplex, SimplicialMap
-from .errors import ValidationError
+from .errors import ValidationError, _is_integer
 from .snf import (
     SparseRows,
     sparse_multiply,
@@ -90,19 +91,34 @@ def simplex_boundary_matrix(x: SimplicialComplex, k: int) -> SparseRows:
     at once from a zip of the other vertex columns.  Cofaces that drop a
     lower position sort first, so each row's keys stay in column order."""
     faces = x.simplices_of_dim(k - 1)
-    row_of = dict(zip(faces, range(len(faces)))).__getitem__
     mat = [{} for _ in faces]
+    _fill_rows(x, k, dict(zip(faces, mat)).__getitem__)
+    return mat
+
+
+def _fill_rows(x: SimplicialComplex, k: int, row_of) -> None:
+    """Enter the boundary C_k -> C_{k-1} into the row that ``row_of``
+    gives for each (k-1)-face, column j for the j-th k-simplex."""
     columns = tuple(zip(*x.simplices_of_dim(k)))
     for i in range(k + 1):
         sign = (-1) ** i
-        for j, r in enumerate(map(row_of, zip(*columns[:i], *columns[i + 1:]))):
-            mat[r][j] = sign
-    return mat
+        for j, row in enumerate(map(row_of, zip(*columns[:i], *columns[i + 1:]))):
+            row[j] = sign
+
+
+def _check_degree(max_degree) -> None:
+    """Refuse a degree that is not an int, or is a bool."""
+    if not _is_integer(max_degree):
+        raise ValidationError(f"max_degree must be an integer, got {max_degree!r}")
 
 
 def chain_complex_of(x: SimplicialComplex, max_degree: Optional[int] = None) -> ChainComplex:
     """Simplicial chain complex through ``max_degree`` (default: dim)."""
-    top = x.dim if max_degree is None else max(int(max_degree), 0)
+    if max_degree is None:
+        top = x.dim
+    else:
+        _check_degree(max_degree)
+        top = max(max_degree, 0)
     ranks = [x.simplex_count(k) for k in range(top + 1)]
     boundaries = [simplex_boundary_matrix(x, k) for k in range(1, top + 1)]
     return ChainComplex(ranks=tuple(ranks), boundaries=tuple(boundaries))
@@ -139,11 +155,19 @@ class HomologyResult(NamedTuple):
 def homology_of_chain_complex(cc: ChainComplex, max_degree: int) -> HomologyResult:
     """Integral homology of a chain complex through ``max_degree``.
 
-    The complex is first shrunk by :func:`_eliminate`; only what remains
-    of each boundary goes to the Smith form, and only if it is nonzero.
+    The complex is first shrunk by :func:`_forest`, then by
+    :func:`_eliminate`; only what remains of each boundary goes to the
+    Smith form, and only if it is nonzero.
     """
+    _check_degree(max_degree)
     if max_degree < 0:
         raise ValidationError("max_degree must be nonnegative")
+    return _reduced_homology(_forest(cc), max_degree)
+
+
+def _reduced_homology(cc: ChainComplex, max_degree: int) -> HomologyResult:
+    """Homology through ``max_degree`` of a complex the forest has run on:
+    the elimination, then the Smith form of what it leaves."""
     cc = _eliminate(cc, max_degree + 1)
     ranks_of = {}
     torsion_of = {}
@@ -239,41 +263,91 @@ def homology(x: SimplicialComplex, max_degree: Optional[int] = None) -> Homology
 
     Degree-0 Betti equals the number of connected components; torsion
     coefficients are the invariant factors (> 1) of the next boundary.
+    The complex handed to the elimination is what :func:`_forest` makes
+    of the chain complex, built straight from the layers: union-find
+    runs on the vertex columns of the edge layer, so no d_1 is built,
+    and d_2 gets rows only for the edges the forest keeps.
     """
     if max_degree is None:
         max_degree = max(x.dim, 0)
+    _check_degree(max_degree)
     if max_degree < 0:
         raise ValidationError("max_degree must be nonnegative")
-    cc = chain_complex_of(x, min(max_degree + 1, max(x.dim, 0)))
-    return _simplicial_homology(cc, max_degree)
-
-
-def _simplicial_homology(cc: ChainComplex, max_degree: int) -> HomologyResult:
-    """Homology of a simplicial chain complex: :func:`_forest` first, then
-    the elimination and the Smith form of any chain complex."""
-    return homology_of_chain_complex(_forest(cc), max_degree)
+    top = min(max_degree + 1, max(x.dim, 0))
+    n = x.simplex_count(0)
+    if top == 0:
+        return _reduced_homology(ChainComplex((n,), ()), max_degree)
+    # union-find reads no vertex order, only which edge joins which
+    number = {v: i for i, (v,) in enumerate(x.simplex_tuples(0))}.__getitem__
+    edges = x.simplices_of_dim(1)
+    starts, ends = zip(*edges)
+    kept = _spanning_forest(zip(map(number, starts), map(number, ends)), n)
+    # a forest of t edges on n vertices has n - t trees
+    roots = n - (len(edges) - len(kept))
+    ranks = (roots, len(kept))
+    boundaries = ([{} for _ in range(roots)],)
+    if top > 1:
+        # the rows of tree edges all go to one spare dict, then dropped
+        rows = [{}] * len(edges)
+        for e in kept:
+            rows[e] = {}
+        _fill_rows(x, 2, dict(zip(edges, rows)).__getitem__)
+        ranks += tuple(map(x.simplex_count, range(2, top + 1)))
+        boundaries += ([rows[e] for e in kept],) + tuple(
+            simplex_boundary_matrix(x, k) for k in range(3, top + 1)
+        )
+    return _reduced_homology(ChainComplex(ranks, boundaries), max_degree)
 
 
 def _forest(cc: ChainComplex) -> ChainComplex:
-    """A simplicial chain complex with the edges of a spanning forest
-    eliminated.
+    """A chain complex with the edges of a grounded spanning forest
+    eliminated, or ``cc`` itself when some d_1 column is not v - u, +-v
+    or 0 (it has an entry other than +-1, or two of one sign).
 
-    Every edge has boundary v - u, so union-find over the vertices, with
-    edges in order, finds a spanning forest.  Eliminating a tree edge
-    against the root of one endpoint's tree only renames that root to
-    the other's in every later boundary, so each remaining edge ends
-    with boundary root - root = 0: one vertex per component is left, d_1
-    vanishes and d_2 keeps the rows of the remaining edges.  Vertices
+    Call the cells of degree 1 edges.  Each edge joins the two vertices
+    of its column, or its one vertex to a ground node; a zero column
+    joins ground to ground.  Union-find over the vertices and ground,
+    with edges in order, finds a spanning forest.  Eliminating a tree
+    edge against a vertex of one endpoint's tree only renames that tree
+    to the other's in every later boundary, and the tree that holds
+    ground stands for 0, so its vertices drop out of them.  Each
+    remaining edge ends with boundary 0: one vertex per tree without
+    ground is left, d_1 vanishes and d_2 keeps the rows of the remaining
+    edges.  On a simplicial complex one vertex per component is left;
+    the mapping cone's source vertices ground their images.  Vertices
     are left to no later elimination, which would pile the edges of
     merged vertices up in long rows.
     """
     if len(cc.ranks) < 2:
         return cc
-    parent = list(range(cc.ranks[0]))
-    ends = [[] for _ in range(cc.ranks[1])]
+    # each edge's vertex of entry -1 (tail) and of entry +1 (head), or
+    # ground where its column has none
+    ground = cc.ranks[0]
+    heads = [ground] * cc.ranks[1]
+    tails = heads.copy()
     for v, row in enumerate(cc.boundaries[0]):
-        for e in row:
-            ends[e].append(v)
+        for e, w in row.items():
+            if w == 1 and heads[e] == ground:
+                heads[e] = v
+            elif w == -1 and tails[e] == ground:
+                tails[e] = v
+            elif w:
+                return cc
+    kept = _spanning_forest(zip(tails, heads), ground)
+    # n + 1 nodes and t tree edges make n + 1 - t trees, one with ground
+    roots = ground - (len(heads) - len(kept))
+    d2 = tuple([d[e] for e in kept] for d in cc.boundaries[1:2])
+    return ChainComplex(
+        ranks=(roots, len(kept)) + cc.ranks[2:],
+        boundaries=([{} for _ in range(roots)],) + d2 + cc.boundaries[2:],
+    )
+
+
+def _spanning_forest(ends, nodes: int) -> list:
+    """Union-find over nodes 0..nodes, with the edges' ``ends`` in
+    order: the edges whose ends already share a root, which the forest
+    keeps."""
+    parent = list(range(nodes + 1))
     kept = []
     for e, (a, b) in enumerate(ends):
         while parent[a] != a:
@@ -284,12 +358,7 @@ def _forest(cc: ChainComplex) -> ChainComplex:
             kept.append(e)
         else:
             parent[a] = b
-    roots = sum(v == p for v, p in enumerate(parent))
-    d2 = tuple([d[e] for e in kept] for d in cc.boundaries[1:2])
-    return ChainComplex(
-        ranks=(roots, len(kept)) + cc.ranks[2:],
-        boundaries=([{} for _ in range(roots)],) + d2 + cc.boundaries[2:],
-    )
+    return kept
 
 
 def is_point_like(x: SimplicialComplex) -> bool:
@@ -502,15 +571,17 @@ def map_induces_homology_isomorphism(f: SimplicialMap, max_degree: int) -> bool:
     mapping cone no homology there.  The cone's long exact sequence gives
     0 -> coker f_k -> H_k(cone) -> ker f_(k-1) -> 0, so a zero cone makes
     f_* onto in each of those degrees, and a surjection between isomorphic
-    finitely generated abelian groups is an isomorphism.  The cone's
-    entries are 0 or +-1, so the elimination leaves little for the
-    Smith form.
+    finitely generated abelian groups is an isomorphism.  Each source
+    vertex's column in the cone's d_1 is +1 at its image, so the forest
+    grounds every component that the map reaches; the cone's entries
+    are 0 or +-1, so the elimination leaves little for the Smith form.
     """
+    _check_degree(max_degree)
     src_cc, tgt_cc = (
         chain_complex_of(x, min(max_degree + 1, max(x.dim, 0)))
         for x in (f.source, f.target)
     )
-    if _simplicial_homology(src_cc, max_degree) != _simplicial_homology(
+    if homology_of_chain_complex(src_cc, max_degree) != homology_of_chain_complex(
         tgt_cc, max_degree
     ):
         return False

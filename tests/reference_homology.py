@@ -17,7 +17,12 @@ degree-2 cotree of a simplicial chain complex
 (``reference_forest_cotree``).  Simplicial homology is referenced by
 the path the forest and cotree replaced: the peel over the
 augmentation C_0 -> Z (``augmented_simplicial_homology``), which the
-isomorphism reference here uses for both sides.  Boundary matrices are
+isomorphism reference here uses for both sides.  The forest as it read
+the endpoints of every edge back from d_1 (``reference_forest``, run by
+``reference_simplicial_homology``) references what ``homology`` hands
+to the elimination, and the elimination with no forest before it
+(``eliminated_homology_of_chain_complex``) references the grounded
+forest on mapping cones and other chain complexes.  Boundary matrices are
 referenced by the per-simplex loop that reading faces off vertex
 columns replaced (``reference_simplex_boundary_matrix``), which
 ``CechClassifier`` uses."""
@@ -36,7 +41,9 @@ from cechfib.homology import (
     ChainComplex,
     HomologyGroup,
     HomologyResult,
+    _eliminate,
     chain_complex_of,
+    homology_of_chain_complex,
     simplicial_chain_map,
 )
 from cechfib.snf import (
@@ -222,6 +229,78 @@ def reference_forest_cotree(cc: ChainComplex) -> ChainComplex:
         ranks=(roots, len(edges), len(live)) + cc.ranks[3:],
         boundaries=(d1, d2) + above,
     )
+
+
+def reference_simplicial_homology(cc: ChainComplex, max_degree: int) -> HomologyResult:
+    """Homology of a simplicial chain complex: :func:`reference_forest`
+    first, then the elimination and the Smith form of any chain complex."""
+    return homology_of_chain_complex(reference_forest(cc), max_degree)
+
+
+def reference_forest(cc: ChainComplex) -> ChainComplex:
+    """A simplicial chain complex with the edges of a spanning forest
+    eliminated.
+
+    Every edge has boundary v - u, so union-find over the vertices, with
+    edges in order, finds a spanning forest.  Eliminating a tree edge
+    against the root of one endpoint's tree only renames that root to
+    the other's in every later boundary, so each remaining edge ends
+    with boundary root - root = 0: one vertex per component is left, d_1
+    vanishes and d_2 keeps the rows of the remaining edges.  Vertices
+    are left to no later elimination, which would pile the edges of
+    merged vertices up in long rows.
+    """
+    if len(cc.ranks) < 2:
+        return cc
+    parent = list(range(cc.ranks[0]))
+    ends = [[] for _ in range(cc.ranks[1])]
+    for v, row in enumerate(cc.boundaries[0]):
+        for e in row:
+            ends[e].append(v)
+    kept = []
+    for e, (a, b) in enumerate(ends):
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a == b:
+            kept.append(e)
+        else:
+            parent[a] = b
+    roots = sum(v == p for v, p in enumerate(parent))
+    d2 = tuple([d[e] for e in kept] for d in cc.boundaries[1:2])
+    return ChainComplex(
+        ranks=(roots, len(kept)) + cc.ranks[2:],
+        boundaries=([{} for _ in range(roots)],) + d2 + cc.boundaries[2:],
+    )
+
+
+def eliminated_homology_of_chain_complex(
+    cc: ChainComplex, max_degree: int
+) -> HomologyResult:
+    """Integral homology of a chain complex through ``max_degree``.
+
+    The complex is first shrunk by :func:`_eliminate`; only what remains
+    of each boundary goes to the Smith form, and only if it is nonzero.
+    """
+    if max_degree < 0:
+        raise ValidationError("max_degree must be nonnegative")
+    cc = _eliminate(cc, max_degree + 1)
+    ranks_of = {}
+    torsion_of = {}
+    for k in range(1, max_degree + 2):
+        rows = cc.boundary(k)
+        if any(rows):
+            factors = _invariant_factors(rows, (cc.rank(k - 1), cc.rank(k)))
+        else:
+            factors = ()
+        ranks_of[k] = len(factors)
+        torsion_of[k] = tuple(d for d in factors if d > 1)
+    groups = []
+    for k in range(max_degree + 1):
+        betti = cc.rank(k) - ranks_of.get(k, 0) - ranks_of.get(k + 1, 0)
+        groups.append(HomologyGroup(betti=betti, torsion=torsion_of.get(k + 1, ())))
+    return HomologyResult(groups=tuple(groups))
 
 
 def augmented(cc: ChainComplex) -> ChainComplex:

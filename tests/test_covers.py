@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from cechfib import (
     Cover,
     SimplicialComplex,
+    SimplicialMap,
     ValidationError,
     abelian_coefficients,
     barycentric_subdivision,
@@ -143,6 +144,31 @@ def test_section_map_structurally_valid_everywhere():
         section = section_map(cover)
         sd, _ = barycentric_subdivision(cover.base)
         assert section.source == sd
+
+
+CORPUS = {
+    name: value for name, value in vars(corpus).items()
+    if isinstance(value, SimplicialComplex)
+}
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+@pytest.mark.parametrize("make_cover", [star_cover, closed_star_cover])
+def test_unchecked_section_map_equals_the_checked_construction(name, make_cover):
+    # section_map builds its map unchecked; the checked constructor
+    # accepts the same vertex map and learns the same facts about it
+    cover = make_cover(CORPUS[name])
+    section = section_map(cover)
+    sd, _ = barycentric_subdivision(cover.base)
+    checked = SimplicialMap(sd, cover.nerve.complex, {
+        v: min(i for i in cover.indices if cover.parts[i].has_simplex(v))
+        for v in sd.vertices
+    })
+    assert section.source == checked.source
+    assert section.target is checked.target
+    assert section.vertex_map == checked.vertex_map
+    assert section._top_images() == checked._top_images()
+    assert section._keeps_dimensions() == checked._keeps_dimensions()
 
 
 @pytest.mark.parametrize("name", ["hollow_triangle", "boundary_3simplex"])

@@ -8,6 +8,7 @@ from cechfib import (
     chain_complex_of,
     connected_components,
     homology,
+    homology_of_chain_complex,
     map_induces_homology_isomorphism,
     simplicial_chain_map,
 )
@@ -46,6 +47,22 @@ def test_sphere_homology():
 def test_negative_degree_rejected():
     with pytest.raises(ValidationError):
         homology(corpus.POINT, -1)
+
+
+@pytest.mark.parametrize("degree", [2.5, 1.0, True, False, "1", None])
+def test_degrees_that_are_no_integers_are_rejected(degree):
+    x = corpus.TORUS_SEVEN
+    identity = SimplicialMap.identity(x)
+    calls = [
+        lambda: homology_of_chain_complex(chain_complex_of(x), degree),
+        lambda: map_induces_homology_isomorphism(identity, degree),
+    ]
+    if degree is not None:
+        # None asks for every degree of the complex
+        calls += [lambda: homology(x, degree), lambda: chain_complex_of(x, degree)]
+    for call in calls:
+        with pytest.raises(ValidationError, match="max_degree must be an integer"):
+            call()
 
 
 @pytest.mark.parametrize("name", sorted(corpus.SURFACES))
