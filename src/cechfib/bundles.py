@@ -25,7 +25,7 @@ from .complexes import (
     union_complexes,
 )
 from .cocycles import Cocycle1
-from .errors import DEFAULT_BUDGET, ValidationError, depth_first
+from .errors import DEFAULT_BUDGET, ValidationError, check_budget, depth_first
 from .groups import GroupAction
 
 
@@ -317,6 +317,7 @@ def bundle_isomorphism(
     with every earlier vertex fixed each vertex's first unused image is
     itself.
     """
+    check_budget(budget)
     if b1.base != b2.base:
         return None
     if len(b1.fiber) != len(b2.fiber):
@@ -328,11 +329,11 @@ def bundle_isomorphism(
             return None
     order = [e for v in b1.base.vertices for e in b1.fiber_over(v)]
     position = {e: i for i, e in enumerate(order)}
-    # simplices become checkable once the search passes their last vertex
-    by_last: List[List[tuple]] = [[] for _ in order]
+    # closed[i]: the simplices whose last vertex in branch order is order[i - 1]
+    closed: List[List[tuple]] = [[] for _ in range(len(order) + 1)]
     for s in b1.total.simplex_tuples():
         if len(s) > 1:
-            by_last[max(map(position.__getitem__, s))].append(s)
+            closed[max(map(position.__getitem__, s)) + 1].append(s)
     near1 = _lifted_neighbours(b1)
     near2 = _lifted_neighbours(b2)
     mapping: Dict = {}
@@ -369,8 +370,13 @@ def bundle_isomorphism(
                         stack.append((x2, forced))
         return True
 
-    def fits(i: int) -> bool:
-        return b2.total._holds_all(_image_keys(mapping, by_last[i]))
+    def advance(i: int) -> Optional[int]:
+        # check what the vertex before i closes; pass the vertices propagation mapped
+        while b2.total._holds_all(_image_keys(mapping, closed[i])):
+            if i == len(order) or order[i] not in mapping:
+                return i
+            i += 1
+        return None
 
     def retract(mark: int) -> None:
         while len(trail) > mark:
@@ -382,11 +388,11 @@ def bundle_isomorphism(
 
     for _ in depth_first(
         len(order),
-        lambda i: None if order[i] not in mapping else fits(i),
+        advance,
         # the filter reads ``used`` as each image comes up, after retracting
         lambda i: (w for w in b2.fiber_over(b1.projection(order[i]))
                    if w not in used),
-        lambda i, w: assign(order[i], w) and fits(i),
+        lambda i, w: assign(order[i], w),
         trail, retract, budget, exceeded,
     ):
         return {e: mapping[e] for e in order}

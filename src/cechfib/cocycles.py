@@ -15,7 +15,7 @@ from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from .complexes import connected_components
 from .covers import Cover, NerveComplex, refuse_off_nerve
-from .errors import DEFAULT_BUDGET, BudgetExceededError, ValidationError, _is_integer
+from .errors import DEFAULT_BUDGET, ValidationError, _is_integer, check_budget, depth_first
 from .groups import FiniteGroup, enumerate_homs, hom_conjugacy_classes
 
 
@@ -185,20 +185,33 @@ def are_equivalent(
     its values in sorted pair order are the lexicographically least such
     extension.
     """
+    check_budget(budget)
     if c1.cover != c2.cover:
         raise ValidationError("cocycles live over different covers")
     if c1.group != c2.group:
         raise ValidationError("cocycles take values in different groups")
     group = c1.group
     nerve = c1.nerve
+    roots = [a for (a,) in nerve.keys(1)]
     neighbors: Dict = {}
     for a, b in nerve.keys(2):
         neighbors.setdefault(a, []).append(b)
         neighbors.setdefault(b, []).append(a)
+    mu: Dict = {}
+    settled: List = []  # component roots, in order; never retracted
 
-    def propagate(root, guess) -> Optional[Dict]:
-        trial = {root: guess}
-        stack = [root]
+    def advance(i: int) -> int:  # the least index propagation has not set
+        while i < len(roots) and roots[i] in mu:
+            i += 1
+        return i
+
+    def choices(i: int):
+        # a settled root has no choice left: backing up into it ends the search
+        return (g for g in group.elements() if roots[i] not in mu)
+
+    def assign(i: int, guess: int) -> bool:
+        trial = {roots[i]: guess}
+        stack = [roots[i]]
         while stack:
             a = stack.pop()
             for b in neighbors.get(a, ()):
@@ -210,36 +223,23 @@ def are_equivalent(
                     trial[b] = forced
                     stack.append(b)
                 elif trial[b] != forced:
-                    return None
-        return trial
+                    return False
+        mu.update(trial)
+        settled.append(roots[i])
+        return True
 
-    mu: Dict = {}
-    tried = 0
-    settled = 0
-    for (root,) in nerve.keys(1):
-        if root in mu:
-            continue
-        for guess in group.elements():
-            tried += 1
-            if tried > budget:
-                components = len(connected_components(nerve.complex))
-                raise BudgetExceededError(
-                    f"equivalence search exceeded budget {budget} after "
-                    f"{tried - 1} guesses, with {settled} of {components} "
-                    f"nerve components settled",
-                    budget,
-                )
-            component = propagate(root, guess)
-            if component is not None:
-                mu.update(component)
-                settled += 1
-                break
-        else:
-            return EquivalenceResult(equivalent=False)
-    edges = nerve.keys(2)
-    pairs = sorted([(a, a) for a in mu] + list(edges) + [(b, a) for a, b in edges])
-    bridge = {(a, b): group.mul(c1.value(a, b), mu[b]) for a, b in pairs}
-    return EquivalenceResult(equivalent=True, bridge=bridge)
+    def exceeded(spent: int) -> str:
+        components = len(connected_components(nerve.complex))
+        return (f"equivalence search exceeded budget {budget} after {spent} guesses, "
+                f"with {len(settled)} of {components} nerve components settled")
+
+    for _ in depth_first(len(roots), advance, choices, assign, settled,
+                         lambda mark: None, budget, exceeded):
+        edges = nerve.keys(2)
+        pairs = sorted([(a, a) for a in mu] + list(edges) + [(b, a) for a, b in edges])
+        bridge = {(a, b): group.mul(c1.value(a, b), mu[b]) for a, b in pairs}
+        return EquivalenceResult(equivalent=True, bridge=bridge)
+    return EquivalenceResult(equivalent=False)
 
 
 def monodromy_representatives(

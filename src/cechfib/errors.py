@@ -1,5 +1,5 @@
-"""Exception types, the integer test and the depth-first search that
-every branching search of the library runs under one budget."""
+"""Exception types, the integer and budget tests, and the depth-first
+search that every branching search of the library runs under one budget."""
 
 from __future__ import annotations
 
@@ -41,26 +41,31 @@ class BudgetExceededError(RuntimeError):
         self.budget = budget
 
 
-def depth_first(size, status, choices, assign, trail, retract, budget, exceeded):
+def check_budget(budget) -> None:
+    """Refuse a search budget that is no non-negative integer (0 is one)."""
+    if not _is_integer(budget) or budget < 0:
+        raise ValidationError(f"budget must be a non-negative integer, got {budget!r}")
+
+
+def depth_first(size, advance, choices, assign, trail, retract, budget, exceeded):
     """Search positions ``0 .. size - 1`` in order, yielding at each full
-    assignment (the caller reads it off its own state).  ``status(i)`` is
-    None at an open position, else whether the value forced there fits:
-    pass it, or back up.  An open position tries ``choices(i)`` in order,
-    one guess each; ``assign(i, c)`` says whether c holds and records what
-    it sets on ``trail``, which ``retract(mark)`` cuts back to ``mark``
-    entries.  The guess past ``budget`` raises BudgetExceededError with
-    the text ``exceeded(spent)``.
+    assignment (the caller reads it off its own state).  ``advance(i)`` is
+    the least open position from i on, ``size`` when every later position
+    is set, or None when a value forced on the way does not fit: back up.
+    An open position tries ``choices(i)`` in order, one guess each;
+    ``assign(i, c)`` says whether c holds and records what it sets on
+    ``trail``, which ``retract(mark)`` cuts back to ``mark`` entries.  The
+    guess past ``budget`` raises BudgetExceededError with the text
+    ``exceeded(spent)``.
     """
     frames = []  # one per open position: it, its trail mark, choices left
-    guesses = i = 0
+    guesses = 0
+    i = advance(0)
     while True:
         if i == size:
             yield
-        elif (fit := status(i)) is None:
+        elif i is not None:
             frames.append((i, len(trail), iter(choices(i))))
-        elif fit:
-            i += 1
-            continue
         # back up to the last open position with a choice left, and take it
         while frames:
             i, mark, left = frames[-1]
@@ -76,4 +81,4 @@ def depth_first(size, status, choices, assign, trail, retract, budget, exceeded)
                 break
         else:
             return
-        i += 1
+        i = advance(i + 1)

@@ -17,7 +17,7 @@ import math
 from typing import Dict, List, Mapping, NamedTuple, Optional
 
 from .covers import Cover, NerveComplex, refuse_off_nerve
-from .errors import DEFAULT_BUDGET, ValidationError, _is_integer, depth_first
+from .errors import DEFAULT_BUDGET, ValidationError, _is_integer, check_budget, depth_first
 from .groups import CrossedModule, abelian_decomposition, adjoint_crossed_module
 from .homology import LatticeQuotient, simplex_boundary_matrix
 from .snf import sparse_columns
@@ -312,6 +312,7 @@ def gerbes_equivalent(
     a triple is compared with d2 once its last pair has a shift.  So the
     first hit is the least (gauge, shift).
     """
+    check_budget(budget)
     if d1.cover != d2.cover:
         raise ValidationError("gerbe data live over different covers")
     if d1.module is not d2.module and (
@@ -361,7 +362,7 @@ def gerbes_equivalent(
                 f"guesses, with {min(len(trail), n)} of {n} gauge entries and "
                 f"{max(len(trail) - n, 0)} of {len(pairs)} shifts set")
 
-    for _ in depth_first(n + len(pairs), lambda i: None, choices, assign,
+    for _ in depth_first(n + len(pairs), lambda i: i, choices, assign,
                          trail, retract, budget, exceeded):
         return GerbeEquivalenceResult(equivalent=True, gauge=lam, shift=shift)
     return GerbeEquivalenceResult(equivalent=False)

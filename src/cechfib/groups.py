@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .errors import DEFAULT_BUDGET, ValidationError, depth_first
+from .errors import DEFAULT_BUDGET, ValidationError, check_budget, depth_first
 from .homology import LatticeQuotient
 
 
@@ -227,6 +227,7 @@ def enumerate_homs(
     budget caps the branch guesses (one unit per group element tried at
     a branching generator); forced assignments are free.
     """
+    check_budget(budget)
     k = presentation.generator_count
     table, inverse = group.table, group.inverse
     words = [
@@ -296,8 +297,8 @@ def enumerate_homs(
     # relations of one generator (or none) settle before any guess
     if all(settle(word) for word in words) and propagate(0):
         for _ in depth_first(
-            k, lambda i: None if images[i] is None else True, choices,
-            assign, trail, retract, budget, exceeded,
+            k, lambda i: images.index(None, i) if None in images else k,
+            choices, assign, trail, retract, budget, exceeded,
         ):
             homs.append(tuple(images))
     return homs

@@ -401,10 +401,8 @@ class LatticeQuotient:
         self.modulus = modulus
         self.dim = dim
         if constraints:
-            form = sparse_smith_form(
-                constraints, (len(constraints), dim),
-                want_left=False, want_right=False, want_right_inverse=True,
-            )
+            form = sparse_smith_form(constraints, (len(constraints), dim),
+                                     want_left=False, want_right_inverse=True)
             diag = list(form.diagonal) + [0] * (dim - len(form.diagonal))
             self._scale = [modulus // math.gcd(d, modulus) if d else 1
                            for d in diag]
@@ -415,9 +413,7 @@ class LatticeQuotient:
             self._scale = [1] * dim
             self._solver = None
         rel = self._scaled(self._solve(generators))
-        self._relation_form = sparse_smith_form(
-            rel, (len(rel), gen_count), want_left=True, want_right=False
-        )
+        self._relation_form = sparse_smith_form(rel, (len(rel), gen_count))
         self.group = HomologyGroup(
             betti=len(rel) - self._relation_form.rank,
             torsion=tuple(d for d in self._relation_form.diagonal if d > 1),
@@ -517,9 +513,7 @@ class HomologyWorkspace:
 
 
 def _invariant_factors(rows: SparseRows, shape) -> tuple:
-    form = sparse_smith_form(
-        rows, shape, want_left=False, want_right=False, want_right_inverse=False
-    )
+    form = sparse_smith_form(rows, shape, want_left=False)
     return tuple(d for d in form.diagonal if d != 0)
 
 

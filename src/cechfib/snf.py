@@ -60,15 +60,13 @@ def sparse_multiply(a: SparseRows, b: SparseRows) -> SparseRows:
 class SparseSmithForm(NamedTuple):
     """U * M * V = D with the transforms kept as sparse vectors.
 
-    ``left`` holds the rows of U, ``right`` the columns of V and
-    ``right_inverse`` the rows of V^-1, each a dict from index to
-    nonzero entry.  The columns of V past the rank span the kernel of M.
+    ``left`` holds the rows of U and ``right_inverse`` the rows of V^-1,
+    each a dict from index to nonzero entry.
     """
 
     shape: tuple
     diagonal: tuple
     left: Optional[SparseRows] = None
-    right: Optional[SparseRows] = None
     right_inverse: Optional[SparseRows] = None
 
     @property
@@ -91,7 +89,6 @@ def sparse_smith_form(
     shape,
     *,
     want_left: bool = True,
-    want_right: bool = True,
     want_right_inverse: bool = False,
 ) -> SparseSmithForm:
     """Reduce a sparse integer matrix to Smith normal form.
@@ -108,7 +105,6 @@ def sparse_smith_form(
             col_index[j].add(i)
 
     left = [{i: 1} for i in range(m)] if want_left else None
-    right = [{j: 1} for j in range(n)] if want_right else None
     right_inv = [{j: 1} for j in range(n)] if want_right_inverse else None
 
     active_rows = set(range(m))
@@ -148,8 +144,6 @@ def sparse_smith_form(
             elif j in rows[i]:
                 del rows[i][j]
                 col_index[j].discard(i)
-        if right is not None:
-            _subtract(right[j], right[c], q)
         if right_inv is not None:
             # row_c of V^-1 += q * row_j
             _subtract(right_inv[c], right_inv[j], -q)
@@ -264,7 +258,6 @@ def sparse_smith_form(
         shape=(m, n),
         diagonal=tuple(diag),
         left=[left[r] for r in row_order] if left is not None else None,
-        right=[right[c] for c in col_order] if right is not None else None,
         right_inverse=(
             [right_inv[c] for c in col_order] if right_inv is not None else None
         ),

@@ -22,12 +22,11 @@ def matrix_multiply(a, b):
 
 
 def dense_form(form):
-    """A sparse Smith form with all three transforms as plain lists: the
-    rows of U, of V and of V^-1."""
+    """A sparse Smith form with both transforms as plain lists: the rows
+    of U and of V^-1."""
     m, n = form.shape
     return SimpleNamespace(
         shape=form.shape, diagonal=form.diagonal,
         left=dense(form.left, m),
-        right=[[col.get(i, 0) for col in form.right] for i in range(n)],
         right_inverse=dense(form.right_inverse, n),
     )

@@ -230,7 +230,7 @@ def abelian_decomposition(group):
             for g, v in ((a, 1), (b, 1), (group.mul(a, b), -1)):
                 matrix[g][j] = matrix[g].get(j, 0) + v
     form = sparse_smith_form(
-        matrix, (n, n * n), want_left=True, want_right=False
+        matrix, (n, n * n), want_left=True
     )
     keep = [i for i, d in enumerate(form.diagonal) if d != 1]
     factors = tuple(form.diagonal[i] for i in keep)

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from fractions import Fraction
 from itertools import combinations
 from typing import List, Mapping, Sequence
 
@@ -353,7 +354,6 @@ class HomologyWorkspace:
                 self.cc.boundary(k),
                 (self.cc.rank(k - 1), n),
                 want_left=False,
-                want_right=False,
                 want_right_inverse=True,
             )
             rank = form.rank
@@ -378,7 +378,7 @@ class HomologyWorkspace:
             self._relations[k] = rel
             self._relation_snf[k] = sparse_smith_form(
                 rel, (len(rel), self.cc.rank(k + 1)),
-                want_left=True, want_right=False,
+                want_left=True,
             )
         return self._relations[k], self._relation_snf[k]
 
@@ -416,7 +416,7 @@ def _unit_vectors(n: int) -> SparseRows:
 
 def _invariant_factors(rows: SparseRows, shape) -> tuple:
     form = sparse_smith_form(
-        rows, shape, want_left=False, want_right=False, want_right_inverse=False
+        rows, shape, want_left=False, want_right_inverse=False
     )
     return tuple(d for d in form.diagonal if d != 0)
 
@@ -425,7 +425,9 @@ def cycle_basis(cc: ChainComplex, k: int) -> SparseRows:
     """Basis of the degree-k cycle lattice, one sparse column per vector.
 
     Cheaper than a full workspace: only the right transform of one Smith
-    reduction is tracked.
+    reduction is tracked.  The library's reduction keeps V^-1, not V, so
+    the columns of V past the rank are solved for exactly: the same
+    basis that tracking V gave.
     """
     n = cc.rank(k)
     if k == 0 or cc.rank(k - 1) == 0:
@@ -434,10 +436,58 @@ def cycle_basis(cc: ChainComplex, k: int) -> SparseRows:
         cc.boundary(k),
         (cc.rank(k - 1), n),
         want_left=False,
-        want_right=True,
-        want_right_inverse=False,
+        want_right_inverse=True,
     )
-    return form.right[form.rank:]
+    return inverse_columns(form.right_inverse, n, form.rank)
+
+
+def inverse_columns(rows: SparseRows, n: int, first: int = 0) -> SparseRows:
+    """Columns ``first .. n - 1`` of the inverse of an invertible n x n
+    integer matrix, given by sparse rows, whose inverse is integral.
+
+    Exact Gauss-Jordan elimination of [A | E], where E holds only the
+    unit columns asked for: each column of A takes a pivot of absolute
+    value 1 where it has one (the sparsest such row), else a rational one.
+    """
+    work = [dict(row) for row in rows]
+    solved = [{i - first: 1} if i >= first else {} for i in range(n)]
+    holding = [set() for _ in range(n)]  # rows with a nonzero in each column
+    for i, row in enumerate(work):
+        for j in row:
+            holding[j].add(i)
+    free = set(range(n))
+    pivot_rows = []
+    for c in range(n):
+        p = min(holding[c] & free,
+                key=lambda i: (abs(work[i][c]) != 1, len(work[i]), i))
+        free.discard(p)
+        pivot_rows.append(p)
+        v = work[p][c]
+        scale = v if abs(v) == 1 else Fraction(1, v)
+        work[p] = {j: x * scale for j, x in work[p].items()}
+        solved[p] = {j: x * scale for j, x in solved[p].items()}
+        for i in holding[c] - {p}:
+            q = work[i][c]
+            for j, x in work[p].items():
+                new = work[i].get(j, 0) - q * x
+                if new:
+                    work[i][j] = new
+                    holding[j].add(i)
+                else:
+                    del work[i][j]
+                    holding[j].discard(i)
+            for j, x in solved[p].items():
+                new = solved[i].get(j, 0) - q * x
+                if new:
+                    solved[i][j] = new
+                else:
+                    del solved[i][j]
+    columns = [{} for _ in range(n - first)]
+    for c, p in enumerate(pivot_rows):
+        for j, x in solved[p].items():
+            assert x.denominator == 1, "the inverse is not integral"
+            columns[j][c] = int(x)
+    return columns
 
 
 def induced_map_surjective(
@@ -517,7 +567,7 @@ class _CyclicReducer:
         if delta2:
             form2 = sparse_smith_form(
                 delta2, (len(delta2), dim), want_left=False,
-                want_right=False, want_right_inverse=True,
+                want_right_inverse=True,
             )
             diag = list(form2.diagonal) + [0] * (dim - len(form2.diagonal))
             self._scale = [
@@ -543,7 +593,7 @@ class _CyclicReducer:
                 raise ValidationError("vector is not a mod-m cocycle")
             rel.append({j: v // s for j, v in row.items()})
         self._relation_form = sparse_smith_form(
-            rel, (dim, cols1 + dim), want_left=True, want_right=False
+            rel, (dim, cols1 + dim), want_left=True
         )
         self.class_count = 1
         for d in self._relation_form.diagonal:

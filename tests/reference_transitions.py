@@ -7,7 +7,10 @@ glued bundle once per part.  ``gerbes_equivalent`` enumerates every gauge
 and every product of shift options and validates each combination through
 ``gerbe_coboundary``, as the library did before it compared the moved
 witnesses alone and then searched depth first; ``gerbe_search_trace``
-replays that depth-first search by recursion, to count its guesses.  ``pullback_universal`` reads the
+replays that depth-first search by recursion, to count its guesses.
+``are_equivalent`` is the gauge search on its own frame-and-guess loop,
+as the library ran it before every search ran on one depth-first loop.
+``pullback_universal`` reads the
 vertex rule off a built ``UniversalBundle``, as the library did before it
 built no universal chains.  ``is_label`` is the per-value label test the
 document loaders used before they tested each distinct type once.
@@ -30,6 +33,8 @@ from cechfib import (
     validate_bundle,
 )
 from cechfib.bundles import Bundle, _lifted
+from cechfib.cocycles import Cocycle1, EquivalenceResult
+from cechfib.complexes import connected_components
 from cechfib.errors import DEFAULT_BUDGET
 from cechfib.gerbes import GerbeEquivalenceResult
 
@@ -198,6 +203,82 @@ def gerbe_search_trace(d1, d2):
         return False
 
     return walk({}, {}), trace
+
+
+def are_equivalent(
+    c1: Cocycle1,
+    c2: Cocycle1,
+    *,
+    budget: int = DEFAULT_BUDGET,
+) -> EquivalenceResult:
+    """Search for a gauge mu with c2(a, b) = mu_a^-1 * c1(a, b) * mu_b.
+
+    Both cocycles must live over one cover and take values in one group.
+    Nerve components are taken in index order.  At a component's least
+    index, mu runs through the group elements in order, one budget unit
+    per guess, and mu_b = c1(a, b)^-1 * mu_a * c2(a, b) is propagated
+    along nerve edges; the first guess that propagates consistently
+    fixes the component.  The bridge h_ab = c1(a, b) * mu_b names every
+    ordered overlapping pair, a = b included: together with both
+    cocycles it forms one cocycle over the cover joined with itself, and
+    its values in sorted pair order are the lexicographically least such
+    extension.
+    """
+    if c1.cover != c2.cover:
+        raise ValidationError("cocycles live over different covers")
+    if c1.group != c2.group:
+        raise ValidationError("cocycles take values in different groups")
+    group = c1.group
+    nerve = c1.nerve
+    neighbors: Dict = {}
+    for a, b in nerve.keys(2):
+        neighbors.setdefault(a, []).append(b)
+        neighbors.setdefault(b, []).append(a)
+
+    def propagate(root, guess) -> Optional[Dict]:
+        trial = {root: guess}
+        stack = [root]
+        while stack:
+            a = stack.pop()
+            for b in neighbors.get(a, ()):
+                forced = group.mul(
+                    group.mul(group.inv(c1.value(a, b)), trial[a]),
+                    c2.value(a, b),
+                )
+                if b not in trial:
+                    trial[b] = forced
+                    stack.append(b)
+                elif trial[b] != forced:
+                    return None
+        return trial
+
+    mu: Dict = {}
+    tried = 0
+    settled = 0
+    for (root,) in nerve.keys(1):
+        if root in mu:
+            continue
+        for guess in group.elements():
+            tried += 1
+            if tried > budget:
+                components = len(connected_components(nerve.complex))
+                raise BudgetExceededError(
+                    f"equivalence search exceeded budget {budget} after "
+                    f"{tried - 1} guesses, with {settled} of {components} "
+                    f"nerve components settled",
+                    budget,
+                )
+            component = propagate(root, guess)
+            if component is not None:
+                mu.update(component)
+                settled += 1
+                break
+        else:
+            return EquivalenceResult(equivalent=False)
+    edges = nerve.keys(2)
+    pairs = sorted([(a, a) for a in mu] + list(edges) + [(b, a) for a, b in edges])
+    bridge = {(a, b): group.mul(c1.value(a, b), mu[b]) for a, b in pairs}
+    return EquivalenceResult(equivalent=True, bridge=bridge)
 
 
 def pullback_universal(cocycle, universal: Optional[object] = None) -> Bundle:

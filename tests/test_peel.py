@@ -51,7 +51,7 @@ def unpeeled_homology(cc: ChainComplex, max_degree: int) -> HomologyResult:
         else:
             form = sparse_smith_form(
                 cc.boundary(k), (cc.rank(k - 1), cc.rank(k)),
-                want_left=False, want_right=False,
+                want_left=False,
             )
             factors = tuple(d for d in form.diagonal if d)
         ranks_of[k] = len(factors)

@@ -25,8 +25,9 @@ def check_form(mat, m, n):
     form = dense_form(sparse_smith_form(
         sparse_rows(mat, (m, n)), (m, n), want_right_inverse=True
     ))
-    product = matrix_multiply(matrix_multiply(form.left, [list(r) for r in mat]), form.right)
-    assert product == as_diagonal_matrix(form)
+    # U * A * V = D, read as U * A = D * V^-1 so that V itself is never needed
+    product = matrix_multiply(form.left, [list(r) for r in mat])
+    assert product == matrix_multiply(as_diagonal_matrix(form), form.right_inverse)
     nonzero = [d for d in form.diagonal if d]
     assert all(d > 0 for d in nonzero)
     for a, b in zip(nonzero, nonzero[1:]):
@@ -34,8 +35,7 @@ def check_form(mat, m, n):
     if m:
         assert sympy.Matrix(form.left).det() in (1, -1)
     if n:
-        assert sympy.Matrix(form.right).det() in (1, -1)
-        assert matrix_multiply(form.right, form.right_inverse) == identity_matrix(n)
+        assert sympy.Matrix(form.right_inverse).det() in (1, -1)
     return form
 
 
@@ -267,9 +267,10 @@ def dense_reduce(rows, m, n, want_left, want_right, want_right_inv):
 
 
 def assert_same_as_dense_reduction(rows, m, n):
-    want = dense_reduce([dict(r) for r in rows], m, n, True, True, True)
+    diagonal, left, _, right_inv = dense_reduce(
+        [dict(r) for r in rows], m, n, True, False, True)
     form = dense_form(sparse_smith_form(rows, (m, n), want_right_inverse=True))
-    assert (form.diagonal, form.left, form.right, form.right_inverse) == want
+    assert (form.diagonal, form.left, form.right_inverse) == (diagonal, left, right_inv)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -326,9 +327,7 @@ def test_rung_one_invariant_factors_match_sympy(name):
     cc = chain_complex_of(subdivided(corpus.SURFACES[name], 1))
     for k in range(1, len(cc.ranks)):
         m, n = cc.rank(k - 1), cc.rank(k)
-        form = sparse_smith_form(
-            cc.boundary(k), (m, n), want_left=False, want_right=False
-        )
+        form = sparse_smith_form(cc.boundary(k), (m, n), want_left=False)
         s = sympy_snf(sympy.Matrix(dense(cc.boundary(k), n)))
         theirs = sorted(abs(s[i, i]) for i in range(min(m, n)) if s[i, i])
         assert sorted(d for d in form.diagonal if d) == theirs
