@@ -193,10 +193,15 @@ def are_equivalent(
     group = c1.group
     nerve = c1.nerve
     roots = [a for (a,) in nerve.keys(1)]
-    neighbors: Dict = {}
-    for a, b in nerve.keys(2):
-        neighbors.setdefault(a, []).append(b)
-        neighbors.setdefault(b, []).append(a)
+    table, inverse = group.table, group.inverse
+    # the arc a -> b holds (b, c1(a, b)^-1, c2(a, b)), so that propagation
+    # sets mu_b = c1(a, b)^-1 * mu_a * c2(a, b); arcs keep neighbour order
+    arcs: Dict = {}
+    for pair in nerve.keys(2):
+        a, b = pair
+        g1, g2 = c1.values[pair], c2.values[pair]
+        arcs.setdefault(a, []).append((b, inverse[g1], g2))
+        arcs.setdefault(b, []).append((a, g1, inverse[g2]))
     mu: Dict = {}
     settled: List = []  # component roots, in order; never retracted
 
@@ -214,11 +219,8 @@ def are_equivalent(
         stack = [roots[i]]
         while stack:
             a = stack.pop()
-            for b in neighbors.get(a, ()):
-                forced = group.mul(
-                    group.mul(group.inv(c1.value(a, b)), trial[a]),
-                    c2.value(a, b),
-                )
+            for b, left, right in arcs.get(a, ()):
+                forced = table[table[left][trial[a]]][right]
                 if b not in trial:
                     trial[b] = forced
                     stack.append(b)

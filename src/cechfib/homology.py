@@ -2,21 +2,25 @@
 
 Boundaries, chain maps and relation matrices are sparse rows (see
 :mod:`cechfib.snf`), built directly from the simplices.  Homology groups
-come from the invariant factors of what one unit elimination leaves:
-degree by degree, each cell goes with a coface of entry +-1, which
-keeps homology.  Before it, every chain complex whose d_1 columns are
-all v - u, +-v or 0 loses a grounded spanning forest, found by
-union-find, so H_0 needs no Smith form: a simplicial complex keeps one
-vertex per component, and a closed connected surface is then left with
-one vertex, 2 - chi edges and one triangle.  ``homology`` reads the
-forest off the edge layer and builds no d_1.  A simplicial map is a
-homology isomorphism when both sides have the same groups and its
-mapping cone, whose source vertices are grounded, has none.  Canonical
-class labels come from one lattice-quotient routine
-(:class:`LatticeQuotient`), which reduces the full matrices in the
-fixed pivot order so that labels do not depend on the reductions;
-homology workspaces, the degree-2 classes of :mod:`cechfib.gerbes` and
-the abelian coordinates of :mod:`cechfib.groups` all use it.
+come from the invariant factors of what three unit eliminations leave,
+each of which keeps homology: a forest at the bottom, a coforest at the
+top and a degree loop between.  Every chain complex whose d_1 columns
+are all v - u, +-v or 0 loses a grounded spanning forest, found by
+union-find, so H_0 needs no Smith form; ``homology`` reads the forest
+off the edge layer and builds no d_1.  The top degree loses a grounded
+spanning coforest, the same union-find on the top cells with signs,
+where each face of one or two entries +-1 joins its top cells.  Then,
+degree by degree, each cell goes with a coface of entry +-1.  A
+simplicial complex keeps one vertex per component, and a closed
+connected surface is left with one vertex, 2 - chi edges and one
+triangle.  A simplicial map is a homology isomorphism when both sides
+have the same groups and its mapping cone, whose source vertices are
+grounded, has none.  Canonical class labels come from one
+lattice-quotient routine (:class:`LatticeQuotient`), which reduces the
+full matrices in the fixed pivot order so that labels do not depend on
+the reductions; homology workspaces, the degree-2 classes of
+:mod:`cechfib.gerbes` and the abelian coordinates of
+:mod:`cechfib.groups` all use it.
 """
 
 from __future__ import annotations
@@ -189,20 +193,23 @@ def _reduced_homology(cc: ChainComplex, max_degree: int) -> HomologyResult:
 def _eliminate(cc: ChainComplex, top: int) -> ChainComplex:
     """The complex in degrees 0..top with unit pairs eliminated.
 
-    Degree by degree from the bottom, each live cell, in order, is
-    eliminated against its least live coface whose entry is +-1: that
-    coface's column, times the ratio of entries, is subtracted from the
-    cell's other cofaces, and the pair's rows and columns are dropped on
-    both sides.  A cell with no unit coface stays.  Free faces and
-    coreductions are pairs with nothing to subtract.  By the
-    Gaussian-elimination lemma homology is unchanged; degrees above
-    ``top`` are dropped, which keeps homology below ``top``.  Only
-    degrees that exist are built, and input rows are copied, never
-    changed.
+    The top degree goes first: :func:`_coforest` pairs top cells with
+    faces by union-find.  Then, degree by degree from the bottom, each
+    live cell, in order, is eliminated against its least live coface
+    whose entry is +-1: that coface's column, times the ratio of
+    entries, is subtracted from the cell's other cofaces, and the pair's
+    rows and columns are dropped on both sides.  A cell with no unit
+    coface stays.  Free faces and coreductions are pairs with nothing to
+    subtract.  By the Gaussian-elimination lemma homology is unchanged;
+    degrees above ``top`` are dropped, which keeps homology below
+    ``top``.  Only degrees that exist are built, and input rows are
+    copied, never changed.
     """
     top = min(top, len(cc.ranks) - 1)
     if top < 0:
         return cc
+    if top:
+        cc = _coforest(cc, top)
     live = range(cc.ranks[0])
     kept_of, rows_of = [], []
     for k in range(top):
@@ -256,6 +263,89 @@ def _eliminate(cc: ChainComplex, top: int) -> ChainComplex:
         for at, rows in zip(index, rows_of)
     )
     return ChainComplex(ranks=tuple(map(len, kept_of)), boundaries=boundaries)
+
+
+def _coforest(cc: ChainComplex, top: int) -> ChainComplex:
+    """The complex in degrees 0..top with the faces of a grounded
+    spanning coforest eliminated, or ``cc`` itself when it has none.
+
+    Top cells have no cofaces here, so d_top alone decides.  Call the
+    cells of degree top - 1 faces.  A face whose row is one entry +-1
+    joins its top cell to a ground node, one whose row is two entries
+    +-1 joins its two top cells, and any other row passes through.
+    Union-find, with faces in order, keeps each top cell's sign relative
+    to its tree's root, so a face reads a1 s1 r1 + a2 s2 r2 on the roots
+    of its ends.  When the roots differ, the face is eliminated against
+    r1 (r2 when r1 is ground), which only renames r1 to -s1 a1 s2 a2 r2
+    in every other row: r1 joins r2's tree with that sign.  A face whose
+    ends share a tree is kept, and the tree that holds ground stands for
+    0.  Kept rows are read through the trees, one column per root other
+    than ground, and d_(top-1) loses the eliminated faces' columns.  On
+    a closed connected surface every triangle joins one tree, and the
+    kept rows read 0 (+-2 on one row of RP^2).  This is the cotree of a
+    tree-cotree decomposition (D. Eppstein, SODA 2003), the dual of
+    :func:`_forest`.
+    """
+    n = cc.ranks[top]
+    parent = list(range(n + 1))  # n is ground, always a root
+    sign = [1] * (n + 1)  # relative to the parent, so 1 at a root
+
+    def find(t):
+        # t's root and sign relative to it, halving the path on the way
+        s = 1
+        while parent[t] != t:
+            p = parent[t]
+            sign[t] *= sign[p]
+            parent[t] = up = parent[p]
+            s *= sign[t]
+            t = up
+        return t, s
+
+    d = cc.boundaries[top - 1]
+    gone = set()
+    for c, row in enumerate(d):
+        if len(row) == 2:
+            (t1, a1), (t2, a2) = row.items()
+        elif len(row) == 1:
+            (t1, a1), = row.items()
+            t2, a2 = n, 1
+        else:
+            continue
+        if a1 * a1 != 1 or a2 * a2 != 1:
+            continue
+        r1, s1 = find(t1)
+        r2, s2 = find(t2)
+        if r1 == r2:
+            continue
+        if r1 == n:
+            r1, r2 = r2, r1
+        parent[r1] = r2
+        sign[r1] = -s1 * a1 * s2 * a2
+        gone.add(c)
+    if not gone:
+        return cc
+    kept = [c for c in range(len(d)) if c not in gone]
+    rows = []
+    for c in kept:
+        read = {}
+        for t, v in d[c].items():
+            r, s = find(t)
+            if r != n:
+                read[r] = read.get(r, 0) + s * v
+        rows.append(read)
+    roots = [t for t in range(n) if parent[t] == t]
+    at = dict(zip(roots, range(len(roots))))
+    boundaries = [[{at[r]: v for r, v in read.items() if v} for read in rows]]
+    if top > 1:
+        at = dict(zip(kept, range(len(kept))))
+        boundaries.insert(0, [
+            {at[c]: v for c, v in row.items() if c in at}
+            for row in cc.boundaries[top - 2]
+        ])
+    return ChainComplex(
+        ranks=cc.ranks[:top - 1] + (len(kept), len(roots)),
+        boundaries=cc.boundaries[:max(top - 2, 0)] + tuple(boundaries),
+    )
 
 
 def homology(x: SimplicialComplex, max_degree: Optional[int] = None) -> HomologyResult:
@@ -519,18 +609,22 @@ def _invariant_factors(rows: SparseRows, shape) -> tuple:
 
 def simplicial_chain_map(f: SimplicialMap, max_degree: int) -> List[SparseRows]:
     """Chain map matrices of a simplicial map in the sorted bases, as
-    sparse rows (target simplices by source simplices)."""
+    sparse rows (target simplices by source simplices).  Images are read
+    off the source's vertex columns, one map lookup per vertex entry."""
+    image_of = f.vertex_map.__getitem__
     mats = []
     for k in range(max_degree + 1):
-        tgt_index = {s: i for i, s in enumerate(f.target.simplices_of_dim(k))}
-        mat = [{} for _ in tgt_index]
-        for j, s in enumerate(f.source.simplices_of_dim(k)):
-            image = [f(v) for v in s]
-            if len(set(image)) != len(image):
-                continue
-            # sorting the image takes one transposition per inversion
-            inversions = sum(a > b for a, b in combinations(image, 2))
-            mat[tgt_index[tuple(sorted(image))]][j] = -1 if inversions % 2 else 1
+        # a repeated vertex sorts to no target simplex
+        tgt_index = {s: i for i, s in enumerate(f.target.simplices_of_dim(k))}.get
+        mat = [{} for _ in range(f.target.simplex_count(k))]
+        pairs = list(combinations(range(k + 1), 2))
+        columns = [list(map(image_of, c)) for c in zip(*f.source.simplices_of_dim(k))]
+        for j, image in enumerate(zip(*columns)):
+            i = tgt_index(tuple(sorted(image)))
+            if i is not None:
+                # sorting the image takes one transposition per inversion
+                inversions = sum([image[a] > image[b] for a, b in pairs])
+                mat[i][j] = -1 if inversions % 2 else 1
         mats.append(mat)
     return mats
 

@@ -20,8 +20,10 @@ augmentation C_0 -> Z (``augmented_simplicial_homology``), which the
 isomorphism reference here uses for both sides.  The forest as it read
 the endpoints of every edge back from d_1 (``reference_forest``, run by
 ``reference_simplicial_homology``) references what ``homology`` hands
-to the elimination, and the elimination with no forest before it
-(``eliminated_homology_of_chain_complex``) references the grounded
+to the elimination.  The elimination is referenced by itself as it
+stood before the grounded coforest took over its top degree, copied
+verbatim (``reference_eliminate``); run with no forest before it
+(``eliminated_homology_of_chain_complex``), it references the grounded
 forest on mapping cones and other chain complexes.  Boundary matrices are
 referenced by the per-simplex loop that reading faces off vertex
 columns replaced (``reference_simplex_boundary_matrix``), which
@@ -42,7 +44,6 @@ from cechfib.homology import (
     ChainComplex,
     HomologyGroup,
     HomologyResult,
-    _eliminate,
     chain_complex_of,
     homology_of_chain_complex,
     simplicial_chain_map,
@@ -276,17 +277,90 @@ def reference_forest(cc: ChainComplex) -> ChainComplex:
     )
 
 
+def reference_eliminate(cc: ChainComplex, top: int) -> ChainComplex:
+    """The complex in degrees 0..top with unit pairs eliminated.
+
+    Degree by degree from the bottom, each live cell, in order, is
+    eliminated against its least live coface whose entry is +-1: that
+    coface's column, times the ratio of entries, is subtracted from the
+    cell's other cofaces, and the pair's rows and columns are dropped on
+    both sides.  A cell with no unit coface stays.  Free faces and
+    coreductions are pairs with nothing to subtract.  By the
+    Gaussian-elimination lemma homology is unchanged; degrees above
+    ``top`` are dropped, which keeps homology below ``top``.  Only
+    degrees that exist are built, and input rows are copied, never
+    changed.
+    """
+    top = min(top, len(cc.ranks) - 1)
+    if top < 0:
+        return cc
+    live = range(cc.ranks[0])
+    kept_of, rows_of = [], []
+    for k in range(top):
+        # live entries of d_(k+1) by cell (cofaces) and by coface (faces)
+        d = cc.boundaries[k]
+        cofaces = {c: dict(d[c]) for c in live}
+        # a zero boundary (d_1 after the forest) pairs nothing
+        n = cc.ranks[k + 1]
+        faces = [{} for _ in range(n)] if any(cofaces.values()) else [()] * n
+        for c, row in cofaces.items():
+            for t, v in row.items():
+                faces[t][c] = v
+        kept = []
+        for c in live:
+            near = cofaces[c]
+            units = [t for t, v in near.items() if v * v == 1]
+            if not units:
+                kept.append(c)
+                continue
+            t = min(units)
+            unit = near.pop(t)
+            column = faces[t]
+            del column[c]
+            # each other coface loses its c entry, w - (w * unit) * unit = 0
+            for s, w in near.items():
+                q = w * unit
+                into = faces[s]
+                del into[c]
+                for f, a in column.items():
+                    v = into.get(f, 0) - q * a
+                    if v:
+                        into[f] = cofaces[f][s] = v
+                    elif f in into:
+                        del into[f], cofaces[f][s]
+            # t's row of d_(k+2) is never read: t is not live above
+            for f in column:
+                del cofaces[f][t]
+            faces[t] = None
+        kept_of.append(kept)
+        rows_of.append([cofaces[c] for c in kept])
+        if len(kept) < len(live):
+            live = [t for t, column in enumerate(faces) if column is not None]
+        else:
+            live = range(n)
+    kept_of.append(live)
+    # columns renumbered to the kept cells; those eliminated as cells of
+    # the degree above are dropped here
+    index = [dict(zip(kept, range(len(kept)))) for kept in kept_of[1:]]
+    boundaries = tuple(
+        [{at[j]: v for j, v in row.items() if j in at} for row in rows]
+        for at, rows in zip(index, rows_of)
+    )
+    return ChainComplex(ranks=tuple(map(len, kept_of)), boundaries=boundaries)
+
+
 def eliminated_homology_of_chain_complex(
     cc: ChainComplex, max_degree: int
 ) -> HomologyResult:
     """Integral homology of a chain complex through ``max_degree``.
 
-    The complex is first shrunk by :func:`_eliminate`; only what remains
-    of each boundary goes to the Smith form, and only if it is nonzero.
+    The complex is first shrunk by :func:`reference_eliminate`; only
+    what remains of each boundary goes to the Smith form, and only if it
+    is nonzero.
     """
     if max_degree < 0:
         raise ValidationError("max_degree must be nonnegative")
-    cc = _eliminate(cc, max_degree + 1)
+    cc = reference_eliminate(cc, max_degree + 1)
     ranks_of = {}
     torsion_of = {}
     for k in range(1, max_degree + 2):
