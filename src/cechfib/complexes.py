@@ -564,20 +564,13 @@ def pi1_presentation(x: SimplicialComplex, basepoint) -> Pi1Presentation:
     index = {edge: i + 1 for i, edge in enumerate(generator_edges)}
 
     def edge_word(u, v):
-        # signed generator for the traversal u -> v, empty for tree edges
-        key = (u, v) if (u, v) in index else None
-        if key is not None:
-            return (index[key],)
-        if (v, u) in index:
-            return (-index[(v, u)],)
-        return ()
+        # the generator of the sorted edge (u, v), empty for tree edges
+        return (index[(u, v)],) if (u, v) in index else ()
 
-    relations = []
-    for a, b, c in x.simplices_of_dim(2):
-        word = edge_word(a, b) + edge_word(b, c) + tuple(
-            -g for g in reversed(edge_word(a, c))
-        )
-        relations.append(word)
+    relations = [
+        edge_word(a, b) + edge_word(b, c) + tuple(-g for g in edge_word(a, c))
+        for a, b, c in x.simplices_of_dim(2)
+    ]
 
     tree_edges = tuple(sorted(tree))
     return Pi1Presentation(

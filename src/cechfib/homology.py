@@ -64,9 +64,12 @@ class ChainComplex(NamedTuple):
 def chain_complex(
     ranks: Sequence[int], boundaries: Sequence[Sequence[Sequence[int]]]
 ) -> ChainComplex:
-    """Validate dense boundary matrices' shapes and the boundary-squared
-    condition, and store them sparse."""
-    ranks = tuple(int(r) for r in ranks)
+    """Validate ranks, dense boundary matrices' shapes and integer entries
+    and the boundary-squared condition, and store them sparse."""
+    ranks = tuple(ranks)
+    for k, r in enumerate(ranks):
+        if not _is_integer(r) or r < 0:
+            raise ValidationError(f"rank {k} must be a non-negative integer, got {r!r}")
     if len(boundaries) != max(len(ranks) - 1, 0):
         raise ValidationError(
             f"expected {max(len(ranks) - 1, 0)} boundary matrices, "
@@ -79,6 +82,12 @@ def chain_complex(
             raise ValidationError(
                 f"boundary {k + 1} has wrong shape, want {rows}x{cols}"
             )
+        for i, row in enumerate(mat):
+            for j, v in enumerate(row):
+                if not _is_integer(v):
+                    raise ValidationError(
+                        f"boundary {k + 1} entry ({i}, {j}) must be an integer, got {v!r}"
+                    )
         mats.append(sparse_rows(mat, (rows, cols)))
     for k in range(len(mats) - 1):
         if any(sparse_multiply(mats[k], mats[k + 1])):

@@ -7,11 +7,13 @@ complexes, chain maps and relation matrices are built in this form.
 :func:`sparse_smith_form` is the one reduction.  It consumes unit pivots
 first (boundary matrices of simplicial complexes reduce almost entirely
 this way) and falls back to the classical minimum-pivot algorithm for
-whatever remains.  Its transforms are sparse vectors as well.
-Homology calls it only on what the unit elimination of a chain complex
-leaves (see :mod:`cechfib.homology`); transforms for class labels still
-come from full matrices.  :func:`sparse_rows` turns
-hand-written dense rows into this form.
+whatever remains.  Both passes isolate a pivot by one step: row
+operations empty its column, and only then do column operations reduce
+its row, so each of them changes the pivot row alone.  Its transforms
+are sparse vectors as well.  Homology calls it only on what the unit
+elimination of a chain complex leaves (see :mod:`cechfib.homology`);
+transforms for class labels still come from full matrices.
+:func:`sparse_rows` turns hand-written dense rows into this form.
 """
 
 from __future__ import annotations
@@ -96,6 +98,14 @@ def sparse_smith_form(
     ``rows`` is read, not changed; entries are taken in column order, so
     the result depends only on the matrix.  Transforms are returned as
     sparse vectors (see :class:`SparseSmithForm`).
+
+    Both passes isolate a pivot (r, c) of value p by one step:
+    ``clear_column`` takes ``a_ic // p`` times row r from every other row
+    i, then ``clear_row`` takes ``a_rj // p`` times column c from every
+    other column j.  Row operations keep U; the column operations run only
+    once column c holds row r alone, so each changes row r's entry j and
+    nothing else, and keeps V^-1.  Hence no other row holds a finished
+    pivot's column, and a finished pivot row holds its pivot alone.
     """
     m, n = int(shape[0]), int(shape[1])
     rows = [{j: int(v) for j, v in sorted(row.items()) if v} for row in rows]
@@ -108,7 +118,6 @@ def sparse_smith_form(
     right_inv = [{j: 1} for j in range(n)] if want_right_inverse else None
 
     active_rows = set(range(m))
-    active_cols = set(range(n))
     unit_queue = [
         (i, j) for i in range(m) for j, v in rows[i].items() if v in (1, -1)
     ]
@@ -122,31 +131,13 @@ def sparse_smith_form(
                 if j not in target:
                     col_index[j].add(i)
                 target[j] = new
-                if new in (1, -1) and i in active_rows and j in active_cols:
+                if new in (1, -1):
                     unit_queue.append((i, j))
             elif j in target:
                 del target[j]
                 col_index[j].discard(i)
         if left is not None:
             _subtract(left[i], left[r], q)
-
-    def col_sub(j, c, q):
-        # col_j -= q * col_c
-        for i in list(col_index[c]):
-            v = rows[i][c]
-            new = rows[i].get(j, 0) - q * v
-            if new:
-                if j not in rows[i]:
-                    col_index[j].add(i)
-                rows[i][j] = new
-                if new in (1, -1) and i in active_rows and j in active_cols:
-                    unit_queue.append((i, j))
-            elif j in rows[i]:
-                del rows[i][j]
-                col_index[j].discard(i)
-        if right_inv is not None:
-            # row_c of V^-1 += q * row_j
-            _subtract(right_inv[c], right_inv[j], -q)
 
     def negate_row(r):
         row = rows[r]
@@ -155,89 +146,80 @@ def sparse_smith_form(
         if left is not None:
             left[r] = {k: -v for k, v in left[r].items()}
 
-    def clear_pivot(r, c):
-        # assumes |rows[r][c]| is 1 after sign fix
+    def clear_column(r, c):
+        # row_i -= (a_ic // p) * row_r; whether a remainder is left in column c
+        p = rows[r][c]
         for i in sorted(col_index[c] - {r}):
-            row_sub(i, r, rows[i][c])
-        for j in sorted(k for k in rows[r] if k != c):
-            col_sub(j, c, rows[r][j])
+            q = rows[i][c] // p
+            if q:
+                row_sub(i, r, q)
+        return len(col_index[c]) > 1
+
+    def clear_row(r, c):
+        # col_j -= (a_rj // p) * col_c: column c holds row r alone, so only
+        # a_rj changes, to a_rj mod p; whether a remainder is left in row r
+        row = rows[r]
+        p = row[c]
+        for j in sorted(k for k in row if k != c):
+            q, rem = divmod(row[j], p)
+            if not q:
+                continue
+            if rem:
+                row[j] = rem
+            else:
+                del row[j]
+                col_index[j].discard(r)
+            if right_inv is not None:
+                # row_c of V^-1 += q * row_j
+                _subtract(right_inv[c], right_inv[j], -q)
+        return len(row) > 1
 
     pivots = []
 
-    # Pass 1: unit pivots, cheap eliminations.
+    # Pass 1: unit pivots, cheap eliminations.  A queued entry is stale
+    # once its row is a pivot row or its value is no longer a unit.
     while unit_queue:
         r, c = unit_queue.pop()
-        if r not in active_rows or c not in active_cols:
+        if r not in active_rows or rows[r].get(c) not in (1, -1):
             continue
-        v = rows[r].get(c, 0)
-        if v not in (1, -1):
-            continue
-        if v == -1:
+        if rows[r][c] == -1:
             negate_row(r)
-        clear_pivot(r, c)
+        clear_column(r, c)
+        clear_row(r, c)
         active_rows.discard(r)
-        active_cols.discard(c)
         pivots.append((r, c))
 
     # Pass 2: classical reduction of the residue.
     while True:
-        best = None
-        for i in active_rows:
-            for j, v in rows[i].items():
-                if j in active_cols:
-                    a = abs(v)
-                    if best is None or a < best[0]:
-                        best = (a, i, j)
+        best = min(
+            ((abs(v), i, j) for i in active_rows for j, v in rows[i].items()),
+            key=lambda e: e[0],
+            default=None,
+        )
         if best is None:
             break
         _, r, c = best
         while True:
-            p = rows[r][c]
-            dirty = False
-            for i in sorted(col_index[c] - {r}):
-                q = rows[i][c] // p
-                if q:
-                    row_sub(i, r, q)
-                if rows[i].get(c):
-                    dirty = True
-            if dirty:
+            if clear_column(r, c):
                 # a smaller remainder appeared in the column; re-pivot there
-                r = min(
-                    (i for i in col_index[c] if i in active_rows),
-                    key=lambda i: abs(rows[i][c]),
-                )
+                r = min(col_index[c], key=lambda i: abs(rows[i][c]))
                 continue
-            for j in sorted(k for k in rows[r] if k != c):
-                q = rows[r][j] // p
-                if q:
-                    col_sub(j, c, q)
-                if rows[r].get(j):
-                    dirty = True
-            if dirty:
-                c = min(
-                    (j for j in rows[r] if j in active_cols),
-                    key=lambda j: abs(rows[r][j]),
-                )
+            if clear_row(r, c):
+                c = min(rows[r], key=lambda j: abs(rows[r][j]))
                 continue
             # pivot isolated; enforce divisibility against the rest
             p = rows[r][c]
-            offender = None
-            for i in active_rows:
-                if i == r:
-                    continue
-                for j, v in rows[i].items():
-                    if j in active_cols and v % p != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            offender = next(
+                (i for i in active_rows
+                 if i != r and any(v % p for v in rows[i].values())),
+                None,
+            )
             if offender is None:
                 break
             row_sub(r, offender, -1)
         if rows[r][c] < 0:
             negate_row(r)
         active_rows.discard(r)
-        active_cols.discard(c)
         pivots.append((r, c))
 
     # Assemble the permutation sending pivot k to slot k.
@@ -246,14 +228,7 @@ def sparse_smith_form(
     row_order = pivot_rows + sorted(set(range(m)) - set(pivot_rows))
     col_order = pivot_cols + sorted(set(range(n)) - set(pivot_cols))
 
-    diag = []
-    for k in range(min(m, n)):
-        if k < len(pivots):
-            r, c = pivots[k]
-            diag.append(rows[r].get(c, 0))
-        else:
-            diag.append(0)
-
+    diag = [rows[r][c] for r, c in pivots] + [0] * (min(m, n) - len(pivots))
     return SparseSmithForm(
         shape=(m, n),
         diagonal=tuple(diag),

@@ -204,3 +204,44 @@ def test_bundle_to_doc_matches_reference():
     assert collided["total"]["maximal"] == [
         ["a|b|c", "p"], ["a|b|c", "q"], ["p", "x|y|z"], ["q", "x|y|z"],
     ]
+
+
+EDGE_BASE = build_complex([["s", "t"]])
+
+
+def hand_bundle(*maximal, fiber=(0, 1)):
+    """A bundle over the edge s-t built without ``validate_bundle``: the
+    total vertex written "s0" is (s, 0) and lies over s.  Its projection
+    need not be a covering."""
+    total = build_complex([[(v[0], int(v[1:])) for v in s] for s in maximal])
+    projection = SimplicialMap(total, EDGE_BASE, {v: v[0] for v in total.vertices})
+    return Bundle(total=total, base=EDGE_BASE, projection=projection, fiber=fiber)
+
+
+PRODUCT = product_bundle(EDGE_BASE, (0, 1))
+# s0 has both lifts of t as neighbours and s1 none: same counts as the product
+STAR = hand_bundle(["s0", "t0"], ["s0", "t1"], ["s1"])
+# one triangle over the edge, with both lifts of t joined to both lifts of s
+TRIANGLE_T0 = hand_bundle(["s0", "s1", "t0"], ["s0", "t1"], ["s1", "t1"])
+TRIANGLE_T1 = hand_bundle(["s0", "s1", "t1"], ["s0", "t0"], ["s1", "t0"])
+
+HAND_PAIRS = {
+    # different bases, fiber sizes and simplex counts are refused before any search
+    "other base": (PRODUCT, product_bundle(build_complex([["s", "u"]]), (0, 1)), None),
+    "other fiber size": (PRODUCT, product_bundle(EDGE_BASE, (0, 1, 2)), None),
+    "other edge count": (PRODUCT, hand_bundle(["s0", "t0"], ["s0", "t1"], ["s1", "t0"]), None),
+    # s0 -> s0 meets two lifts of t (nothing forced), then s1 -> s1 meets none
+    "lifts missing": (PRODUCT, STAR, None),
+    "lifts forced twice": (STAR, PRODUCT, None),
+    # edges propagate, but t0 -> t0 closes the triangle onto a non-simplex
+    "triangle moved": (TRIANGLE_T0, TRIANGLE_T1, {
+        ("s", 0): ("s", 0), ("s", 1): ("s", 1), ("t", 0): ("t", 1), ("t", 1): ("t", 0),
+    }),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HAND_PAIRS))
+def test_hand_built_bundles_against_reference(case):
+    b1, b2, want = HAND_PAIRS[case]
+    assert bundle_isomorphism(b1, b2) == want
+    assert check_pair(b1, b2)

@@ -24,6 +24,8 @@ from cechfib import (
     validate_cocycle,
 )
 
+from cechfib.cocycles import merge_equivalent, monodromy_representatives
+
 import corpus
 
 
@@ -369,3 +371,42 @@ def test_class_count_matches_hom_classes_on_surfaces():
             expected = len(hom_conjugacy_classes(homs, group))
             assert count_equivalence_classes(cover, group) == expected, (
                 name, group.order)
+
+
+@pytest.mark.parametrize("name", ["rp2", "torus"])
+@pytest.mark.parametrize("group_name", ["z2", "s3"])
+def test_merge_equivalent_puts_each_twist_with_its_representative(name, group_name):
+    group = corpus.GROUPS[group_name]
+    cover = corpus.cached_star_cover(name)[0]
+    _, representatives = monodromy_representatives(cover, group)
+    rng = random.Random(len(representatives) * 10 + group.order)
+    cocycles, home = [], []
+    for k, rep in enumerate(representatives):
+        cocycles.append(rep)
+        home.append(k)
+        for _ in range(2):
+            lam = Cochain0(cover, group, {i: rng.randrange(group.order) for i in cover.indices})
+            cocycles.append(coboundary_transform(rep, lam))
+            home.append(k)
+    # interleave, so that a bucket may open with a twist rather than its representative
+    order = list(range(len(cocycles)))
+    rng.shuffle(order)
+    cocycles = [cocycles[i] for i in order]
+    home = [home[i] for i in order]
+
+    merged = merge_equivalent(cocycles)
+    first_fit = []
+    for i, cocycle in enumerate(cocycles):
+        bucket = next(
+            (b for b in first_fit if are_equivalent(cocycles[b[0]], cocycle).equivalent),
+            None,
+        )
+        if bucket is None:
+            first_fit.append([i])
+        else:
+            bucket.append(i)
+    assert merged == first_fit
+    # one bucket per representative, holding it and exactly its two twists
+    assert sorted(sorted(home[i] for i in b) for b in merged) == [
+        [k] * 3 for k in range(len(representatives))
+    ]

@@ -91,6 +91,26 @@ def test_chain_complex_validator_rejects_bad_composition():
         chain_complex((1, 1, 1), ([[1]], [[1]]))
 
 
+@pytest.mark.parametrize("rank", [-1, 2.5, "2", True, None])
+def test_chain_complex_validator_refuses_a_rank_that_is_no_non_negative_int(rank):
+    with pytest.raises(ValidationError, match=rf"^rank 1 must be a non-negative integer, got {rank!r}$"):
+        chain_complex([1, rank], [[[0] * 2]])
+
+
+@pytest.mark.parametrize("entry", [1.5, 1.0, True, "1", None])
+def test_chain_complex_validator_refuses_an_entry_that_is_no_int(entry):
+    # boundary 2 is C_2 = Z^2 -> C_1 = Z^2, and the bad entry sits at row 1, column 0
+    with pytest.raises(ValidationError, match=r"^boundary 2 entry \(1, 0\) must be an integer, got "):
+        chain_complex([1, 2, 2], [[[0, 0]], [[0, 0], [entry, 0]]])
+
+
+def test_chain_complex_validator_refuses_an_entry_of_one_and_a_half():
+    # an entry of 1.5 was read as 1 before, leaving H_0 = 0 instead of a refusal
+    with pytest.raises(ValidationError, match=r"entry \(0, 0\)"):
+        chain_complex([1, 1], [[[1.5]]])
+    assert homology_of_chain_complex(chain_complex([1, 1], [[[2]]]), 0).torsion() == ((2,),)
+
+
 def test_workspace_class_labels_separate_classes():
     """Two edges of the hollow triangle differ by a boundary only if the
     full cycle coefficient matches."""

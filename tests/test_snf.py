@@ -47,6 +47,14 @@ def test_zero_matrix():
     assert check_form([[0, 0], [0, 0]], 2, 2).diagonal == (0, 0)
 
 
+def test_coprime_row_reduces_to_one():
+    # the column step leaves 3 mod 2 = 1 beside the pivot 2, which must
+    # then become the pivot
+    form = check_form([[2, 3]], 1, 2)
+    assert form.diagonal == (1,)
+    assert (form.left, form.right_inverse) == ([[1]], [[2, 3], [1, 1]])
+
+
 def test_diag_2_3_normalizes_to_1_6():
     assert check_form([[2, 0], [0, 3]], 2, 2).diagonal == (1, 6)
 
@@ -273,18 +281,55 @@ def assert_same_as_dense_reduction(rows, m, n):
     assert (form.diagonal, form.left, form.right_inverse) == (diagonal, left, right_inv)
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_sparse_transforms_match_dense_reduction_on_random_matrices(seed):
+def small_matrix(rng):
+    m, n = rng.randint(0, 7), rng.randint(0, 7)
+    spread = rng.choice((1, 2, 6))
+    return m, n, [
+        [rng.randint(-spread, spread) if rng.random() < 0.6 else 0
+         for _ in range(n)]
+        for _ in range(m)
+    ]
+
+
+NON_UNIT_ENTRIES = [v for v in range(-6, 7) if v]
+
+
+def non_unit_matrix(rng):
+    # about 30% dense with entries in +-1..+-6: few unit pivots, so the
+    # residue's re-pivots and divisibility step run many times
+    m, n = rng.randint(5, 25), rng.randint(5, 25)
+    return m, n, [
+        [rng.choice(NON_UNIT_ENTRIES) if rng.random() < 0.3 else 0
+         for _ in range(n)]
+        for _ in range(m)
+    ]
+
+
+@pytest.mark.parametrize(
+    "seed,draw,count",
+    [pytest.param(seed, small_matrix, 60, id=str(seed)) for seed in range(4)]
+    + [pytest.param(seed, non_unit_matrix, 15, id=f"non_unit-{seed}")
+       for seed in range(4)],
+)
+def test_sparse_transforms_match_dense_reduction_on_random_matrices(seed, draw, count):
     rng = random.Random(seed)
-    for _ in range(60):
-        m, n = rng.randint(0, 7), rng.randint(0, 7)
-        spread = rng.choice((1, 2, 6))
-        mat = [
-            [rng.randint(-spread, spread) if rng.random() < 0.6 else 0
-             for _ in range(n)]
-            for _ in range(m)
-        ]
-        assert_same_as_dense_reduction(sparse_rows(mat, (m, n)), m, n)
+    for _ in range(count):
+        m, n, mat = draw(rng)
+        rows = sparse_rows(mat, (m, n))
+        assert_same_as_dense_reduction(rows, m, n)
+        # transforms that are not asked for change nothing else
+        full = sparse_smith_form(rows, (m, n), want_right_inverse=True)
+        for want_left in (False, True):
+            for want_right_inverse in (False, True):
+                form = sparse_smith_form(
+                    rows, (m, n), want_left=want_left,
+                    want_right_inverse=want_right_inverse,
+                )
+                assert form.diagonal == full.diagonal
+                assert form.left == (full.left if want_left else None)
+                assert form.right_inverse == (
+                    full.right_inverse if want_right_inverse else None
+                )
 
 
 def subdivided(x, times):
