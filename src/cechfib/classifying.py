@@ -43,24 +43,32 @@ def bar_construction(group: FiniteGroup, truncation: int = 4) -> BarComplex:
     """
     if truncation < 0:
         raise ValidationError("truncation must be nonnegative")
-    nontrivial = [g for g in group.elements() if g != 0]
-    chains: List[tuple] = [((),)]
-    for k in range(1, truncation + 1):
-        chains.append(
-            tuple(itertools.product(nontrivial, repeat=k))
-        )
-    boundaries = [
-        _sparse_boundary(
-            chains[k - 1], (_bar_faces(group, chain) for chain in chains[k])
-        )
-        for k in range(1, truncation + 1)
-    ]
-    cc = ChainComplex(
-        ranks=tuple(len(c) for c in chains), boundaries=tuple(boundaries)
-    )
+    chains = _bar_chains(group, truncation)
     return BarComplex(
-        group=group, truncation=truncation,
-        chains=tuple(chains), complex=cc,
+        group=group, truncation=truncation, chains=chains,
+        complex=_chain_complex(chains, lambda chain: _bar_faces(group, chain)),
+    )
+
+
+def _bar_chains(group: FiniteGroup, truncation: int) -> tuple:
+    """The k-tuples of non-identity elements in order, for k through the
+    truncation; degree 0 holds the empty tuple alone."""
+    nontrivial = [g for g in group.elements() if g != 0]
+    return ((),), *(
+        tuple(itertools.product(nontrivial, repeat=k))
+        for k in range(1, truncation + 1)
+    )
+
+
+def _chain_complex(chains: Sequence[tuple], faces) -> ChainComplex:
+    """The chain complex on ``chains`` whose boundary sends each chain of
+    degree k >= 1 to the alternating sum of ``faces(chain)``."""
+    return ChainComplex(
+        ranks=tuple(map(len, chains)),
+        boundaries=tuple(
+            _sparse_boundary(chains[k - 1], map(faces, chains[k]))
+            for k in range(1, len(chains))
+        ),
     )
 
 
@@ -81,20 +89,19 @@ def _sparse_boundary(rows: tuple, faces_by_column) -> SparseRows:
     return mat
 
 
-def _bar_faces(group: FiniteGroup, chain: tuple):
+def _faces(group: FiniteGroup, chain: tuple) -> list:
+    """The k + 1 faces of a k-chain of group elements, k >= 1, in order:
+    drop the first entry, compose each pair of neighbours, drop the last
+    entry.  This is the one face rule of the bar construction."""
+    return [chain[1:], *(
+        chain[: i - 1] + (group.mul(chain[i - 1], chain[i]),) + chain[i + 1:]
+        for i in range(1, len(chain))
+    ), chain[:-1]]
+
+
+def _bar_faces(group: FiniteGroup, chain: tuple) -> list:
     """Faces in order; a face with an identity entry is None."""
-    k = len(chain)
-    out = []
-    for i in range(k + 1):
-        if i == 0:
-            face = chain[1:]
-        elif i == k:
-            face = chain[:-1]
-        else:
-            merged = group.mul(chain[i - 1], chain[i])
-            face = chain[: i - 1] + (merged,) + chain[i + 1:]
-        out.append(None if any(g == 0 for g in face) else face)
-    return out
+    return [None if 0 in face else face for face in _faces(group, chain)]
 
 
 def bar_homology(group: FiniteGroup, max_degree: int) -> HomologyResult:
@@ -217,28 +224,19 @@ def _edge_values(cocycle: Cocycle1, simplex: tuple) -> tuple:
 def classifying_map_is_simplicial(cmap: ClassifyingMap) -> bool:
     """Face-compatibility: dropping a nerve vertex matches a bar face.
 
-    Dropping an inner vertex composes the adjacent edge values, so this
+    Dropping vertex i of a nerve simplex must give the image of the
+    i-th bar face of its edge values, identity entries dropped; for an
+    inner vertex that face composes the adjacent edge values, so this
     holds for every 2-simplex exactly when the cocycle law does.
     """
     group = cmap.cocycle.group
     nerve = cmap.cocycle.nerve.complex
-    for k in range(1, nerve.dim + 1):
-        for simplex in nerve.simplices_of_dim(k):
-            raw = _edge_values(cmap.cocycle, simplex)
-            for drop in range(len(simplex)):
-                face = simplex[:drop] + simplex[drop + 1:]
-                expected = cmap.images[face]
-                if drop == 0:
-                    got = raw[1:]
-                elif drop == len(simplex) - 1:
-                    got = raw[:-1]
-                else:
-                    got = raw[: drop - 1] + (
-                        group.mul(raw[drop - 1], raw[drop]),
-                    ) + raw[drop + 1:]
-                if tuple(g for g in got if g != 0) != expected:
-                    return False
-    return True
+    return all(
+        tuple(filter(None, face)) == cmap.images[simplex[:drop] + simplex[drop + 1:]]
+        for k in range(1, nerve.dim + 1)
+        for simplex in nerve.simplices_of_dim(k)
+        for drop, face in enumerate(_faces(group, _edge_values(cmap.cocycle, simplex)))
+    )
 
 
 def classifying_chain_map(cmap: ClassifyingMap, max_degree: int) -> List[SparseRows]:
@@ -248,10 +246,9 @@ def classifying_chain_map(cmap: ClassifyingMap, max_degree: int) -> List[SparseR
     mats = []
     for k in range(max_degree + 1):
         src = nerve.simplices_of_dim(k)
-        rows = len(cmap.bar.chains[k]) if k <= cmap.bar.truncation else 0
-        index = {c: i for i, c in enumerate(cmap.bar.chains[k])} \
-            if k <= cmap.bar.truncation else {}
-        mat = [{} for _ in range(rows)]
+        chains = cmap.bar.chains[k] if k <= cmap.bar.truncation else ()
+        index = {c: i for i, c in enumerate(chains)}
+        mat = [{} for _ in chains]
         for j, simplex in enumerate(src):
             image = cmap.images[simplex]
             if len(image) == k:
@@ -289,38 +286,24 @@ def universal_bundle(group: FiniteGroup, truncation: int) -> UniversalBundle:
     """Total chains of the regular action groupoid over the bar chains."""
     if truncation < 1:
         raise ValidationError("truncation must be at least 1")
-    nontrivial = [g for g in group.elements() if g != 0]
-    chains: List[tuple] = [tuple(((), f) for f in group.elements())]
-    for k in range(1, truncation + 1):
-        level = []
-        for tup in itertools.product(nontrivial, repeat=k):
-            for f in group.elements():
-                level.append((tup, f))
-        chains.append(tuple(level))
-    boundaries = [
-        _sparse_boundary(
-            chains[k - 1],
-            (_universal_faces(group, tup, f) for tup, f in chains[k]),
-        )
-        for k in range(1, truncation + 1)
-    ]
-    cc = ChainComplex(
-        ranks=tuple(len(c) for c in chains), boundaries=tuple(boundaries)
+    chains = tuple(
+        tuple(itertools.product(level, group.elements()))
+        for level in _bar_chains(group, truncation)
     )
     return UniversalBundle(
-        group=group, truncation=truncation,
-        chains=tuple(chains), complex=cc,
+        group=group, truncation=truncation, chains=chains,
+        complex=_chain_complex(chains, lambda chain: _universal_faces(group, chain)),
     )
 
 
-def _universal_faces(group: FiniteGroup, tup: tuple, f: int) -> list:
+def _universal_faces(group: FiniteGroup, chain: tuple) -> list:
     """Faces of the chain (tup; f): each bar face of tup with the point f,
     moved by tup[-1] on the last face; None where the bar face is None."""
-    last = len(tup)
-    moved = group.mul(tup[-1], f)
+    tup, f = chain
+    points = [f] * len(tup) + [group.mul(tup[-1], f)]
     return [
-        None if face is None else (face, moved if i == last else f)
-        for i, face in enumerate(_bar_faces(group, tup))
+        None if face is None else (face, point)
+        for face, point in zip(_bar_faces(group, tup), points)
     ]
 
 

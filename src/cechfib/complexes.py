@@ -371,9 +371,9 @@ class SimplicialMap:
     Checked in one pass: each maximal source simplex's image must be a
     target simplex, which covers every vertex too.  Only on a failure are
     vertices, then simplices, checked in order to name the first fault.
-    The pass keeps the images of the maximal source simplices, and
-    learns whether one of them loses a vertex.  ``_trusted`` takes a map
-    that its maker knows simplicial, unchecked.
+    The pass keeps the images of the maximal source simplices, which
+    ``_keeps_dimensions`` reads.  ``_trusted`` takes a map that its maker
+    knows simplicial, unchecked.
     """
 
     __slots__ = ("source", "target", "vertex_map", "_rigid", "_images")
@@ -396,7 +396,7 @@ class SimplicialMap:
         self.target = target
         self.vertex_map = vm
         self._images = images
-        self._rigid = sum(map(len, images)) == sum(map(len, tops))
+        self._rigid = None
 
     @classmethod
     def _trusted(cls, source, target, vertex_map, *, rigid=None,

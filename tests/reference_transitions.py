@@ -14,6 +14,9 @@ as the library ran it before every search ran on one depth-first loop.
 vertex rule off a built ``UniversalBundle``, as the library did before it
 built no universal chains.  ``is_label`` is the per-value label test the
 document loaders used before they tested each distinct type once.
+``bar_construction``, ``universal_bundle`` and
+``classifying_map_is_simplicial`` each write the bar face maps out
+themselves, as the library did before all three read one face rule.
 """
 
 from __future__ import annotations
@@ -29,14 +32,22 @@ from cechfib import (
     gerbe_coboundary,
     regular_action,
     restrict_bundle,
-    universal_bundle,
     validate_bundle,
 )
 from cechfib.bundles import Bundle, _lifted
+from cechfib.classifying import (
+    BarComplex,
+    ClassifyingMap,
+    UniversalBundle,
+    _edge_values,
+    _sparse_boundary,
+)
 from cechfib.cocycles import Cocycle1, EquivalenceResult
 from cechfib.complexes import connected_components
 from cechfib.errors import DEFAULT_BUDGET
 from cechfib.gerbes import GerbeEquivalenceResult
+from cechfib.groups import FiniteGroup
+from cechfib.homology import ChainComplex
 
 
 def patch_bundles(cover, locals_: Mapping) -> Bundle:
@@ -310,3 +321,115 @@ def pullback_universal(cocycle, universal: Optional[object] = None) -> Bundle:
 
 def is_label(v) -> bool:
     return isinstance(v, str) or (isinstance(v, int) and not isinstance(v, bool))
+
+
+def bar_construction(group: FiniteGroup, truncation: int = 4) -> BarComplex:
+    """Chains and boundaries of the one-object classifying construction.
+
+    Degree-k chains are k-tuples of non-identity elements; a boundary
+    face that composes two entries to the identity is degenerate and is
+    dropped.
+    """
+    if truncation < 0:
+        raise ValidationError("truncation must be nonnegative")
+    nontrivial = [g for g in group.elements() if g != 0]
+    chains: List[tuple] = [((),)]
+    for k in range(1, truncation + 1):
+        chains.append(
+            tuple(itertools.product(nontrivial, repeat=k))
+        )
+    boundaries = [
+        _sparse_boundary(
+            chains[k - 1], (_bar_faces(group, chain) for chain in chains[k])
+        )
+        for k in range(1, truncation + 1)
+    ]
+    cc = ChainComplex(
+        ranks=tuple(len(c) for c in chains), boundaries=tuple(boundaries)
+    )
+    return BarComplex(
+        group=group, truncation=truncation,
+        chains=tuple(chains), complex=cc,
+    )
+
+
+def _bar_faces(group: FiniteGroup, chain: tuple):
+    """Faces in order; a face with an identity entry is None."""
+    k = len(chain)
+    out = []
+    for i in range(k + 1):
+        if i == 0:
+            face = chain[1:]
+        elif i == k:
+            face = chain[:-1]
+        else:
+            merged = group.mul(chain[i - 1], chain[i])
+            face = chain[: i - 1] + (merged,) + chain[i + 1:]
+        out.append(None if any(g == 0 for g in face) else face)
+    return out
+
+
+def classifying_map_is_simplicial(cmap: ClassifyingMap) -> bool:
+    """Face-compatibility: dropping a nerve vertex matches a bar face.
+
+    Dropping an inner vertex composes the adjacent edge values, so this
+    holds for every 2-simplex exactly when the cocycle law does.
+    """
+    group = cmap.cocycle.group
+    nerve = cmap.cocycle.nerve.complex
+    for k in range(1, nerve.dim + 1):
+        for simplex in nerve.simplices_of_dim(k):
+            raw = _edge_values(cmap.cocycle, simplex)
+            for drop in range(len(simplex)):
+                face = simplex[:drop] + simplex[drop + 1:]
+                expected = cmap.images[face]
+                if drop == 0:
+                    got = raw[1:]
+                elif drop == len(simplex) - 1:
+                    got = raw[:-1]
+                else:
+                    got = raw[: drop - 1] + (
+                        group.mul(raw[drop - 1], raw[drop]),
+                    ) + raw[drop + 1:]
+                if tuple(g for g in got if g != 0) != expected:
+                    return False
+    return True
+
+
+def universal_bundle(group: FiniteGroup, truncation: int) -> UniversalBundle:
+    """Total chains of the regular action groupoid over the bar chains."""
+    if truncation < 1:
+        raise ValidationError("truncation must be at least 1")
+    nontrivial = [g for g in group.elements() if g != 0]
+    chains: List[tuple] = [tuple(((), f) for f in group.elements())]
+    for k in range(1, truncation + 1):
+        level = []
+        for tup in itertools.product(nontrivial, repeat=k):
+            for f in group.elements():
+                level.append((tup, f))
+        chains.append(tuple(level))
+    boundaries = [
+        _sparse_boundary(
+            chains[k - 1],
+            (_universal_faces(group, tup, f) for tup, f in chains[k]),
+        )
+        for k in range(1, truncation + 1)
+    ]
+    cc = ChainComplex(
+        ranks=tuple(len(c) for c in chains), boundaries=tuple(boundaries)
+    )
+    return UniversalBundle(
+        group=group, truncation=truncation,
+        chains=tuple(chains), complex=cc,
+    )
+
+
+def _universal_faces(group: FiniteGroup, tup: tuple, f: int) -> list:
+    """Faces of the chain (tup; f): each bar face of tup with the point f,
+    moved by tup[-1] on the last face; None where the bar face is None."""
+    last = len(tup)
+    moved = group.mul(tup[-1], f)
+    return [
+        None if face is None else (face, moved if i == last else f)
+        for i, face in enumerate(_bar_faces(group, tup))
+    ]

@@ -31,8 +31,11 @@ from cechfib import (
     symmetric_group,
     total_space,
     trivial_cocycle,
+    validate_bundle,
     validate_cocycle,
 )
+from cechfib.bundles import Bundle
+from cechfib.cocycles import Cocycle1
 
 import corpus
 
@@ -369,3 +372,109 @@ def test_bundle_and_nerve_compare_by_their_fields():
     with pytest.raises(TypeError):
         hash(nerve)  # its witnesses are a dict
     assert repr(nerve).startswith("NerveComplex(complex=SimplicialComplex(")
+
+
+def _edge_locals(**changes):
+    """The product bundle over the edge restricted to each part of its
+    closed star cover, with some locals changed."""
+    cover = closed_star_cover(corpus.EDGE)
+    full = product_bundle(corpus.EDGE, ("x", "y"))
+    locals_ = {idx: restrict_bundle(full, cover.parts[idx]) for idx in cover.indices}
+    locals_.update(changes)
+    return cover, {idx: b for idx, b in locals_.items() if b is not None}
+
+
+def _crossed_over_edge():
+    """A one-point fiber over the edge a-b whose total vertex over b
+    sorts before the one over a."""
+    total = build_complex([["y", "z"]])
+    projection = SimplicialMap(total, corpus.EDGE, {"z": "a", "y": "b"})
+    return Bundle(total, corpus.EDGE, projection, ("f",))
+
+
+def _over_another_base():
+    edge = product_bundle(corpus.EDGE, ("x", "y"))
+    return Bundle(edge.total, corpus.POINT, edge.projection, edge.fiber)
+
+
+def _collapsed_edge():
+    total = build_complex([["x", "y"]])
+    return Bundle(total, corpus.POINT,
+                  SimplicialMap(total, corpus.POINT, {"x": "p", "y": "p"}), ("x", "y"))
+
+
+def _swap_ends():
+    """A map of the product over the edge onto itself that swaps the
+    edge's ends, so it does not commute with the projections."""
+    edge = product_bundle(corpus.EDGE, ("x", "y"))
+    other = {"a": "b", "b": "a"}
+    swap = {(v, f): (other[v], f) for v, f in edge.total.vertices}
+    return edge, SimplicialMap(edge.total, edge.total, swap)
+
+
+def _flipped_triangle_cocycle():
+    """A ``Cocycle1`` over the full triangle's star cover that breaks the
+    cocycle law, built by hand since validation would refuse it."""
+    cover = star_cover(corpus.FULL_TRIANGLE)
+    return Cocycle1(cover, corpus.Z2, {("a", "b"): 0, ("b", "c"): 0, ("a", "c"): 1})
+
+
+BUNDLE_REFUSALS = {
+    "patch-missing-local": (
+        lambda: patch_bundles(*_edge_locals(a=None)),
+        "no local bundle for part 'a'"),
+    "patch-wrong-base": (
+        lambda: patch_bundles(*_edge_locals(a=product_bundle(corpus.POINT, ("x", "y")))),
+        "local bundle over 'a' has the wrong base"),
+    "patch-different-fibers": (
+        lambda: patch_bundles(*_edge_locals(a=product_bundle(corpus.EDGE, ("x", "y", "z")))),
+        "local bundles have different fibers"),
+    "cylinder-different-bases": (
+        lambda: mapping_cylinder_bundle(
+            product_bundle(corpus.EDGE, ("x", "y")), product_bundle(corpus.POINT, ("x", "y")),
+            SimplicialMap.identity(product_bundle(corpus.EDGE, ("x", "y")).total)),
+        "bundles live over different bases"),
+    "cylinder-endpoints": (
+        lambda: mapping_cylinder_bundle(
+            product_bundle(corpus.EDGE, ("x", "y")), product_bundle(corpus.EDGE, ("x", "y")),
+            SimplicialMap.identity(product_bundle(corpus.POINT, ("x", "y")).total)),
+        "comparison map endpoints do not match"),
+    "cylinder-not-over-the-base": (
+        lambda: mapping_cylinder_bundle(_swap_ends()[0], *_swap_ends()),
+        "comparison does not commute with projections at ('a', 'x')"),
+    "cylinder-order-not-monotone": (
+        lambda: mapping_cylinder_bundle(
+            _crossed_over_edge(), _crossed_over_edge(),
+            SimplicialMap.identity(_crossed_over_edge().total)),
+        "total vertex order does not refine the base order; "
+        "relabel the bundle over ('a', 'b')"),
+    "validate-endpoints": (
+        lambda: validate_bundle(_over_another_base()),
+        "projection endpoints do not match the bundle"),
+    "validate-collapse": (
+        lambda: validate_bundle(_collapsed_edge()),
+        "projection collapses simplex ('x', 'y')"),
+    "skeletal-foreign-action": (
+        lambda: skeletal_construction(circle_double_cover()[0], regular_action(corpus.S3)),
+        "action group differs from cocycle group"),
+    "skeletal-facet-rejected": (
+        lambda: skeletal_construction(_flipped_triangle_cocycle(), regular_action(corpus.Z2)),
+        "fiber over 'a' has 0 vertices, want 2"),
+    "pullback-foreign-map": (
+        lambda: pullback(circle_double_cover()[1], SimplicialMap.identity(corpus.POINT)),
+        "map does not land in the bundle's base"),
+    "restrict-not-a-subcomplex": (
+        lambda: restrict_bundle(circle_double_cover()[1], corpus.POINT),
+        "restriction target is not a subcomplex"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BUNDLE_REFUSALS))
+def test_bundle_refusal_names_the_fault(case):
+    """Each refusal of a bundle operation, with its exact message.  Over
+    a cocycle that breaks the law, the skeletal build rejects every
+    extension over the triangle at a facet and ends with no lifts."""
+    call, message = BUNDLE_REFUSALS[case]
+    with pytest.raises(ValidationError) as info:
+        call()
+    assert str(info.value) == message

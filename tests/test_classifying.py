@@ -379,3 +379,22 @@ def test_classifying_equivalent_cocycles_same_h1_action():
         ]
         label = ws.class_label(1, image)
         assert label == (1,)
+
+
+CLASSIFYING_REFUSALS = {
+    "bar-construction-negative-truncation": (
+        lambda: bar_construction(corpus.Z2, -1), "truncation must be nonnegative"),
+    "universal-bundle-truncation-zero": (
+        lambda: universal_bundle(corpus.Z2, 0), "truncation must be at least 1"),
+    "edge-transition-of-a-2-chain": (
+        lambda: universal_bundle(corpus.Z2, 2).edge_transition((1, 1)),
+        "edge transition needs a 1-chain"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLASSIFYING_REFUSALS))
+def test_classifying_refusal_names_the_fault(case):
+    call, message = CLASSIFYING_REFUSALS[case]
+    with pytest.raises(ValidationError) as info:
+        call()
+    assert str(info.value) == message

@@ -19,12 +19,13 @@ import json
 import os
 import tempfile
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from cechfib import cli
 
-from test_cli_golden import CASES
+from test_cli_golden import CASES, CIRCLE, circle_cocycle, milnor
 
 VERBS = sorted(cli._VERBS)
 
@@ -207,3 +208,54 @@ def test_every_verb_checks_its_document_count(tmp_path):
             assert _run([verb, "--input", *[str(path)] * count]) == (
                 cli.EXIT_INPUT, "",
                 f"cechfib: input error: expected {wanted} input {noun}, got {count}\n")
+
+
+Z3 = {"order": 3, "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]}
+
+
+def _cocycle_with(**changes):
+    return {**circle_cocycle(), **changes}
+
+
+REFUSALS = {
+    "group-empty-table": (
+        "bar-homology", [{"table": []}], "group table is empty"),
+    "group-short-row": (
+        "bar-homology", [{"table": [[0, 1], [1]]}],
+        "table row 1 has length 1, want 2"),
+    "group-entry-out-of-range": (
+        "bar-homology", [{"table": [[0, 1], [1, 2]]}],
+        "table entry 2 out of range 0..1"),
+    "group-order-mismatch": (
+        "bar-homology", [{"order": 3, "table": [[0, 1], [1, 0]]}],
+        "declared order does not match the table"),
+    "cocycle-key-three-indices": (
+        "cocycle-check", [_cocycle_with(values={"a|b": 0, "b|c": 0, "a|b|c": 1})],
+        "key 'a|b|c' does not name 2 indices"),
+    "milnor-t-not-a-list": (
+        "milnor-check", [{**milnor(), "t": "1/2"}],
+        '"t" must be a list of rationals'),
+    "cover-without-parts": (
+        "nerve", [{"base": CIRCLE, "parts": {}}], "cover has no parts"),
+    "bundle-build-action-shape": (
+        "bundle-build",
+        [_cocycle_with(action={"fiber": ["x", "y"], "table": [[0, 1]]})],
+        "action table has wrong shape"),
+    "cocycle-equiv-different-groups": (
+        "cocycle-equiv", [circle_cocycle(), circle_cocycle(0, Z3)],
+        "cocycles take values in different groups"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_cli_refusal_names_the_fault(case, tmp_path):
+    """Each input fault exits 2 with nothing on stdout and one stderr
+    line that names it."""
+    verb, docs, message = REFUSALS[case]
+    paths = []
+    for i, doc in enumerate(docs):
+        paths.append(str(tmp_path / f"doc{i}.json"))
+        with open(paths[-1], "w", encoding="utf-8") as f:
+            json.dump(doc, f)
+    assert _run([verb, "--input", *paths]) == (
+        cli.EXIT_INPUT, "", f"cechfib: input error: {message}\n")

@@ -410,3 +410,35 @@ def test_merge_equivalent_puts_each_twist_with_its_representative(name, group_na
     assert sorted(sorted(home[i] for i in b) for b in merged) == [
         [k] * 3 for k in range(len(representatives))
     ]
+
+
+def _circle_cocycle():
+    cover = star_cover(corpus.HOLLOW_TRIANGLE)
+    return validate_cocycle(cover, corpus.Z2, {("a", "b"): 0, ("b", "c"): 0, ("a", "c"): 1})
+
+
+COCYCLE_REFUSALS = {
+    "transform-by-a-cochain-of-another-cover": (
+        lambda: coboundary_transform(_circle_cocycle(), Cochain0(
+            star_cover(corpus.FULL_TRIANGLE), corpus.Z2, {"a": 0, "b": 0, "c": 0})),
+        "cochain is over a different cover or group"),
+    "transform-by-a-cochain-that-misses-an-index": (
+        lambda: coboundary_transform(_circle_cocycle(), Cochain0(
+            _circle_cocycle().cover, corpus.Z2, {"a": 0, "b": 0})),
+        "cochain misses index 'c'"),
+    "homomorphism-with-too-many-images": (
+        lambda: from_homomorphism((1, 0), star_cover(corpus.HOLLOW_TRIANGLE), corpus.Z2),
+        "expected 1 generator images, got 2"),
+    "equivalence-across-groups": (
+        lambda: are_equivalent(_circle_cocycle(), trivial_cocycle(
+            _circle_cocycle().cover, corpus.Z3)),
+        "cocycles take values in different groups"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COCYCLE_REFUSALS))
+def test_cocycle_refusal_names_the_fault(case):
+    call, message = COCYCLE_REFUSALS[case]
+    with pytest.raises(ValidationError) as info:
+        call()
+    assert str(info.value) == message

@@ -279,3 +279,22 @@ def test_missing_dimension_is_not_closed():
     triangle_without_edges = [frozenset("abc")] + [frozenset(v) for v in "abc"]
     with pytest.raises(ValidationError):
         SimplicialComplex(triangle_without_edges)
+
+
+COMPLEX_REFUSALS = {
+    "presentation-at-a-missing-basepoint": (
+        lambda: pi1_presentation(corpus.EDGE, "z"), "basepoint 'z' is not a vertex"),
+    # a simplex given as a list cannot go in a set of simplices; the
+    # refusal is the one for labels that cannot be ordered
+    "simplex-that-is-not-hashable": (
+        lambda: SimplicialComplex([["a", "b"]]),
+        "vertex identifiers must be mutually orderable"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COMPLEX_REFUSALS))
+def test_complex_refusal_names_the_fault(case):
+    call, message = COMPLEX_REFUSALS[case]
+    with pytest.raises(ValidationError) as info:
+        call()
+    assert str(info.value) == message

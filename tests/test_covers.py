@@ -458,3 +458,9 @@ def test_nerve_takes_each_intersection_once(monkeypatch):
     parts = sum(not part.is_empty() for part in cover.parts.values())
     assert (len(nerve.witnesses), parts) == (252, 42)
     assert reads <= 1 + 2 * (len(nerve.witnesses) - parts)
+
+
+def test_cover_indices_must_be_mutually_orderable():
+    with pytest.raises(ValidationError) as info:
+        Cover(corpus.EDGE, {1: corpus.EDGE, "a": corpus.EDGE})
+    assert str(info.value) == "cover indices must be mutually orderable"

@@ -17,11 +17,13 @@ from cechfib import (
     gerbes_equivalent,
     star_cover,
     trivial_cocycle,
+    trivial_group,
     validate_cocycle,
     validate_crossed_module,
     validate_gerbe_cocycle,
 )
 from cechfib.gerbes import gerbe_from_cocycle
+from cechfib.groups import CrossedModule
 
 import corpus
 
@@ -397,3 +399,64 @@ def test_coherence_faces_identity_data():
         {p: 0 for p in pairs}, {t: 0 for t in triples},
     )
     assert check_coherence_faces(data)
+
+
+def _zero_gerbe(base, coefficients):
+    cover = star_cover(base)
+    nerve = cover.nerve
+    return validate_gerbe_cocycle(cover, coefficients, {p: 0 for p in nerve.keys(2)},
+                                  {t: 0 for t in nerve.keys(3)})
+
+
+def _tetrahedron_zero_gerbe(coefficients=None):
+    return _zero_gerbe(corpus.FULL_3SIMPLEX, coefficients or abelian_coefficients(corpus.Z2))
+
+
+def _by_hand(module, witness):
+    """Gerbe data over the tetrahedron's star cover that no validation
+    has seen: zero edges and one witness value everywhere."""
+    cover = star_cover(corpus.FULL_3SIMPLEX)
+    return GerbeCocycle(cover, module, {p: 0 for p in cover.nerve.keys(2)},
+                        {t: witness for t in cover.nerve.keys(3)})
+
+
+def _coboundary_missing(gauge=(), shift=()):
+    data = _tetrahedron_zero_gerbe()
+    lam = {idx: 0 for idx in data.cover.indices if idx not in gauge}
+    moves = {pair: 0 for pair in data.nerve.keys(2) if pair not in shift}
+    return gerbe_coboundary(data, lam, moves)
+
+
+GERBE_REFUSALS = {
+    "coboundary-gauge-misses-an-index": (
+        lambda: _coboundary_missing(gauge=(3,)), "gauge misses index 3"),
+    "coboundary-shift-misses-a-pair": (
+        lambda: _coboundary_missing(shift=((2, 3),)), "shift misses pair (2, 3)"),
+    "equivalent-over-different-covers": (
+        lambda: gerbes_equivalent(
+            _tetrahedron_zero_gerbe(),
+            _zero_gerbe(corpus.FULL_TRIANGLE, abelian_coefficients(corpus.Z2))),
+        "gerbe data live over different covers"),
+    "equivalent-with-different-modules": (
+        lambda: gerbes_equivalent(
+            _tetrahedron_zero_gerbe(),
+            _tetrahedron_zero_gerbe(abelian_coefficients(corpus.Z4))),
+        "gerbe data use different crossed modules"),
+    # a valid module with a trivial base has an abelian fiber (the
+    # Peiffer identity), so only a module built by hand reaches this
+    "class-of-a-nonabelian-fiber": (
+        lambda: abelian_class(_by_hand(
+            CrossedModule(trivial_group(), corpus.S3, [0] * 6, [range(6)]), 0)),
+        "fiber group must be abelian"),
+    "coherence-of-untyped-triangles": (
+        lambda: check_coherence_faces(_by_hand(adjoint_crossed_module(corpus.Z2), 1)),
+        "triangle data at (1, 2, 3) does not type-check"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GERBE_REFUSALS))
+def test_gerbe_refusal_names_the_fault(case):
+    call, message = GERBE_REFUSALS[case]
+    with pytest.raises(ValidationError) as info:
+        call()
+    assert str(info.value) == message

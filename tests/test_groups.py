@@ -421,3 +421,19 @@ def test_hom_budget_error_says_how_far_the_search_got():
         r"reaching generator \d+ of 15 \(\d+ homomorphisms found\)",
         str(err.value),
     )
+
+
+GROUP_REFUSALS = {
+    "cyclic-group-of-order-zero": (
+        lambda: cyclic_group(0), "cyclic group order must be positive"),
+    "coefficients-in-a-nonabelian-group": (
+        lambda: abelian_coefficients(corpus.S3), "coefficient group must be abelian"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GROUP_REFUSALS))
+def test_group_refusal_names_the_fault(case):
+    call, message = GROUP_REFUSALS[case]
+    with pytest.raises(ValidationError) as info:
+        call()
+    assert str(info.value) == message

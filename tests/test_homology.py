@@ -13,6 +13,8 @@ from cechfib import (
     simplicial_chain_map,
 )
 
+from cechfib.homology import HomologyGroup, HomologyResult
+
 import corpus
 from dense import dense, matrix_multiply
 
@@ -208,3 +210,30 @@ def test_inclusion_of_circle_into_disk_not_isomorphism():
         {v: v for v in corpus.HOLLOW_TRIANGLE.vertices},
     )
     assert not map_induces_homology_isomorphism(inclusion, 1)
+
+
+HOMOLOGY_REFUSALS = {
+    "chain-complex-boundary-count": (
+        lambda: chain_complex([1, 1], []), "expected 1 boundary matrices, got 0"),
+    "chain-complex-boundary-shape": (
+        lambda: chain_complex([1, 2], [[[1]]]), "boundary 1 has wrong shape, want 1x2"),
+    "homology-of-a-negative-degree": (
+        lambda: homology_of_chain_complex(chain_complex([1], []), -1),
+        "max_degree must be nonnegative"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOMOLOGY_REFUSALS))
+def test_homology_refusal_names_the_fault(case):
+    call, message = HOMOLOGY_REFUSALS[case]
+    with pytest.raises(ValidationError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_homology_groups_print_and_vanish_out_of_range():
+    assert str(HomologyGroup(2, (2, 6))) == "Z + Z + Z/2 + Z/6"
+    assert str(HomologyGroup(0, ())) == "0"
+    result = HomologyResult((HomologyGroup(1, ()), HomologyGroup(0, (2,))))
+    assert result.group(1) == HomologyGroup(0, (2,))
+    assert result.group(2) == result.group(-1) == HomologyGroup(0, ())
